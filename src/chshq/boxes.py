@@ -219,8 +219,7 @@ def monte_carlo_win(field: Field, box, game: str = "base",
         raise InvalidInput(f"unknown game {game!r}")
     q = field.q
     rng = np.random.default_rng(seed)
-    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)])
-    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)])
+    add, mul = field.op_table("add"), field.op_table("mul")
 
     if isinstance(box, RegularBox):
         pmf = np.array([float(p) for p in box.error_dist().probs])

@@ -86,7 +86,10 @@ def _emit(payload: dict, args):
 
 def _read_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as e:   # JSONDecodeError and UnicodeDecodeError
+            raise InvalidInput(f"{path} is not valid JSON: {e}")
 
 
 def _field_from_args(args) -> Field:
@@ -350,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classical-value", help="optimal deterministic strategy")
     add_field_args(p)
-    p.add_argument("--exact", action="store_true", default=True,
-                   help="exhaustive search (default)")
     p.add_argument("--search", action="store_true",
                    help="seeded local search instead of exhaustion")
     p.add_argument("--seed", type=int, default=0)
@@ -424,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_report)
 
     return top

@@ -10,19 +10,25 @@ where "smallest" compares the low-degree coefficients as a base-p integer.
 That makes every derived quantity (primitive element, traces, subfields)
 reproducible from (p, s) alone.
 
-For extension fields up to TABLE_CAP elements, add/mul are precomputed
-tables; above that, operations fall back to per-call polynomial arithmetic.
+Every field is held as log/antilog tables of its canonical primitive element
+g (the smallest encoding of order q - 1), so mul, inv and pow are index
+arithmetic.  Addition is digit-wise mod p: `% p` for prime fields, XOR for
+p = 2, and Zech logarithms log(1 + g^k) for odd p with s > 1.  `op_table`
+serves the cached q x q add/sub/mul tables that other modules index.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+from array import array
 from dataclasses import dataclass
 
-from .errors import InvalidInput, CapExceeded
+import numpy as np
+
+from .errors import InvalidInput, InvariantViolation, CapExceeded
 
 Q_CAP = 1 << 16        # refuse fields larger than this
-TABLE_CAP = 1 << 10    # largest extension field that gets dense op tables
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +202,51 @@ def _digits(n: int, p: int, width: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# table construction
+# ---------------------------------------------------------------------------
+
+def _primitive_root(p: int, s: int, modulus: tuple[int, ...]) -> int:
+    """Smallest encoding of multiplicative order p^s - 1, by polynomial powering."""
+    q = p ** s
+    cofactors = [(q - 1) // r for r in factorize(q - 1)]
+    mod = list(modulus)
+    for g in range(1, q):
+        x = _poly_trim(_digits(g, p, s))
+        if all(_poly_powmod(x, e, mod, p) != [1] for e in cofactors):
+            return g
+    raise InvariantViolation("no primitive element found")
+
+
+def _powers(p: int, s: int, modulus: tuple[int, ...], g: int) -> np.ndarray:
+    """Encodings of g^0, ..., g^(q-2), by doubling: powers k .. 2k-1 are the
+    digit vectors of powers 0 .. k-1 times the s x s matrix over F_p of
+    multiplication by g^k, whose row i holds the digits of x^i * g^k."""
+    n = p ** s - 1
+    dtype = np.int32 if s * (p - 1) ** 2 < 2 ** 31 else np.int64
+    digits = np.zeros((n, s), dtype=dtype)
+    digits[0, 0] = 1
+    mod = list(modulus)
+    gk = _poly_trim(_digits(g, p, s))
+    k = 1
+    while k < n:
+        rows = [_poly_rem([0] * i + gk, mod, p) for i in range(s)]
+        mat = np.array([r + [0] * (s - len(r)) for r in rows], dtype=dtype)
+        m = min(k, n - k)
+        block = digits[k:k + m]
+        np.matmul(digits[:m], mat, out=block)
+        block %= p
+        gk = _poly_mulmod(gk, gk, mod, p)
+        k += m
+    return digits @ p ** np.arange(s, dtype=np.int64)
+
+
+def _packed(values: np.ndarray) -> array:
+    """A compact table whose items index as plain Python ints.  Entries are
+    below Q_CAP <= 2**16, so unsigned 16-bit items hold them."""
+    return array("H", values.astype(np.uint16).tobytes())
+
+
+# ---------------------------------------------------------------------------
 # the field object
 # ---------------------------------------------------------------------------
 
@@ -238,11 +289,34 @@ class Field:
         self.modulus = modulus
         self.spec = FieldSpec(p, s, q, modulus)
 
-        self._add = None
-        self._mul = None
-        self._inv = None
-        if s > 1 and q <= TABLE_CAP:
-            self._build_tables()
+        self._tabulate()
+        self._op_tables: dict[str, np.ndarray] = {}
+
+    def _tabulate(self):
+        p, s, q = self.p, self.s, self.q
+        n = self._n = q - 1
+        self._g = _primitive_root(p, s, self.modulus)
+        exp = _powers(p, s, self.modulus, self._g)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(n)
+        if not np.array_equal(exp[log[1:]], np.arange(1, q)):
+            raise InvariantViolation(f"powers of {self._g} do not cover GF({q})*")
+        # -1 = g^(n/2) for odd p; for p = 2 negation is the identity
+        half = n // 2 if p > 2 else 0
+        neg = np.zeros(q, dtype=np.int64)
+        neg[exp] = np.roll(exp, -half)
+        # exp is stored twice so that log[a] + log[b] never needs reducing
+        self._exp = _packed(np.concatenate([exp, exp]))
+        self._log = _packed(log)
+        self._neg = _packed(neg)
+        self._zech = None
+        if s > 1 and p > 2:
+            # 1 + g^k: bump the constant digit; sentinel n where 1 + g^k = 0
+            low = exp % p
+            one_plus = exp - low + (low + 1) % p
+            zech = log[one_plus]
+            zech[one_plus == 0] = n
+            self._zech = _packed(zech)
 
     # -- encoding -----------------------------------------------------------
 
@@ -271,122 +345,81 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.s == 1:
             return (a + b) % self.p
-        if self._add is not None:
-            return self._add[a][b]
-        return self._poly_add(a, b)
+        if self.p == 2:
+            return a ^ b
+        if not (a and b):
+            return a or b
+        # a + b = g^la (1 + g^(lb - la)); a negative index wraps mod q - 1
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z == self._n else self._exp[la + z]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.s == 1:
+            return (a - b) % self.p
+        if self.p == 2:
+            return a ^ b
+        return self.add(a, self._neg[b])
 
     def neg(self, a: int) -> int:
-        if self.s == 1:
-            return (-a) % self.p
-        p = self.p
-        return sum(((-c) % p) * p ** i for i, c in enumerate(_digits(a, p, self.s)))
+        return self._neg[a]
 
     def mul(self, a: int, b: int) -> int:
         if self.s == 1:
             return a * b % self.p
-        if self._mul is not None:
-            return self._mul[a][b]
-        return self._poly_mul(a, b)
+        if a and b:
+            return self._exp[self._log[a] + self._log[b]]
+        return 0
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise InvalidInput("inverse of zero")
-        if self.s == 1:
-            return pow(a, self.p - 2, self.p)
-        if self._inv is not None:
-            return self._inv[a]
-        # extended Euclid on polynomials
-        p = self.p
-        r0, r1 = list(self.modulus), _poly_trim(_digits(a, p, self.s))
-        t0, t1 = [], [1]
-        while r1:
-            inv_lead = pow(r1[-1], p - 2, p)
-            quo = [0] * (len(r0) - len(r1) + 1)
-            rem = r0[:]
-            while len(rem) >= len(r1) and _poly_trim(rem):
-                shift = len(rem) - len(r1)
-                c = rem[-1] * inv_lead % p
-                quo[shift] = c
-                for j, bj in enumerate(r1):
-                    rem[shift + j] = (rem[shift + j] - c * bj) % p
-                _poly_trim(rem)
-            r0, r1 = r1, rem
-            t_new = [(x - y) % p for x, y in _zip_pad(t0, _poly_mul_plain(quo, t1, p))]
-            t0, t1 = t1, _poly_trim(t_new)
-        # r0 is a unit constant gcd
-        scale = pow(r0[0], p - 2, p)
-        t0 = [c * scale % p for c in t0]
-        t0 = _poly_rem(t0, list(self.modulus), p)
-        return sum(c * p ** i for i, c in enumerate(t0))
+        return self._exp[self._n - self._log[a]]
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if a == 0:
+            if e < 0:
+                raise InvalidInput("inverse of zero")
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % self._n]
 
-    def _poly_add(self, a: int, b: int) -> int:
-        p = self.p
-        da, db = _digits(a, p, self.s), _digits(b, p, self.s)
-        return sum(((x + y) % p) * p ** i for i, (x, y) in enumerate(zip(da, db)))
-
-    def _poly_mul(self, a: int, b: int) -> int:
-        p = self.p
-        prod = _poly_mulmod(_poly_trim(_digits(a, p, self.s)),
-                            _poly_trim(_digits(b, p, self.s)),
-                            list(self.modulus), p)
-        return sum(c * p ** i for i, c in enumerate(prod))
-
-    def _build_tables(self):
+    def op_table(self, op: str) -> np.ndarray:
+        """The read-only q x q table of "add", "sub" or "mul", built on first
+        use and cached.  int32, so callers may form a * q + b freely."""
+        table = self._op_tables.get(op)
+        if table is not None:
+            return table
         q = self.q
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                v = self._poly_add(a, b)
-                add[a][b] = add[b][a] = v
-                w = self._poly_mul(a, b)
-                mul[a][b] = mul[b][a] = w
-        self._add = add
-        self._mul = mul
-        inv = [0] * q
-        for a in range(1, q):
-            row = mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a] = b
-                    break
-        self._inv = inv
+        if op == "mul":
+            log = np.frombuffer(self._log, dtype=np.uint16).astype(np.int32)
+            exp = np.frombuffer(self._exp, dtype=np.uint16)
+            table = exp[log[:, None] + log[None, :]].astype(np.int32)
+            table[0, :] = 0
+            table[:, 0] = 0
+        elif op in ("add", "sub"):
+            sign = 1 if op == "add" else -1
+            r = np.arange(q, dtype=np.int32)
+            table = np.zeros((q, q), dtype=np.int32)
+            for i in range(self.s):
+                w = self.p ** i
+                d = r // w % self.p
+                table += (d[:, None] + sign * d[None, :]) % self.p * w
+        else:
+            raise InvalidInput(f"unknown field operation {op!r}")
+        table.flags.writeable = False
+        self._op_tables[op] = table
+        return table
 
     # -- structure ----------------------------------------------------------
 
     def multiplicative_order(self, a: int) -> int:
         if a == 0:
             raise InvalidInput("order of zero")
-        n = self.q - 1
-        order = n
-        for r in factorize(n):
-            while order % r == 0 and self.pow(a, order // r) == 1:
-                order //= r
-        return order
+        return self._n // math.gcd(self._log[a], self._n)
 
     def primitive_element(self) -> int:
         """Smallest encoding whose multiplicative order is q - 1."""
-        n = self.q - 1
-        primes = factorize(n)
-        for g in range(1, self.q):
-            if all(self.pow(g, n // r) != 1 for r in primes):
-                return g
-        raise InvariantViolation("no primitive element found")
+        return self._g
 
     def trace(self, a: int) -> int:
         """Absolute trace into F_p, returned as an int in [0, p)."""
@@ -438,17 +471,6 @@ def field_from_json(d: dict) -> Field:
         return Field(int(d["p"]), int(d["s"]), tuple(d["modulus"]))
     except KeyError as e:
         raise InvalidInput(f"field json missing key {e}")
-
-
-def _poly_mul_plain(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_trim(res)
 
 
 # ---------------------------------------------------------------------------

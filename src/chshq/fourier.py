@@ -60,11 +60,9 @@ def random_family(q: int, n: int, seed: int) -> VectorFamily:
 
 def _kernel(field: Field, chi: AdditiveCharacter) -> np.ndarray:
     """K[x, y] = chi(-x*y)."""
-    q = field.q
     tab = np.array(chi.table)
-    idx = np.array([[field.neg(field.mul(x, y)) for y in range(q)]
-                    for x in range(q)])
-    return tab[idx]
+    neg = [field.neg(t) for t in field.elements()]
+    return tab[neg][field.op_table("mul")]
 
 
 def character_bilinear_sum(field: Field, fam: VectorFamily,
@@ -102,10 +100,8 @@ def fourier_matrix(field: Field, chi: AdditiveCharacter | None = None) -> np.nda
     """H[x, y] = chi(xy)/sqrt(q); unitary for every prime power q."""
     if chi is None:
         chi = AdditiveCharacter(field)
-    q = field.q
     tab = np.array(chi.table)
-    idx = np.array([[field.mul(x, y) for y in range(q)] for x in range(q)])
-    return tab[idx] / np.sqrt(q)
+    return tab[field.op_table("mul")] / np.sqrt(field.q)
 
 
 def tight_family(field: Field, chi: AdditiveCharacter | None = None) -> VectorFamily:

@@ -71,18 +71,14 @@ def win_count(field: Field, strategy: Strategy) -> GameValue:
     return GameValue.from_wins(field.q, wins)
 
 
-def _op_tables(field: Field):
-    q = field.q
-    mul = [[field.mul(x, y) for y in range(q)] for x in range(q)]
-    sub = [[field.sub(a, b) for b in range(q)] for a in range(q)]
-    return mul, sub
+def _op_lists(field: Field):
+    # nested lists: the pure-Python loops below index them per element
+    return field.op_table("mul").tolist(), field.op_table("sub").tolist()
 
 
 def best_response_g(field: Field, f) -> tuple[tuple[int, ...], int]:
     """Optimal g against a fixed f, with wins; ties pick the smallest encoding."""
-    q = field.q
-    mul, sub = _op_tables(field)
-    return _best_g(q, mul, sub, list(f))
+    return _best_g(field.q, *_op_lists(field), list(f))
 
 
 def _best_g(q, mul, sub, f):
@@ -99,19 +95,8 @@ def _best_g(q, mul, sub, f):
 
 
 def best_response_f(field: Field, g) -> tuple[tuple[int, ...], int]:
-    """Optimal f against a fixed g; the game is symmetric under swapping roles."""
-    q = field.q
-    mul, sub = _op_tables(field)
-    f = []
-    wins = 0
-    for x in range(q):
-        counts = [0] * q
-        for y in range(q):
-            counts[sub[mul[x][y]][g[y]]] += 1
-        best = max(counts)
-        f.append(counts.index(best))
-        wins += best
-    return tuple(f), wins
+    """Optimal f against a fixed g; x*y = y*x makes it g's best response."""
+    return _best_g(field.q, *_op_lists(field), list(g))
 
 
 def _better(cand, best):
@@ -127,11 +112,9 @@ def _search_slice(args):
     p, s, modulus, v = args
     field = Field(p, s, modulus)
     q = field.q
-    mul, sub = _op_tables(field)
+    mul, sub = _op_lists(field)
     best = None
     # f(0) = 0 w.l.o.g.: replacing (f, g) by (f + c, g - c) preserves wins
-    if q == 1:
-        raise InvalidInput("q must be at least 2")
     for rest in product(range(q), repeat=q - 2):
         f = [0, v, *rest]
         g, wins = _best_g(q, mul, sub, f)
@@ -174,8 +157,8 @@ def exhaustive_pairs_value(field: Field) -> tuple[GameValue, Strategy]:
     q = field.q
     if q > PAIRS_Q_CAP:
         raise CapExceeded(f"pair enumeration capped at q <= {PAIRS_Q_CAP}")
-    mul, sub = _op_tables(field)
-    add = [[field.add(a, b) for b in range(q)] for a in range(q)]
+    mul = field.op_table("mul").tolist()
+    add = field.op_table("add").tolist()
     best = None
     for f in product(range(q), repeat=q):
         for g in product(range(q), repeat=q):
@@ -240,6 +223,8 @@ def local_search(field: Field, seed: int, max_rounds: int = 100) -> SearchResult
 def search_with_restarts(field: Field, seed: int, restarts: int = 8,
                          max_rounds: int = 100) -> SearchResult:
     """Best local_search outcome over several seeded restarts."""
+    if restarts < 1:
+        raise InvalidInput(f"restarts = {restarts} must be >= 1")
     best = None
     for i in range(restarts):
         r = local_search(field, seed * 1000003 + i, max_rounds)

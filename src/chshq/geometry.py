@@ -184,7 +184,6 @@ def subspace_construction(field: Field, seed: int = 0) -> Config:
     else:
         b, keep = 2 * k + 1, Fraction(1)
     a = s - b
-    g = field.primitive_element()
     A = _span(field, a)
     B = _span(field, b)
     C = _span(field, b - a + 1)
@@ -431,9 +430,7 @@ def verify_incidence_preservation_exhaustive(field: Field, c: Config) -> int:
     q = field.q
     if q > 9:
         raise InvalidInput("exhaustive transform sweep capped at q <= 9")
-    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)])
-    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)])
-    sub = np.array([[field.sub(a, b) for b in range(q)] for a in range(q)])
+    add, mul, sub = (field.op_table(op) for op in ("add", "mul", "sub"))
 
     pts, lns = lift_config(field, c)
     base = projective_incidences(field, pts, lns)

@@ -95,13 +95,13 @@ def _codeword_values(field: Field, m: int, xi) -> np.ndarray:
     q = field.q
     if q ** m > QM_CAP:
         raise CapExceeded(f"q^m exceeds enumeration cap {QM_CAP}")
-    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)])
+    add, mul = field.op_table("add"), field.op_table("mul")
     vals = np.zeros(q ** m, dtype=np.int64)
     for i, c in enumerate(xi):
         # coordinate Y_i cycles with period q^(m-1-i)
         block = q ** (m - 1 - i)
         coord = (np.arange(q ** m) // block) % q
-        scaled = np.array([field.mul(c, v) for v in range(q)])[coord]
+        scaled = mul[c][coord]
         vals = add[vals, scaled]
     return vals
 
@@ -141,12 +141,9 @@ def pairwise_independence_check(task: HadamardTask) -> bool:
 
 def joint_from_error(field: Field, err: ErrorDist) -> np.ndarray:
     """Joint table of (X, Z) with X uniform and Z = X + e, e ~ err."""
-    q = field.q
-    t = np.zeros((q, q))
-    for x in range(q):
-        for z in range(q):
-            t[x, z] = float(err.probs[field.sub(z, x)]) / q
-    return t
+    probs = np.array([float(p) for p in err.probs])
+    z_minus_x = field.op_table("sub").T.copy()   # C order, as reductions expect
+    return probs[z_minus_x] / field.q
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,22 @@ def test_exit_code_bad_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["incidences", "regularize"])
+@pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe{", b""],
+                         ids=["syntax", "not-utf8", "empty"])
+def test_exit_code_malformed_json(tmp_path, capsys, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert run([command, "--in", str(bad)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_exit_code_zero_restarts(capsys):
+    assert run(["classical-value", "--p", "3", "--search",
+                "--restarts", "0"]) == 2
+    assert "restarts" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ import random
 
 import pytest
 
-from chshq.errors import InvalidInput, CapExceeded
+import chshq.field
+from chshq.errors import InvalidInput, InvariantViolation, CapExceeded
 from chshq.field import (
     Field, field_new, field_from_q, field_from_json,
     is_prime, factorize, smallest_irreducible, additive_character,
-    Q_CAP,
+    Q_CAP, _digits, _poly_mulmod, _poly_powmod, _poly_trim,
 )
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
@@ -76,6 +77,12 @@ def test_known_minimal_moduli():
     assert smallest_irreducible(2, 4) == (1, 1, 0, 0, 1)  # x^4+x+1
     assert smallest_irreducible(3, 2) == (1, 0, 1)        # x^2+1
     assert smallest_irreducible(3, 3) == (1, 2, 0, 1)     # x^3+2x+1
+
+
+def test_no_irreducible_raises_invariant_violation(monkeypatch):
+    monkeypatch.setattr(chshq.field, "_is_irreducible", lambda coeffs, p: False)
+    with pytest.raises(InvariantViolation):
+        smallest_irreducible(2, 3)
 
 
 def test_modulus_has_no_small_roots():
@@ -151,11 +158,89 @@ def test_frobenius_is_additive():
                 assert lhs == rhs
 
 
+# fields on both sides of q = 1024, odd p with s > 1 (Zech addition), and
+# the largest prime field under the cap
+REFERENCE_FIELDS = [(2, 2), (3, 2), (2, 9), (2, 10), (2, 11), (3, 5), (3, 7),
+                    (3, 10), (2, 16), (5, 6), (7, 5), (251, 2), (65521, 1)]
+
+
+class PolyReference:
+    """GF(p^s) by polynomial arithmetic on digits, sharing no table code."""
+
+    def __init__(self, f: Field):
+        self.p, self.s, self.q, self.mod = f.p, f.s, f.q, list(f.modulus)
+
+    def digits(self, a):
+        return _poly_trim(_digits(a, self.p, self.s))
+
+    def encode(self, c):
+        return sum(ci * self.p ** i for i, ci in enumerate(c))
+
+    def digitwise(self, a, b, sign):
+        return self.encode([(x + sign * y) % self.p for x, y in
+                            zip(_digits(a, self.p, self.s), _digits(b, self.p, self.s))])
+
+    def mul(self, a, b):
+        return self.encode(_poly_mulmod(self.digits(a), self.digits(b), self.mod, self.p))
+
+    def pow(self, a, e):
+        # a^e = (a^(q-2))^(-e) for e < 0
+        e = e if e >= 0 else -e * (self.q - 2)
+        return self.encode(_poly_powmod(self.digits(a), e, self.mod, self.p))
+
+    def has_full_order(self, a):
+        n = self.q - 1
+        return all(self.pow(a, n // r) != 1 for r in factorize(n))
+
+
+@pytest.mark.parametrize("p,s", REFERENCE_FIELDS)
+def test_table_ops_match_polynomial_reference(p, s):
+    f = field_new(p, s)
+    ref = PolyReference(f)
+    q = f.q
+    rng = random.Random(q)
+    for _ in range(200):
+        a, b = rng.randrange(q), rng.randrange(q)
+        e = rng.randrange(-3 * q, 3 * q)
+        assert f.add(a, b) == ref.digitwise(a, b, 1)
+        assert f.sub(a, b) == ref.digitwise(a, b, -1)
+        assert f.neg(a) == ref.digitwise(0, a, -1)
+        assert f.mul(a, b) == ref.mul(a, b)
+        if a:
+            assert f.inv(a) == ref.pow(a, q - 2)
+            assert f.pow(a, e) == ref.pow(a, e)
+        elif e >= 0:
+            assert f.pow(a, e) == ref.pow(a, e)
+    # additions that cancel exercise the Zech sentinel
+    for _ in range(20):
+        a = rng.randrange(1, q)
+        assert f.add(a, f.neg(a)) == 0 and f.sub(a, a) == 0
+    assert f.pow(0, 0) == 1 and f.pow(0, 5) == 0
+    with pytest.raises(InvalidInput):
+        f.pow(0, -1)
+    g = f.primitive_element()
+    assert ref.has_full_order(g)
+    assert not any(ref.has_full_order(a) for a in range(1, g))
+
+
+@pytest.mark.parametrize("q", SMALL_Q + [16, 25, 27])
+def test_op_table_matches_scalar_ops(q):
+    f = field_from_q(q)
+    for op in ("add", "sub", "mul"):
+        table = f.op_table(op)
+        assert table.shape == (q, q) and not table.flags.writeable
+        assert f.op_table(op) is table
+        scalar = getattr(f, op)
+        assert table.tolist() == [[scalar(a, b) for b in range(q)] for a in range(q)]
+    with pytest.raises(InvalidInput):
+        f.op_table("div")
+
+
 # ---------------------------------------------------------------------------
 # multiplicative structure, trace, subfields
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("q", SMALL_Q)
+@pytest.mark.parametrize("q", SMALL_Q + [243, 1024, 2048, 15625, 59049, 65521, 65536])
 def test_primitive_element(q):
     f = field_from_q(q)
     g = f.primitive_element()

@@ -176,6 +176,13 @@ def test_restarts_find_optimum_small_q():
         assert r.value == opt   # small fields: eight restarts always suffice
 
 
+def test_restarts_must_be_positive():
+    field = field_from_q(3)
+    for restarts in (0, -1):
+        with pytest.raises(InvalidInput):
+            search_with_restarts(field, seed=0, restarts=restarts)
+
+
 def test_search_never_beats_exact_q5():
     field = field_from_q(5)
     opt, _ = exact_classical_value(field)
