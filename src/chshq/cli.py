@@ -21,7 +21,6 @@ from .field import Field, field_new, field_from_q
 from . import game, geometry, boxes, infotheory, fourier
 
 SCHEMA = "chshq/1"
-JOBS_ENV = "CHSHQ_JOBS"
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +108,7 @@ def cmd_classical_value(args) -> int:
         value, strategy = r.value, r.strategy
         method = "search"
     else:
-        jobs = args.jobs or int(os.environ.get(JOBS_ENV, "1"))
-        value, strategy = game.exact_classical_value(field, jobs=jobs)
+        value, strategy = game.exact_classical_value(field)
         method = "exact"
     _emit({
         "schema": SCHEMA, "method": method, "q": field.q,
@@ -222,6 +220,8 @@ def cmd_ic_sweep(args) -> int:
 
 def cmd_fourier_verify(args) -> int:
     field = _field_from_args(args)
+    if args.trials < 1:
+        raise InvalidInput(f"trials = {args.trials} must be >= 1")
     chi = None
     worst = 0.0
     for i in range(args.trials):
@@ -358,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--max-rounds", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=0,
-                   help=f"parallel slices (default ${JOBS_ENV} or 1)")
     add_io_args(p)
     p.set_defaults(func=cmd_classical_value)
 

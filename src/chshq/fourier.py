@@ -51,6 +51,8 @@ class VectorFamily:
 
 def random_family(q: int, n: int, seed: int) -> VectorFamily:
     """Rows drawn as complex gaussians and normalized; deterministic per seed."""
+    if n < 1:
+        raise InvalidInput(f"dimension n = {n} must be >= 1")
     rng = np.random.default_rng(seed)
     shape = (2, q, n)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -13,17 +13,19 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import InvalidInput, CapExceeded
 from .field import Field
 
-EXACT_Q_CAP = 8        # exhaustive classical value is q^(q-1) * q^2 work
+EXACT_Q_CAP = 8        # exhaustive classical value is q^(q-2) * q^2 work
 PAIRS_Q_CAP = 4        # full double enumeration is q^(2q) * q^2 work
+BATCH_CELLS = 1 << 16  # cells of one exact-search chunk's (tables, y, value) counts
 
 
 class Strategy(NamedTuple):
@@ -71,32 +73,31 @@ def win_count(field: Field, strategy: Strategy) -> GameValue:
     return GameValue.from_wins(field.q, wins)
 
 
-def _op_lists(field: Field):
-    # nested lists: the pure-Python loops below index them per element
-    return field.op_table("mul").tolist(), field.op_table("sub").tolist()
+def _best_g_batch(field: Field, F) -> tuple[np.ndarray, np.ndarray]:
+    """Best responses to a (B, q) batch of tables f: g as (B, q), wins as (B,).
+
+    vals[b, y, x] = sub[mul[x, y], F[b, x]] is the answer g(y) that wins on
+    (x, y); one bincount tallies every (b, y) row, and argmax takes the first
+    maximum, so ties pick the smallest encoding.
+    """
+    q = field.q
+    F = np.asarray(F, dtype=np.intp)
+    vals = field.op_table("sub")[field.op_table("mul").T[None], F[:, None, :]]
+    rows = np.arange(len(F) * q).reshape(len(F), q, 1) * q
+    counts = np.bincount((rows + vals).ravel(),
+                         minlength=len(F) * q * q).reshape(len(F), q, q)
+    return counts.argmax(axis=2), counts.max(axis=2).sum(axis=1)
 
 
 def best_response_g(field: Field, f) -> tuple[tuple[int, ...], int]:
     """Optimal g against a fixed f, with wins; ties pick the smallest encoding."""
-    return _best_g(field.q, *_op_lists(field), list(f))
-
-
-def _best_g(q, mul, sub, f):
-    g = []
-    wins = 0
-    for y in range(q):
-        counts = [0] * q
-        for x in range(q):
-            counts[sub[mul[x][y]][f[x]]] += 1
-        best = max(counts)
-        g.append(counts.index(best))
-        wins += best
-    return tuple(g), wins
+    g, wins = _best_g_batch(field, [f])
+    return tuple(g[0].tolist()), int(wins[0])
 
 
 def best_response_f(field: Field, g) -> tuple[tuple[int, ...], int]:
     """Optimal f against a fixed g; x*y = y*x makes it g's best response."""
-    return _best_g(field.q, *_op_lists(field), list(g))
+    return best_response_g(field, g)
 
 
 def _better(cand, best):
@@ -108,43 +109,36 @@ def _better(cand, best):
     return (cand[1], cand[2]) < (best[1], best[2])
 
 
-def _search_slice(args):
-    p, s, modulus, v = args
-    field = Field(p, s, modulus)
-    q = field.q
-    mul, sub = _op_lists(field)
-    best = None
-    # f(0) = 0 w.l.o.g.: replacing (f, g) by (f + c, g - c) preserves wins
-    for rest in product(range(q), repeat=q - 2):
-        f = [0, v, *rest]
-        g, wins = _best_g(q, mul, sub, f)
-        cand = (wins, tuple(f), g)
-        if _better(cand, best):
-            best = cand
-    return best
+def exact_classical_value(field: Field) -> tuple[GameValue, Strategy]:
+    """Exhaustive classical value over the f(0) = f(1) = 0 slice.
 
+    Two symmetries preserve the win count: the shift (f + c, g - c), and the
+    linear term (f(x) + a*x, g(y - a)), because f(x) + a*x + g(y - a) = x*y
+    iff f(x) + g(y') = x*y' with y' = y - a.  Together they fix f(0) = f(1) = 0,
+    so only the q^(q-2) tables of that slice are enumerated, each paired with
+    its best response g.  The witness is still the lexicographically smallest
+    optimal f with f(0) = 0: an optimal f with f(1) = v > 0 maps to the
+    optimal and smaller f - v*x, so that witness lies in the slice.
 
-def exact_classical_value(field: Field, jobs: int = 1) -> tuple[GameValue, Strategy]:
-    """Exhaustive classical value via the f(0) = 0 reduction.
-
-    Enumerates the q^(q-1) tables f with f(0) = 0 and pairs each with its
-    best response g.  The result is a max-reduce, so the enumeration may be
-    partitioned arbitrarily (jobs > 1 splits on the value of f(1)) without
-    changing the reported witness.
+    Tables run in lex order in chunks of BATCH_CELLS // q^2; argmax keeps the
+    first maximum of a chunk and only a strictly larger win count replaces
+    the best so far, so the chunking never changes the result.
     """
     q = field.q
     if q > EXACT_Q_CAP:
         raise CapExceeded(f"exact classical value capped at q <= {EXACT_Q_CAP}")
-    slices = [(field.p, field.s, field.modulus, v) for v in range(q)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, q)) as ex:
-            results = list(ex.map(_search_slice, slices))
-    else:
-        results = [_search_slice(sl) for sl in slices]
+    total = q ** (q - 2)
+    chunk = BATCH_CELLS // (q * q)
+    radix = q ** np.arange(q - 3, -1, -1)    # f(2) is the leading digit
     best = None
-    for cand in results:
-        if _better(cand, best):
-            best = cand
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        F = np.zeros((len(idx), q), dtype=np.intp)
+        F[:, 2:] = idx[:, None] // radix % q
+        g, wins = _best_g_batch(field, F)
+        i = int(wins.argmax())
+        if best is None or wins[i] > best[0]:
+            best = (int(wins[i]), tuple(F[i].tolist()), tuple(g[i].tolist()))
     wins, f, g = best
     return GameValue.from_wins(q, wins), Strategy(f, g)
 

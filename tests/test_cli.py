@@ -175,6 +175,20 @@ def test_exit_code_zero_restarts(capsys):
     assert "restarts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fourier", "verify", "--p", "3", "--n", "-1"],
+    ["fourier", "verify", "--p", "3", "--n", "0"],
+    ["fourier", "maximize", "--p", "3", "--n", "-1"],
+    ["fourier", "maximize", "--p", "3", "--n", "0"],
+    ["fourier", "verify", "--p", "3", "--trials", "-3"],
+    ["fourier", "verify", "--p", "3", "--trials", "0"],
+], ids=["verify-n-neg", "verify-n-zero", "maximize-n-neg", "maximize-n-zero",
+        "verify-trials-neg", "verify-trials-zero"])
+def test_exit_code_fourier_bad_sizes(capsys, argv):
+    assert run(argv) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

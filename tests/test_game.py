@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chshq import game
 from chshq.errors import InvalidInput, CapExceeded
 from chshq.field import field_from_q
 from chshq.game import (
@@ -110,9 +113,51 @@ def test_pair_oracle_cap():
         exact_classical_value(field_from_q(9))
 
 
-def test_parallel_search_is_deterministic():
+def reference_exact_value(field):
+    """Slow oracle: every table with f(0) = 0 (no f(1) = 0 reduction), each
+    paired with a per-y best response from the scalar field.add/field.mul.
+    Returns (wins, f, g) for the lexicographically smallest optimal f."""
+    q = field.q
+    best = None
+    for rest in product(range(q), repeat=q - 1):
+        f = (0, *rest)
+        g, wins = [], 0
+        for y in range(q):
+            top, arg = -1, None
+            for b in range(q):
+                hits = sum(field.add(f[x], b) == field.mul(x, y) for x in range(q))
+                if hits > top:
+                    top, arg = hits, b
+            g.append(arg)
+            wins += top
+        if best is None or wins > best[0]:
+            best = (wins, f, tuple(g))
+    return best
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_exact_matches_scalar_reference(q):
+    # q = 4 takes the XOR addition path
+    field = field_from_q(q)
+    v, s = exact_classical_value(field)
+    assert (v.wins, s.f, s.g) == reference_exact_value(field)
+
+
+def test_exact_golden_q8():
+    # frozen after a cross-check against the per-slice search it replaced
+    field = field_from_q(8)
+    v, s = exact_classical_value(field)
+    assert v.wins == 24 and v.p_win == Fraction(24, 64)
+    assert s == Strategy((0, 0, 0, 0, 1, 2, 5, 3), (0, 3, 2, 6, 0, 5, 7, 0))
+
+
+@pytest.mark.parametrize("tables_per_chunk", [1, 7])
+def test_search_is_partition_invariant(monkeypatch, tables_per_chunk):
+    # 7 does not divide the 5^3 tables of the q = 5 slice
     field = field_from_q(5)
-    assert exact_classical_value(field, jobs=2) == exact_classical_value(field)
+    expected = exact_classical_value(field)
+    monkeypatch.setattr(game, "BATCH_CELLS", tables_per_chunk * field.q ** 2)
+    assert exact_classical_value(field) == expected
 
 
 def test_returned_witness_achieves_value():
@@ -120,7 +165,8 @@ def test_returned_witness_achieves_value():
         field = field_from_q(q)
         v, s = exact_classical_value(field)
         assert win_count(field, s) == v
-        assert s.f[0] == 0    # canonical slice: f(0) = 0
+        assert s.f[0] == 0    # shift symmetry: f(0) = 0
+        assert s.f[1] == 0    # linear-term symmetry: f(1) = 0
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +184,33 @@ def test_shift_symmetry(q):
         shifted = Strategy(tuple(field.add(v, c) for v in s.f),
                            tuple(field.sub(v, c) for v in s.g))
         assert win_count(field, shifted) == win_count(field, s)
+
+
+@st.composite
+def strategies_with_constant(draw):
+    q = draw(st.sampled_from([3, 4, 5, 7, 8, 9]))
+    table = st.tuples(*[st.integers(0, q - 1)] * q)
+    return field_from_q(q), Strategy(draw(table), draw(table)), draw(st.integers(0, q - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies_with_constant())
+def test_shift_invariance_property(case):
+    field, s, c = case
+    shifted = Strategy(tuple(field.add(v, c) for v in s.f),
+                       tuple(field.sub(v, c) for v in s.g))
+    assert win_count(field, shifted) == win_count(field, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies_with_constant())
+def test_linear_term_invariance_property(case):
+    # (f(x) + a*x, g(y - a)): the symmetry behind the f(1) = 0 reduction
+    field, s, a = case
+    moved = Strategy(
+        tuple(field.add(s.f[x], field.mul(a, x)) for x in field.elements()),
+        tuple(s.g[field.sub(y, a)] for y in field.elements()))
+    assert win_count(field, moved) == win_count(field, s)
 
 
 def test_normalize_shift():
