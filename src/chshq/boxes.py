@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import InvalidInput, InvariantViolation
 from .field import Field
-from .game import Strategy, GameValue, win_count, bias_from_p_win, p_win_from_bias
+from .game import (Strategy, win_count, bias_from_p_win, p_win_from_bias,
+                   _check_strategy)
 
 
 @dataclass(frozen=True)
@@ -96,35 +97,26 @@ def per_input_error_dists(field: Field, box: StrategyBox) -> list[list[Fraction]
         a = (f(x~) - delta*alpha*x - gamma*delta) / (alpha*beta)
         b = (g(y~) - beta*gamma*y) / (alpha*beta)
 
-    Each returned pmf is the exact average over the (q-1)^2 q^2 draws.
+    Each returned pmf is the exact average over the (q-1)^2 q^2 draws,
+    tallied by one bincount over a broadcast of the six axes
+    (x, y, alpha, beta, gamma, delta) through the field's op tables.
     """
-    f, g = box.strategy
+    _check_strategy(field, box.strategy)
     q = field.q
+    f, g = (np.asarray(t, dtype=np.intp) for t in box.strategy)
+    add, sub, mul = (field.op_table(op) for op in ("add", "sub", "mul"))
+    inv = np.array([0] + [field.inv(u) for u in field.units()])
+    el, un = np.arange(q), np.arange(1, q)
+    x, y, alpha, beta, gamma, delta = np.ix_(el, el, un, un, el, el)
+    ax, by = mul[alpha, x], mul[beta, y]
+    inv_ab = inv[mul[alpha, beta]]
+    a_num = sub[f[add[ax, gamma]], add[mul[delta, ax], mul[gamma, delta]]]
+    b_num = sub[g[add[by, delta]], mul[gamma, by]]
+    e = sub[add[mul[a_num, inv_ab], mul[b_num, inv_ab]], mul[x, y]]
+    counts = np.bincount(((x * q + y) * q + e).ravel(), minlength=q ** 3)
     total = (q - 1) * (q - 1) * q * q
-    out = []
-    for x in field.elements():
-        for y in field.elements():
-            xy = field.mul(x, y)
-            counts = [0] * q
-            for alpha in field.units():
-                ax = field.mul(alpha, x)
-                for beta in field.units():
-                    inv_ab = field.inv(field.mul(alpha, beta))
-                    by = field.mul(beta, y)
-                    for gamma in field.elements():
-                        xt = field.add(ax, gamma)
-                        bg_y = field.mul(gamma, by)
-                        for delta in field.elements():
-                            yt = field.add(by, delta)
-                            a_num = field.sub(f[xt],
-                                              field.add(field.mul(delta, ax),
-                                                        field.mul(gamma, delta)))
-                            b_num = field.sub(g[yt], bg_y)
-                            a = field.mul(a_num, inv_ab)
-                            b = field.mul(b_num, inv_ab)
-                            counts[field.sub(field.add(a, b), xy)] += 1
-            out.append([Fraction(c, total) for c in counts])
-    return out
+    return [[Fraction(int(c), total) for c in row]
+            for row in counts.reshape(q * q, q)]
 
 
 def regularize(field: Field, box: StrategyBox) -> RegularBox:

@@ -47,12 +47,22 @@ def config_to_json(q: int, c: geometry.Config) -> dict:
     }
 
 
+def _json_int(v) -> int:
+    # bool is an int subclass; floats (4.7, 1e400) and strings are refused
+    if type(v) is not int:
+        raise InvalidInput(f"{v!r} is not an integer")
+    return v
+
+
 def config_from_json(d: dict) -> tuple[Field, geometry.Config]:
     try:
-        field = field_from_q(int(d["q"]))
-        cfg = geometry.make_config(d["points"], d["lines"])
+        q = _json_int(d["q"])
+        cfg = geometry.make_config(
+            [tuple(map(_json_int, p)) for p in d["points"]],
+            [tuple(map(_json_int, l)) for l in d["lines"]])
     except (KeyError, TypeError, ValueError) as e:
         raise InvalidInput(f"malformed config json: {e}")
+    field = field_from_q(q)
     for x, y in cfg.points:
         if not (0 <= x < field.q and 0 <= y < field.q):
             raise InvalidInput("point coordinates outside the field")

@@ -454,6 +454,8 @@ def field_from_q(q: int) -> Field:
     """Construct GF(q) from a prime power, factoring q as p^s."""
     if q < 2:
         raise InvalidInput(f"q = {q} is not a prime power")
+    if q > Q_CAP:   # before factoring: trial division of a huge q never ends
+        raise CapExceeded(f"q = {q} exceeds the supported cap {Q_CAP}")
     for p in factorize(q):
         s = 0
         n = q

@@ -194,6 +194,8 @@ def local_search(field: Field, seed: int, max_rounds: int = 100) -> SearchResult
     The win count never decreases across half-steps; the loop stops at a
     fixed point (neither table changes) or after max_rounds.
     """
+    if max_rounds < 1:
+        raise InvalidInput(f"max_rounds = {max_rounds} must be >= 1")
     q = field.q
     rng = random.Random(seed)
     f = tuple(rng.randrange(q) for _ in range(q))

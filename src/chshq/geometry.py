@@ -251,6 +251,18 @@ def all_proj_points(field: Field) -> list[tuple[int, int, int]]:
 all_proj_lines = all_proj_points   # duality: same canonical triples
 
 
+def proj_point(field: Field, i: int) -> tuple[int, int, int]:
+    """The i-th canonical triple of all_proj_points, without listing them."""
+    q = field.q
+    if not 0 <= i <= q * q + q:
+        raise InvalidInput(f"index {i} outside PG(2,{q})")
+    if i < q * q:
+        return (1, i // q, i % q)
+    if i < q * q + q:
+        return (0, 1, i - q * q)
+    return (0, 0, 1)
+
+
 def proj_dot(field: Field, u, v) -> int:
     acc = 0
     for ui, vi in zip(u, v):
@@ -271,7 +283,25 @@ def proj_cross(field: Field, u, v) -> tuple[int, int, int]:
 
 
 def points_on_line(field: Field, line: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-    return [p for p in all_proj_points(field) if proj_dot(field, line, p) == 0]
+    """The q+1 canonical points v with line . v = 0, in all_proj_points order.
+
+    Solved per case instead of scanning the plane: with l2 != 0 each
+    (1, y, .) has one solution z, then comes (0, 1, -l1/l2); with l2 = 0 and
+    l1 != 0 the points are (1, -l0/l1, z) for every z, then (0, 0, 1); the
+    line (l0, 0, 0) holds (0, 1, z) for every z and (0, 0, 1).
+    """
+    f = field
+    l0, l1, l2 = line
+    if l2:
+        m = f.neg(f.inv(l2))
+        return ([(1, y, f.mul(f.add(l0, f.mul(l1, y)), m)) for y in f.elements()]
+                + [(0, 1, f.mul(l1, m))])
+    if l1:
+        y = f.neg(f.mul(l0, f.inv(l1)))
+        return [(1, y, z) for z in f.elements()] + [(0, 0, 1)]
+    if l0:
+        return [(0, 1, z) for z in f.elements()] + [(0, 0, 1)]
+    raise InvalidInput("zero triple is not a line")
 
 
 def projective_plane_census(field: Field) -> tuple[int, int, int]:
@@ -343,7 +373,8 @@ class ProjTransform:
         if proj_dot(field, l_inf, v_inf) != 0:
             raise InvalidInput("v_inf must lie on l_inf")
         w = next(p for p in points_on_line(field, l_inf) if p != v_inf)
-        u = next(p for p in all_proj_points(field)
+        n = field.q * field.q + field.q + 1
+        u = next(p for p in (proj_point(field, i) for i in range(n))
                  if proj_dot(field, l_inf, p) != 0)
         # columns of B are the preimages of the standard frame e1, e2, e3
         B = tuple(tuple(col[i] for col in (w, v_inf, u)) for i in range(3))
@@ -526,8 +557,7 @@ def random_projective_regularize(field: Field, c: Config, seed: int,
     sampled = make_config(points, lines)
     s_inc = incidences(field, sampled)
 
-    all_lines = all_proj_lines(field)
-    l_inf = all_lines[rng.randrange(len(all_lines))]
+    l_inf = proj_point(field, rng.randrange(q * q + q + 1))   # lines share the triples
     on_l_inf = points_on_line(field, l_inf)
     v_inf = on_l_inf[rng.randrange(len(on_l_inf))]
     T = ProjTransform.from_chart(field, l_inf, v_inf)
@@ -585,12 +615,6 @@ def slope_collision_probability(field: Field, l1: Line, l2: Line) -> Fraction:
     lifted1 = proj_canonical(field, (l1.a, field.neg(1), field.neg(l1.b)))
     lifted2 = proj_canonical(field, (l2.a, field.neg(1), field.neg(l2.b)))
     meet = proj_cross(field, lifted1, lifted2)
-    hits = 0
-    total = 0
-    for cand in all_proj_lines(field):
-        if cand == lifted1:
-            continue
-        total += 1
-        if proj_dot(field, cand, meet) == 0:
-            hits += 1
-    return Fraction(hits, total)
+    # by duality the lines through meet are the triples of points_on_line(meet)
+    hits = sum(cand != lifted1 for cand in points_on_line(field, meet))
+    return Fraction(hits, field.q * field.q + field.q)

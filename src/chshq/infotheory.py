@@ -20,6 +20,7 @@ from .field import Field
 from .boxes import RegularBox, ErrorDist, compose_m
 
 QM_CAP = 1 << 20   # largest enumerable input space q^m
+PAIR_BLOCK_CELLS = 1 << 22   # cells of one row block of the pair histograms
 
 
 # ---------------------------------------------------------------------------
@@ -90,48 +91,62 @@ def build_U_m(field: Field, m: int) -> HadamardTask:
     return HadamardTask(field, m, tuple(vectors))
 
 
-def _codeword_values(field: Field, m: int, xi) -> np.ndarray:
-    """Had_xi over all q^m inputs Y, vectorized via op tables."""
+def _codeword_values(field: Field, m: int, vectors) -> np.ndarray:
+    """Had_xi over all q^m inputs Y for each xi in vectors, as a
+    (len(vectors), q^m) array, vectorized via op tables."""
     q = field.q
     if q ** m > QM_CAP:
         raise CapExceeded(f"q^m exceeds enumeration cap {QM_CAP}")
+    if any(len(xi) != m for xi in vectors):
+        raise InvalidInput(f"index vectors must have m = {m} coordinates")
     add, mul = field.op_table("add"), field.op_table("mul")
-    vals = np.zeros(q ** m, dtype=np.int64)
-    for i, c in enumerate(xi):
+    xis = np.asarray(vectors, dtype=np.intp).reshape(-1, m)
+    vals = np.zeros((len(xis), q ** m), dtype=np.int64)
+    for i in range(m):
         # coordinate Y_i cycles with period q^(m-1-i)
         block = q ** (m - 1 - i)
         coord = (np.arange(q ** m) // block) % q
-        scaled = mul[c][coord]
-        vals = add[vals, scaled]
+        vals = add[vals, mul[xis[:, i:i + 1], coord]]
     return vals
 
 
 def coordinates_pair_uniform(field: Field, m: int, xi1, xi2) -> bool:
     """True iff (Had_xi1(Y), Had_xi2(Y)) is exactly uniform on F_q^2."""
     q = field.q
-    v1 = _codeword_values(field, m, xi1)
-    v2 = _codeword_values(field, m, xi2)
+    v1, v2 = _codeword_values(field, m, [xi1, xi2])
     hist = np.bincount(v1 * q + v2, minlength=q * q)
     return bool((hist == q ** m // (q * q)).all())
 
 
 def pairwise_independence_check(task: HadamardTask) -> bool:
     """Exhaustive check that all single coordinates are uniform and all
-    pairs of distinct index vectors give jointly uniform codeword pairs."""
+    pairs of distinct index vectors give jointly uniform codeword pairs.
+
+    With H the q^m x kq one-hot matrix of the k codewords, block (i, j) of
+    H^T H is the joint histogram of codewords i and j.  It is formed in row
+    blocks of at most PAIR_BLOCK_CELLS cells, upper triangle only; the
+    counts are at most q^m <= QM_CAP, so float64 holds them exactly.
+    """
     field, m = task.field, task.m
     q = field.q
     if q ** m > QM_CAP:
         raise CapExceeded(f"q^m exceeds enumeration cap {QM_CAP}")
-    values = [_codeword_values(field, m, xi) for xi in task.vectors]
+    values = _codeword_values(field, m, task.vectors)
     n = q ** m
     for v in values:
         if not (np.bincount(v, minlength=q) == n // q).all():
             return False
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            hist = np.bincount(values[i] * q + values[j], minlength=q * q)
-            if not (hist == n // (q * q)).all():
-                return False
+    k = len(values)
+    H = (values.T[:, :, None] == np.arange(q)).reshape(n, k * q).astype(np.float64)
+    rows = max(1, PAIR_BLOCK_CELLS // (k * q * q))
+    for start in range(0, k, rows):
+        stop = min(start + rows, k)
+        joint = (H[:, start * q:stop * q].T @ H[:, start * q:]).reshape(
+            stop - start, q, k - start, q)
+        uniform = (joint == n // (q * q)).all(axis=(1, 3))
+        later = np.arange(k - start)[None, :] > np.arange(stop - start)[:, None]
+        if not uniform[later].all():
+            return False
     return True
 
 

@@ -83,6 +83,53 @@ def test_wrapper_flattens_every_strategy(q):
         assert first[0] == win_count(field, s).p_win   # p_win preserved
 
 
+def per_input_error_dists_scalar(field, box: StrategyBox) -> list[list[Fraction]]:
+    # the scalar loop over every draw that the broadcast replaced
+    f, g = box.strategy
+    q = field.q
+    total = (q - 1) * (q - 1) * q * q
+    out = []
+    for x in field.elements():
+        for y in field.elements():
+            xy = field.mul(x, y)
+            counts = [0] * q
+            for alpha in field.units():
+                ax = field.mul(alpha, x)
+                for beta in field.units():
+                    inv_ab = field.inv(field.mul(alpha, beta))
+                    by = field.mul(beta, y)
+                    for gamma in field.elements():
+                        xt = field.add(ax, gamma)
+                        bg_y = field.mul(gamma, by)
+                        for delta in field.elements():
+                            yt = field.add(by, delta)
+                            a_num = field.sub(f[xt],
+                                              field.add(field.mul(delta, ax),
+                                                        field.mul(gamma, delta)))
+                            b_num = field.sub(g[yt], bg_y)
+                            a = field.mul(a_num, inv_ab)
+                            b = field.mul(b_num, inv_ab)
+                            counts[field.sub(field.add(a, b), xy)] += 1
+            out.append([Fraction(c, total) for c in counts])
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_error_dists_match_scalar_loop(q):
+    field = field_from_q(q)
+    rng = random.Random(100 + q)
+    for _ in range(2 if q <= 5 else 1):
+        box = StrategyBox(random_strategy(q, rng))
+        assert per_input_error_dists(field, box) == per_input_error_dists_scalar(field, box)
+
+
+def test_error_dists_reject_malformed_strategy():
+    field = field_from_q(3)
+    for s in (Strategy((0, 1), (0, 1, 2)), Strategy((0, 1, 3), (0, 1, 2))):
+        with pytest.raises(InvalidInput):
+            per_input_error_dists(field, StrategyBox(s))
+
+
 def test_regularize_returns_matching_box():
     field = field_from_q(4)
     rng = random.Random(17)

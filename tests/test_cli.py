@@ -160,19 +160,53 @@ def test_exit_code_bad_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["incidences", "regularize"])
-@pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe{", b""],
-                         ids=["syntax", "not-utf8", "empty"])
-def test_exit_code_malformed_json(tmp_path, capsys, command, content):
+@pytest.mark.parametrize("content, message", [
+    (b"{bad", "not valid JSON"),
+    (b"\xff\xfe{", "not valid JSON"),
+    (b"", "not valid JSON"),
+    (b'{"q": 1e400, "points": [], "lines": []}', "not an integer"),
+    (b'{"q": 4.7, "points": [], "lines": []}', "not an integer"),
+    (b'{"q": true, "points": [], "lines": []}', "not an integer"),
+    (b'{"q": 5, "points": [[1.9, 0]], "lines": []}', "not an integer"),
+    (b'{"q": 5, "points": [], "lines": [[0, false]]}', "not an integer"),
+    (b'{"q": 5, "points": [[1, 2, 3]], "lines": []}', "malformed config json"),
+    (b'{"q": 5, "points": [1], "lines": []}', "malformed config json"),
+    (b"[]", "malformed config json"),
+], ids=["syntax", "not-utf8", "empty", "q-overflow", "q-fraction", "q-bool",
+        "point-fraction", "line-bool", "point-triple", "point-scalar",
+        "not-object"])
+def test_exit_code_malformed_json(tmp_path, capsys, command, content, message):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     assert run([command, "--in", str(bad)]) == 2
-    assert "not valid JSON" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["incidences", "regularize", "box"])
+def test_exit_code_q_far_over_cap(tmp_path, capsys, command):
+    # refused before factoring q, which would not finish by trial division
+    q = 10 ** 30 + 57
+    if command == "box":
+        argv = ["box", "compose", "--q", str(q), "--E", "1/2", "--m", "2"]
+    else:
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"q": q, "points": [], "lines": []}))
+        argv = [command, "--in", str(cfg)]
+    assert run(argv) == 4
+    assert "exceeds the supported cap" in capsys.readouterr().err
 
 
 def test_exit_code_zero_restarts(capsys):
     assert run(["classical-value", "--p", "3", "--search",
                 "--restarts", "0"]) == 2
     assert "restarts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_exit_code_nonpositive_max_rounds(capsys, rounds):
+    assert run(["classical-value", "--p", "3", "--search",
+                "--max-rounds", rounds]) == 2
+    assert "max_rounds" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

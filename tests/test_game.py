@@ -256,6 +256,15 @@ def test_restarts_must_be_positive():
             search_with_restarts(field, seed=0, restarts=restarts)
 
 
+def test_max_rounds_must_be_positive():
+    field = field_from_q(3)
+    for max_rounds in (0, -3):
+        with pytest.raises(InvalidInput):
+            local_search(field, seed=0, max_rounds=max_rounds)
+        with pytest.raises(InvalidInput):
+            search_with_restarts(field, seed=0, max_rounds=max_rounds)
+
+
 def test_search_never_beats_exact_q5():
     field = field_from_q(5)
     opt, _ = exact_classical_value(field)

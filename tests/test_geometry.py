@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from chshq.errors import InvalidInput
-from chshq.field import field_from_q
+from chshq.field import Field, field_from_q
 from chshq.game import Strategy, win_count
 from chshq.geometry import (
     Line, Config, make_config, is_legal, incidences,
     strategy_to_config, config_to_strategy,
     subfield_construction, grid_construction, grid_expected_incidences,
     subspace_construction, subspace_cardinalities, trivial_incidence_bound,
-    proj_canonical, all_proj_points, proj_dot, proj_cross, points_on_line,
+    proj_canonical, all_proj_points, all_proj_lines, proj_point, proj_dot,
+    proj_cross, points_on_line,
     projective_plane_census, lift_config, projective_incidences,
     ProjTransform, all_transforms, random_transform,
     verify_incidence_preservation_exhaustive,
@@ -195,6 +198,28 @@ def test_canonical_representatives_unique():
             assert proj_canonical(field, w) == v
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_proj_point_and_points_on_line_match_scan(q):
+    # the plane scans these closed forms replaced, kept as the reference
+    field = field_from_q(q)
+    pts = all_proj_points(field)
+    assert [proj_point(field, i) for i in range(len(pts))] == pts
+    for line in all_proj_lines(field):
+        scan = [p for p in pts if proj_dot(field, line, p) == 0]
+        assert points_on_line(field, line) == scan
+        # any nonzero multiple names the same line
+        assert points_on_line(field, tuple(field.mul(q - 1, c) for c in line)) == scan
+
+
+def test_proj_point_and_points_on_line_reject_bad_input():
+    field = field_from_q(3)
+    for i in (-1, 13):
+        with pytest.raises(InvalidInput):
+            proj_point(field, i)
+    with pytest.raises(InvalidInput):
+        points_on_line(field, (0, 0, 0))
+
+
 def test_cross_product_join_and_meet():
     field = field_from_q(5)
     rng = random.Random(0)
@@ -316,6 +341,46 @@ def test_regularize_without_downsampling_keeps_more():
     assert is_legal(field, out)
 
 
+def test_regularize_golden_q1009():
+    # frozen before points_on_line and the l_inf draw became closed forms
+    field = Field(1009, 1)
+    out, stats = random_projective_regularize(field, grid_construction(field),
+                                              seed=12345)
+    assert stats.l_inf == (1, 368, 73)
+    assert stats.v_inf == (1, 251, 960)
+    assert (stats.kept_points, stats.kept_lines, stats.kept_incidences) == (413, 234, 985)
+    digest = hashlib.sha256(json.dumps([out.points, out.lines]).encode()).hexdigest()
+    assert digest == "0ebdd3804acbe8d3db1621196af929c02e7246bc9e3286bb634f216493015cef"
+
+
+def test_regularize_draws_every_line_at_infinity():
+    field = field_from_q(3)
+    c = make_config([(0, 0), (1, 1)], [(1, 0)])
+    drawn = {random_projective_regularize(field, c, seed=s)[1].l_inf
+             for s in range(200)}
+    assert drawn == set(all_proj_lines(field))
+
+
+def slope_collision_scan(field, l1: Line, l2: Line) -> Fraction:
+    # the scan over every line at infinity that the closed count replaced
+    lifted1 = proj_canonical(field, (l1.a, field.neg(1), field.neg(l1.b)))
+    lifted2 = proj_canonical(field, (l2.a, field.neg(1), field.neg(l2.b)))
+    meet = proj_cross(field, lifted1, lifted2)
+    cands = [c for c in all_proj_lines(field) if c != lifted1]
+    return Fraction(sum(proj_dot(field, c, meet) == 0 for c in cands), len(cands))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_slope_collision_matches_line_scan(q):
+    field = field_from_q(q)
+    rng = random.Random(q)
+    for _ in range(40):
+        l1, l2 = (Line(rng.randrange(q), rng.randrange(q)) for _ in range(2))
+        if l1 != l2:
+            assert (slope_collision_probability(field, l1, l2)
+                    == slope_collision_scan(field, l1, l2))
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_slope_collision_probability(q):
     field = field_from_q(q)
@@ -329,3 +394,10 @@ def test_slope_collision_probability(q):
                     got = slope_collision_probability(
                         field, Line(a1, b1), Line(a2, b2))
                     assert got == expect
+
+
+def test_slope_collision_probability_q1009():
+    field = Field(1009, 1)
+    for l1, l2 in [(Line(0, 0), Line(1, 0)), (Line(5, 7), Line(5, 8)),
+                   (Line(1008, 3), Line(2, 1000))]:
+        assert slope_collision_probability(field, l1, l2) == Fraction(1, 1010)

@@ -12,8 +12,9 @@ import pytest
 from chshq.errors import InvalidInput, InvariantViolation, CapExceeded
 from chshq.field import field_from_q
 from chshq.boxes import RegularBox
+from chshq import infotheory
 from chshq.infotheory import (
-    check_joint, entropy, mutual_information,
+    HadamardTask, check_joint, entropy, mutual_information,
     build_U_m, coordinates_pair_uniform, pairwise_independence_check,
     joint_from_error, ic_sum, per_index_mi_closed_form,
     ic_dichotomy_experiment, binary_reduction_select,
@@ -111,6 +112,47 @@ def test_scaled_index_pair_is_not_uniform():
     double = (2, 0)
     assert not coordinates_pair_uniform(field, 2, xi, double)
     assert coordinates_pair_uniform(field, 2, xi, (1, 1))
+
+
+def pairwise_scan(task) -> bool:
+    # the per-pair bincount loop that the one-hot product replaced
+    field, m = task.field, task.m
+    q, n = field.q, field.q ** m
+    values = infotheory._codeword_values(field, m, task.vectors)
+    for v in values:
+        if not (np.bincount(v, minlength=q) == n // q).all():
+            return False
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            hist = np.bincount(values[i] * q + values[j], minlength=q * q)
+            if not (hist == n // (q * q)).all():
+                return False
+    return True
+
+
+@pytest.mark.parametrize("q, m", [(2, 8), (3, 4), (4, 3), (5, 3)])
+def test_pairwise_check_matches_pair_scan(q, m):
+    task = build_U_m(field_from_q(q), m)
+    assert pairwise_independence_check(task) is pairwise_scan(task) is True
+
+
+@pytest.mark.parametrize("block_cells", [1, 1 << 22])
+@pytest.mark.parametrize("vectors", [
+    ((1, 0), (2, 0)),
+    ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1)),
+    ((1, 0), (0, 0)),
+], ids=["scaled-pair", "scaled-pair-last", "constant-codeword"])
+def test_pairwise_check_finds_dependent_vectors(monkeypatch, block_cells, vectors):
+    # rows of one vector per block reach the failing pair in a later block
+    monkeypatch.setattr(infotheory, "PAIR_BLOCK_CELLS", block_cells)
+    task = HadamardTask(field_from_q(3), 2, vectors)
+    assert pairwise_independence_check(task) is pairwise_scan(task) is False
+
+
+def test_pairwise_check_rejects_wrong_length_vectors():
+    task = HadamardTask(field_from_q(3), 2, ((1, 0), (0, 1, 0)))
+    with pytest.raises(InvalidInput):
+        pairwise_independence_check(task)
 
 
 def test_u_m_cap():
