@@ -78,10 +78,6 @@ class RegularBox:
 class StrategyBox:
     strategy: Strategy
 
-    def error_at(self, field: Field, x: int, y: int) -> int:
-        f, g = self.strategy
-        return field.sub(field.add(f[x], g[y]), field.mul(x, y))
-
 
 # ---------------------------------------------------------------------------
 # regularization wrapper

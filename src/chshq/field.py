@@ -149,9 +149,6 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
     s = len(coeffs) - 1
     if s == 1:
         return True
-    if s <= 3:
-        # degree 2 or 3: reducible iff it has a root in F_p
-        return all(_poly_eval(coeffs, x, p) != 0 for x in range(p))
     # Rabin: x^(p^s) == x mod f, and gcd(x^(p^(s/r)) - x, f) = 1 for prime r | s
     x = [0, 1]
     frob = _poly_powmod(x, p ** s, coeffs, p)
@@ -164,13 +161,6 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
         if len(g) != 1:
             return False
     return True
-
-
-def _poly_eval(coeffs: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def _zip_pad(a: list[int], b: list[int]):

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import CapExceeded, InvalidInput
 from .field import Field, AdditiveCharacter
 
 NORM_TOL = 1e-10
 BOUND_TOL = 1e-9
+FOURIER_Q_CAP = 1 << 12   # every probe builds q x q arrays: 256 MiB complex at the cap
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,14 @@ def random_family(q: int, n: int, seed: int) -> VectorFamily:
     return VectorFamily(u=z[0], v=z[1])
 
 
+def _check_cap(field: Field) -> None:
+    if field.q > FOURIER_Q_CAP:
+        raise CapExceeded(f"character-sum probes capped at q <= {FOURIER_Q_CAP}")
+
+
 def _kernel(field: Field, chi: AdditiveCharacter) -> np.ndarray:
     """K[x, y] = chi(-x*y)."""
+    _check_cap(field)
     tab = np.array(chi.table)
     neg = [field.neg(t) for t in field.elements()]
     return tab[neg][field.op_table("mul")]
@@ -74,6 +81,7 @@ def character_bilinear_sum(field: Field, fam: VectorFamily,
         raise InvalidInput("family size does not match the field")
     if chi is None:
         chi = AdditiveCharacter(field)
+    _check_cap(field)
     gram = fam.u.conj() @ fam.v.T            # gram[x, y] = <u_x, v_y>
     return float(abs((_kernel(field, chi) * gram).sum()))
 
@@ -100,6 +108,7 @@ def cauchy_schwarz_chain(field: Field, fam: VectorFamily,
 
 def fourier_matrix(field: Field, chi: AdditiveCharacter | None = None) -> np.ndarray:
     """H[x, y] = chi(xy)/sqrt(q); unitary for every prime power q."""
+    _check_cap(field)
     if chi is None:
         chi = AdditiveCharacter(field)
     tab = np.array(chi.table)
@@ -111,9 +120,8 @@ def tight_family(field: Field, chi: AdditiveCharacter | None = None) -> VectorFa
     equals 1/sqrt(q), so the sum is exactly q^(3/2)."""
     if chi is None:
         chi = AdditiveCharacter(field)
-    q = field.q
-    u = np.eye(q, dtype=complex)
     v = fourier_matrix(field, chi)           # v[y, i] = chi(iy)/sqrt(q)
+    u = np.eye(field.q, dtype=complex)
     return VectorFamily(u=u, v=v)
 
 

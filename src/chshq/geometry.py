@@ -264,19 +264,23 @@ def proj_point(field: Field, i: int) -> tuple[int, int, int]:
 
 
 def proj_dot(field: Field, u, v) -> int:
-    acc = 0
-    for ui, vi in zip(u, v):
-        acc = field.add(acc, field.mul(ui, vi))
-    return acc
+    return field.add(field.add(field.mul(u[0], v[0]), field.mul(u[1], v[1])),
+                     field.mul(u[2], v[2]))
+
+
+def _cross(field: Field, u, v):
+    """The raw cross product u x v, which is orthogonal to u and v under proj_dot."""
+    f = field
+    return (
+        f.sub(f.mul(u[1], v[2]), f.mul(u[2], v[1])),
+        f.sub(f.mul(u[2], v[0]), f.mul(u[0], v[2])),
+        f.sub(f.mul(u[0], v[1]), f.mul(u[1], v[0])),
+    )
 
 
 def proj_cross(field: Field, u, v) -> tuple[int, int, int]:
     """Cross product; as triples, the line through two points (or dually)."""
-    c = (
-        field.sub(field.mul(u[1], v[2]), field.mul(u[2], v[1])),
-        field.sub(field.mul(u[2], v[0]), field.mul(u[0], v[2])),
-        field.sub(field.mul(u[0], v[1]), field.mul(u[1], v[0])),
-    )
+    c = _cross(field, u, v)
     if c == (0, 0, 0):
         raise InvalidInput("triples are proportional; no unique join/meet")
     return proj_canonical(field, c)
@@ -335,8 +339,10 @@ def projective_incidences(field: Field, pts, lns) -> int:
 class ProjTransform:
     """Invertible 3x3 matrix acting on PG(2,q).
 
-    Points transform by v -> M v and lines by u -> u M^(-1), which keeps
-    u . v invariant, so incidence counts are preserved exactly.
+    Points transform by v -> M v and lines by u -> u adj(M).  Since
+    adj(M) = det(M) M^(-1), u . v only picks up the nonzero scalar det(M),
+    so incidence counts are preserved exactly, and the canonical image
+    line is the one u M^(-1) would give.
     """
 
     def __init__(self, field: Field, rows):
@@ -344,27 +350,17 @@ class ProjTransform:
         self.rows = tuple(tuple(int(c) for c in row) for row in rows)
         if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
             raise InvalidInput("transform needs a 3x3 matrix")
-        det, adj = _det_adjugate(field, self.rows)
+        det, self.adj = _det_adjugate(field, self.rows)
         if det == 0:
             raise InvalidInput("transform matrix is singular")
-        inv_det = field.inv(det)
-        self.inv_rows = tuple(
-            tuple(field.mul(inv_det, adj[i][j]) for j in range(3)) for i in range(3)
-        )
 
     def apply_point(self, v):
         f = self.field
-        out = tuple(
-            _dot3(f, self.rows[i], v) for i in range(3)
-        )
-        return proj_canonical(f, out)
+        return proj_canonical(f, tuple(proj_dot(f, row, v) for row in self.rows))
 
     def apply_line(self, u):
         f = self.field
-        out = tuple(
-            _dot3(f, u, tuple(self.inv_rows[i][j] for i in range(3))) for j in range(3)
-        )
-        return proj_canonical(f, out)
+        return proj_canonical(f, tuple(proj_dot(f, u, col) for col in zip(*self.adj)))
 
     @classmethod
     def from_chart(cls, field: Field, l_inf, v_inf) -> "ProjTransform":
@@ -376,65 +372,39 @@ class ProjTransform:
         n = field.q * field.q + field.q + 1
         u = next(p for p in (proj_point(field, i) for i in range(n))
                  if proj_dot(field, l_inf, p) != 0)
-        # columns of B are the preimages of the standard frame e1, e2, e3
-        B = tuple(tuple(col[i] for col in (w, v_inf, u)) for i in range(3))
-        det, adj = _det_adjugate(field, B)
-        inv_det = field.inv(det)
-        M = tuple(tuple(field.mul(inv_det, adj[i][j]) for j in range(3))
-                  for i in range(3))
-        return cls(field, M)
-
-
-def _dot3(field: Field, u, v) -> int:
-    return field.add(field.add(field.mul(u[0], v[0]), field.mul(u[1], v[1])),
-                     field.mul(u[2], v[2]))
+        # columns of B are the preimages of the standard frame e1, e2, e3;
+        # adj(B) is a nonzero multiple of B^(-1), the same projective map
+        B = tuple(zip(w, v_inf, u))
+        return cls(field, _det_adjugate(field, B)[1])
 
 
 def _det_adjugate(field: Field, m):
-    f = field
-    def mul(a, b): return f.mul(a, b)
-    def sub(a, b): return f.sub(a, b)
-    c00 = sub(mul(m[1][1], m[2][2]), mul(m[1][2], m[2][1]))
-    c01 = sub(mul(m[1][2], m[2][0]), mul(m[1][0], m[2][2]))
-    c02 = sub(mul(m[1][0], m[2][1]), mul(m[1][1], m[2][0]))
-    det = f.add(f.add(mul(m[0][0], c00), mul(m[0][1], c01)), mul(m[0][2], c02))
-    # adjugate: transpose of cofactors
-    adj = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            r = [k for k in range(3) if k != j]
-            c = [k for k in range(3) if k != i]
-            minor = sub(mul(m[r[0]][c[0]], m[r[1]][c[1]]),
-                        mul(m[r[0]][c[1]], m[r[1]][c[0]]))
-            adj[i][j] = minor if (i + j) % 2 == 0 else f.neg(minor)
-    return det, tuple(tuple(row) for row in adj)
+    """det(m) and adj(m), so that adj(m) m = m adj(m) = det(m) I.
+
+    For rows m0, m1, m2 the columns of adj(m) are m1 x m2, m2 x m0 and
+    m0 x m1, and det(m) = m0 . (m1 x m2).
+    """
+    cols = (_cross(field, m[1], m[2]), _cross(field, m[2], m[0]),
+            _cross(field, m[0], m[1]))
+    return proj_dot(field, m[0], cols[0]), tuple(zip(*cols))
 
 
 def all_transforms(field: Field):
     """Every element of PGL_3(q), one matrix per projective class.
 
-    The first column runs over canonical points, which fixes the overall
-    scalar; later columns run over all vectors outside the span of the
-    earlier ones.  Yields (q^2+q+1)(q^3-q)(q^3-q^2) transforms.
+    The columns c1, c2, c3 of the matrix: c1 runs over canonical points,
+    which fixes the overall scalar, and c2, c3 over all nonzero vectors
+    with det = (c1 x c2) . c3 != 0, that is c2 outside span(c1) and c3
+    outside span(c1, c2).  Yields (q^2+q+1)(q^3-q)(q^3-q^2) transforms.
     """
     q = field.q
     vectors = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)][1:]
     for c1 in all_proj_points(field):
-        span1 = {tuple(field.mul(t, x) for x in c1) for t in range(1, q)}
         for c2 in vectors:
-            if c2 in span1:
-                continue
-            span2 = set()
-            for t1 in range(q):
-                v1 = tuple(field.mul(t1, x) for x in c1)
-                for t2 in range(q):
-                    span2.add(tuple(field.add(v1[i], field.mul(t2, c2[i]))
-                                    for i in range(3)))
+            c12 = _cross(field, c1, c2)
             for c3 in vectors:
-                if c3 in span2:
-                    continue
-                rows = tuple((c1[i], c2[i], c3[i]) for i in range(3))
-                yield ProjTransform(field, rows)
+                if proj_dot(field, c12, c3):
+                    yield ProjTransform(field, tuple(zip(c1, c2, c3)))
 
 
 def random_transform(field: Field, rng: random.Random) -> ProjTransform:
@@ -448,63 +418,70 @@ def random_transform(field: Field, rng: random.Random) -> ProjTransform:
             return ProjTransform(field, rows)
 
 
+class _OpTables:
+    """Field.add/sub/mul as op-table lookups, so that proj_dot and _cross
+    also run elementwise on integer arrays stored coordinate first.
+
+    The tables are copied to intp: lookups then return arrays that index
+    the next lookup without a conversion, which is most of the sweep's
+    per-batch cost on small configurations.
+    """
+
+    def __init__(self, field: Field):
+        self._add, self._sub, self._mul = (field.op_table(op).astype(np.intp)
+                                           for op in ("add", "sub", "mul"))
+
+    def add(self, a, b):
+        return self._add[a, b]
+
+    def sub(self, a, b):
+        return self._sub[a, b]
+
+    def mul(self, a, b):
+        return self._mul[a, b]
+
+
 def verify_incidence_preservation_exhaustive(field: Field, c: Config) -> int:
     """Assert that every element of PGL_3(q) preserves the projective
     incidence count of the lifted configuration; returns the group order.
 
-    Vectorized over the third matrix column: points transform as the column
-    combination M v = v0*c1 + v1*c2 + v2*c3, and each line transforms as the
-    join of two of its transformed points, so no inverses are needed.  All
-    field arithmetic goes through lookup tables, which keeps this usable for
-    extension fields as well as primes.
+    Enumerates the matrices M with columns c1, c2, c3 as all_transforms
+    does, vectorized over c3 for each (c1, c2): the batch is every nonzero
+    c3 with det(M) = (c1 x c2) . c3 != 0 (empty when c2 is in span(c1)).
+    Points go to M v = v0*c1 + v1*c2 + v2*c3 and lines to u adj(M), whose
+    rows are c2 x c3, c3 x c1 and c1 x c2.  All field arithmetic goes
+    through the op tables, which keeps this usable for extension fields.
     """
     q = field.q
     if q > 9:
         raise InvalidInput("exhaustive transform sweep capped at q <= 9")
-    add, mul, sub = (field.op_table(op) for op in ("add", "mul", "sub"))
+    ops = _OpTables(field)
 
     pts, lns = lift_config(field, c)
     base = projective_incidences(field, pts, lns)
-    anchors = []
-    for l in lns:
-        on = points_on_line(field, l)
-        anchors.append((on[0], on[1]))   # every line has q+1 >= 2 points
-    n_pts, n_lns = len(pts), len(lns)
-    src = np.array(pts + [p for pair in anchors for p in pair])  # (ns, 3)
-
+    P = np.array(pts, dtype=np.intp).reshape(-1, 3).T[:, :, None]   # (3, np, 1)
+    U = np.array(lns, dtype=np.intp).reshape(-1, 3).T[:, :, None]   # (3, nl, 1)
     vectors = np.array([(a, b, c3) for a in range(q) for b in range(q)
-                        for c3 in range(q)][1:])
-    enc = vectors[:, 0] + q * vectors[:, 1] + q * q * vectors[:, 2]
+                        for c3 in range(q)][1:]).T                   # (3, q^3 - 1)
     checked = 0
     for c1 in all_proj_points(field):
-        c1v = np.array(c1)
-        span1 = {int(mul[t, c1[0]] + q * mul[t, c1[1]] + q * q * mul[t, c1[2]])
-                 for t in range(1, q)}
-        x1 = mul[src[:, 0][:, None], c1v[None, :]]               # (ns, 3)
-        for c2 in vectors[~np.isin(enc, sorted(span1))]:
-            t1 = np.arange(q)
-            s2 = add[mul[t1[:, None, None], c1v[None, None, :]],
-                     mul[t1[None, :, None], c2[None, None, :]]].reshape(-1, 3)
-            span2 = s2[:, 0] + q * s2[:, 1] + q * q * s2[:, 2]
-            c3s = vectors[~np.isin(enc, span2)]                  # (m, 3)
-            x12 = add[x1, mul[src[:, 1][:, None], c2[None, :]]]  # (ns, 3)
-            x3 = mul[src[:, 2][:, None, None], c3s[None, :, :]]  # (ns, m, 3)
-            img = add[x12[:, None, :], x3]                       # (ns, m, 3)
-            pi = img[:n_pts]
-            ai = img[n_pts:].reshape(n_lns, 2, -1, 3)
-            u, v = ai[:, 0], ai[:, 1]                            # (nl, m, 3)
-            li = np.stack([
-                sub[mul[u[..., 1], v[..., 2]], mul[u[..., 2], v[..., 1]]],
-                sub[mul[u[..., 2], v[..., 0]], mul[u[..., 0], v[..., 2]]],
-                sub[mul[u[..., 0], v[..., 1]], mul[u[..., 1], v[..., 0]]],
-            ], axis=-1)                                          # (nl, m, 3)
-            d = add[add[mul[li[:, None, :, 0], pi[None, :, :, 0]],
-                        mul[li[:, None, :, 1], pi[None, :, :, 1]]],
-                    mul[li[:, None, :, 2], pi[None, :, :, 2]]]   # (nl, np, m)
+        col1 = np.array(c1)[:, None, None]
+        c12s = np.array(_cross(ops, c1, vectors))          # c1 x c2 for every c2
+        c31s = np.array(_cross(ops, vectors, c1))          # c3 x c1 for every c3
+        for i2 in range(vectors.shape[1]):
+            c2, c12 = vectors[:, i2], c12s[:, i2]
+            keep = proj_dot(ops, c12, vectors) != 0
+            c3s = vectors[:, keep]                                   # (3, m)
+            c23 = np.array(_cross(ops, c2, c3s))
+            # coordinate first: image points (3, np, m), image lines (3, nl, m)
+            img_p = proj_dot(ops, (col1, c2[:, None, None], c3s[:, None]), P)
+            img_l = proj_dot(ops, U, (c23[:, None], c31s[:, None, keep],
+                                      c12[:, None, None]))
+            d = proj_dot(ops, img_l[:, :, None], img_p[:, None])     # (nl, np, m)
             counts = (d == 0).sum(axis=(0, 1))
             if not np.all(counts == base):
                 raise InvariantViolation("incidence count changed under a transform")
-            checked += len(c3s)
+            checked += c3s.shape[1]
     order = (q * q + q + 1) * (q ** 3 - q) * (q ** 3 - q * q)
     if checked != order:
         raise InvariantViolation("transform enumeration incomplete")

@@ -67,13 +67,6 @@ class HadamardTask:
     m: int
     vectors: tuple[tuple[int, ...], ...]
 
-    def had(self, y: tuple[int, ...], xi: tuple[int, ...]) -> int:
-        f = self.field
-        acc = 0
-        for yi, xii in zip(y, xi):
-            acc = f.add(acc, f.mul(xii, yi))
-        return acc
-
 
 def build_U_m(field: Field, m: int) -> HadamardTask:
     if m < 1:

@@ -223,6 +223,16 @@ def test_exit_code_fourier_bad_sizes(capsys, argv):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fourier", "verify", "--p", "2", "--s", "16", "--n", "1", "--trials", "1"],
+    ["fourier", "maximize", "--p", "3", "--s", "10", "--n", "1", "--rounds", "1"],
+], ids=["verify-q65536", "maximize-q59049"])
+def test_exit_code_fourier_over_cap(capsys, argv):
+    # refused before the q x q gram (64 GiB) or mul table (13 GiB) is built
+    assert run(argv) == 4
+    assert "capped at q <= 4096" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

@@ -79,6 +79,28 @@ def test_known_minimal_moduli():
     assert smallest_irreducible(3, 3) == (1, 2, 0, 1)     # x^3+2x+1
 
 
+def has_root(coeffs, p):
+    # the root test Rabin's test replaced for s = 2, 3: a polynomial of
+    # degree 2 or 3 is reducible iff it has a root in F_p
+    return any(sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p == 0
+               for x in range(p))
+
+
+def test_small_degree_moduli_match_root_test():
+    pairs = [(p, s) for s in (2, 3) for p in range(2, 257)
+             if is_prime(p) and p ** s <= Q_CAP]
+    assert len(pairs) == 66
+    for p, s in pairs:
+        first = next(tuple(_digits(n, p, s) + [1]) for n in range(p ** s)
+                     if not has_root(_digits(n, p, s) + [1], p))
+        assert smallest_irreducible(p, s) == first
+    for p in (2, 3, 5, 7, 11, 13):
+        for s in (2, 3):
+            for n in range(p ** s):
+                coeffs = _digits(n, p, s) + [1]
+                assert chshq.field._is_irreducible(coeffs, p) == (not has_root(coeffs, p))
+
+
 def test_no_irreducible_raises_invariant_violation(monkeypatch):
     monkeypatch.setattr(chshq.field, "_is_irreducible", lambda coeffs, p: False)
     with pytest.raises(InvariantViolation):

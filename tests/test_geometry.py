@@ -8,8 +8,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chshq.errors import InvalidInput
+from chshq import geometry
+from chshq.errors import InvalidInput, InvariantViolation
 from chshq.field import Field, field_from_q
 from chshq.game import Strategy, win_count
 from chshq.geometry import (
@@ -23,6 +25,7 @@ from chshq.geometry import (
     ProjTransform, all_transforms, random_transform,
     verify_incidence_preservation_exhaustive,
     random_projective_regularize, slope_collision_probability,
+    _det_adjugate,
 )
 
 
@@ -247,11 +250,83 @@ def test_lift_preserves_incidences():
 # projective transforms
 # ---------------------------------------------------------------------------
 
+def all_transforms_span_sets(field):
+    # the span-set enumeration that the det != 0 test replaced: c2 outside
+    # span(c1), c3 outside span(c1, c2), each span built as a set
+    q = field.q
+    vectors = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)][1:]
+    for c1 in all_proj_points(field):
+        span1 = {tuple(field.mul(t, x) for x in c1) for t in range(1, q)}
+        for c2 in vectors:
+            if c2 in span1:
+                continue
+            span2 = set()
+            for t1 in range(q):
+                v1 = tuple(field.mul(t1, x) for x in c1)
+                for t2 in range(q):
+                    span2.add(tuple(field.add(v1[i], field.mul(t2, c2[i]))
+                                    for i in range(3)))
+            for c3 in vectors:
+                if c3 not in span2:
+                    yield tuple((c1[i], c2[i], c3[i]) for i in range(3))
+
+
+def det_adjugate_cofactors(field, m):
+    # the cofactor expansion that the cross products replaced
+    f = field
+    def mul(a, b): return f.mul(a, b)
+    def sub(a, b): return f.sub(a, b)
+    c00 = sub(mul(m[1][1], m[2][2]), mul(m[1][2], m[2][1]))
+    c01 = sub(mul(m[1][2], m[2][0]), mul(m[1][0], m[2][2]))
+    c02 = sub(mul(m[1][0], m[2][1]), mul(m[1][1], m[2][0]))
+    det = f.add(f.add(mul(m[0][0], c00), mul(m[0][1], c01)), mul(m[0][2], c02))
+    adj = [[0] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            r = [k for k in range(3) if k != j]
+            c = [k for k in range(3) if k != i]
+            minor = sub(mul(m[r[0]][c[0]], m[r[1]][c[1]]),
+                        mul(m[r[0]][c[1]], m[r[1]][c[0]]))
+            adj[i][j] = minor if (i + j) % 2 == 0 else f.neg(minor)
+    return det, tuple(tuple(row) for row in adj)
+
+
 def test_transform_group_order_q2_q3():
     for q in (2, 3):
         field = field_from_q(q)
         order = (q**2 + q + 1) * (q**3 - q) * (q**3 - q**2)
         assert sum(1 for _ in all_transforms(field)) == order
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_all_transforms_match_span_sets(q):
+    field = field_from_q(q)
+    assert [t.rows for t in all_transforms(field)] == list(all_transforms_span_sets(field))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
+def test_det_adjugate_matches_cofactors(q):
+    field = field_from_q(q)
+    rng = random.Random(q)
+    mats = [tuple(tuple(rng.randrange(q) for _ in range(3)) for _ in range(3))
+            for _ in range(100)]
+    for _ in range(50):
+        # singular: the last row is a combination of the first two
+        r0, r1 = (tuple(rng.randrange(q) for _ in range(3)) for _ in range(2))
+        a, b = rng.randrange(q), rng.randrange(q)
+        r2 = tuple(field.add(field.mul(a, x), field.mul(b, y)) for x, y in zip(r0, r1))
+        mats.append(tuple(rng.sample([r0, r1, r2], 3)))
+    mats += [((0, 0, 0),) * 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    singular = 0
+    for m in mats:
+        det, adj = _det_adjugate(field, m)
+        assert (det, adj) == det_adjugate_cofactors(field, m)
+        singular += det == 0
+        for i in range(3):
+            for k in range(3):
+                entry = proj_dot(field, adj[i], [row[k] for row in m])
+                assert entry == (det if i == k else 0)
+    assert singular >= 51   # the constructed matrices and the zero matrix
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -286,6 +361,26 @@ def test_sampled_transforms_preserve_incidence(q):
         assert lhs == t.apply_line(proj_cross(field, u, v))
 
 
+@st.composite
+def configs_with_seed(draw):
+    q = draw(st.sampled_from([3, 4, 5, 7, 8, 9]))
+    pair = st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))
+    return (field_from_q(q), make_config(draw(st.lists(pair, max_size=2 * q)),
+                                         draw(st.lists(pair, max_size=2 * q))),
+            draw(st.integers(0, 1 << 32)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs_with_seed())
+def test_random_transform_preserves_incidences_property(case):
+    field, c, seed = case
+    t = random_transform(field, random.Random(seed))
+    pts, lns = lift_config(field, c)
+    moved = projective_incidences(field, [t.apply_point(v) for v in pts],
+                                  [t.apply_line(u) for u in lns])
+    assert moved == incidences(field, c)
+
+
 def test_exhaustive_checker_counts_group():
     field = field_from_q(3)
     c = strategy_to_config(field, Strategy((0, 0, 1), (0, 1, 0)))
@@ -294,8 +389,19 @@ def test_exhaustive_checker_counts_group():
     assert checked == (q**2 + q + 1) * (q**3 - q) * (q**3 - q**2)
 
 
-def test_from_chart_sends_targets_to_infinity():
-    field = field_from_q(7)
+def test_exhaustive_checker_detects_changed_count(monkeypatch):
+    field = field_from_q(3)
+    c = strategy_to_config(field, Strategy((0, 0, 1), (0, 1, 0)))
+    real = geometry.projective_incidences
+    monkeypatch.setattr(geometry, "projective_incidences",
+                        lambda f, pts, lns: real(f, pts, lns) + 1)
+    with pytest.raises(InvariantViolation):
+        verify_incidence_preservation_exhaustive(field, c)
+
+
+@pytest.mark.parametrize("q", [4, 7, 9, 25])
+def test_from_chart_sends_targets_to_infinity(q):
+    field = field_from_q(q)
     rng = random.Random(2)
     pts = all_proj_points(field)
     for _ in range(30):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -112,6 +113,25 @@ def test_scaled_index_pair_is_not_uniform():
     double = (2, 0)
     assert not coordinates_pair_uniform(field, 2, xi, double)
     assert coordinates_pair_uniform(field, 2, xi, (1, 1))
+
+
+def had(field, y, xi) -> int:
+    # the scalar Hadamard codeword <xi, y> that the op-table kernel replaced
+    acc = 0
+    for yi, xii in zip(y, xi):
+        acc = field.add(acc, field.mul(xii, yi))
+    return acc
+
+
+@pytest.mark.parametrize("q, m", [(2, 3), (3, 2), (4, 2), (5, 2)])
+def test_codeword_values_match_scalar_had(q, m):
+    field = field_from_q(q)
+    ys = list(product(range(q), repeat=m))   # column order of the kernel
+    xis = list(product(range(q), repeat=m))
+    values = infotheory._codeword_values(field, m, xis)
+    assert values.shape == (len(xis), q ** m)
+    for xi, row in zip(xis, values):
+        assert row.tolist() == [had(field, y, xi) for y in ys]
 
 
 def pairwise_scan(task) -> bool:
