@@ -19,10 +19,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInput, InvariantViolation
+from .errors import CapExceeded, InvalidInput, InvariantViolation
 from .field import Field
 from .game import (Strategy, win_count, bias_from_p_win, p_win_from_bias,
                    _check_strategy)
+
+
+PMF_Q_CAP = 1 << 12   # convolve and infotheory.joint_from_error do q^2 work
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ def per_input_error_dists(field: Field, box: StrategyBox) -> list[list[Fraction]
     q = field.q
     f, g = (np.asarray(t, dtype=np.intp) for t in box.strategy)
     add, sub, mul = (field.op_table(op) for op in ("add", "sub", "mul"))
-    inv = np.array([0] + [field.inv(u) for u in field.units()])
+    inv = field.vec.inv(np.arange(q))
     el, un = np.arange(q), np.arange(1, q)
     x, y, alpha, beta, gamma, delta = np.ix_(el, el, un, un, el, el)
     ax, by = mul[alpha, x], mul[beta, y]
@@ -142,6 +145,8 @@ def convolve(field: Field, d1: ErrorDist, d2: ErrorDist) -> ErrorDist:
     if d1.q != field.q or d2.q != field.q:
         raise InvalidInput("distribution/field size mismatch")
     q = field.q
+    if q > PMF_Q_CAP:
+        raise CapExceeded(f"error convolution capped at q <= {PMF_Q_CAP}")
     probs = [Fraction(0)] * q
     for e1, p1 in enumerate(d1.probs):
         if p1 == 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -163,16 +164,7 @@ def cmd_regularize(args) -> int:
     out, stats = geometry.random_projective_regularize(field, cfg, seed=args.seed)
     payload = config_to_json(field.q, out)
     payload["seed"] = args.seed
-    payload["stats"] = {
-        "input_points": stats.input_points, "input_lines": stats.input_lines,
-        "input_incidences": stats.input_incidences,
-        "sampled_points": stats.sampled_points,
-        "sampled_lines": stats.sampled_lines,
-        "sampled_incidences": stats.sampled_incidences,
-        "kept_points": stats.kept_points, "kept_lines": stats.kept_lines,
-        "kept_incidences": stats.kept_incidences,
-        "l_inf": list(stats.l_inf), "v_inf": list(stats.v_inf),
-    }
+    payload["stats"] = dataclasses.asdict(stats)
     _emit(payload, args)
     return 0
 
@@ -232,12 +224,11 @@ def cmd_fourier_verify(args) -> int:
     field = _field_from_args(args)
     if args.trials < 1:
         raise InvalidInput(f"trials = {args.trials} must be >= 1")
-    chi = None
     worst = 0.0
     for i in range(args.trials):
         fam = fourier.random_family(field.q, args.n, seed=args.seed + i)
-        worst = max(worst, fourier.character_bilinear_sum(field, fam, chi))
-        if not fourier.verify_bound(field, fam, chi):
+        worst = max(worst, fourier.character_bilinear_sum(field, fam))
+        if not fourier.verify_bound(field, fam):
             raise InvariantViolation(
                 f"character-sum bound violated at trial {i}")
     _emit({
@@ -444,18 +435,10 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapExceeded as e:
+    except (CapExceeded, InvariantViolation, InvalidInput, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 4
-    except InvariantViolation as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except InvalidInput as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return (4 if isinstance(e, CapExceeded) else
+                3 if isinstance(e, InvariantViolation) else 2)
 
 
 def main():

@@ -13,8 +13,9 @@ reproducible from (p, s) alone.
 Every field is held as log/antilog tables of its canonical primitive element
 g (the smallest encoding of order q - 1), so mul, inv and pow are index
 arithmetic.  Addition is digit-wise mod p: `% p` for prime fields, XOR for
-p = 2, and Zech logarithms log(1 + g^k) for odd p with s > 1.  `op_table`
-serves the cached q x q add/sub/mul tables that other modules index.
+p = 2, and Zech logarithms log(1 + g^k) for odd p with s > 1.  `Field.vec`
+runs the same tables elementwise on integer arrays, and `op_table` serves
+the cached q x q add/sub/mul tables it builds.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import cmath
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -312,7 +314,8 @@ class Field:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Polynomial-basis coefficients of an encoded element, low degree first."""
-        self._check(a)
+        if not 0 <= a < self.q:
+            raise InvalidInput(f"encoding {a} outside [0, {self.q})")
         return tuple(_digits(a, self.p, self.s))
 
     def from_coeffs(self, v) -> int:
@@ -325,10 +328,6 @@ class Field:
 
     def units(self) -> range:
         return range(1, self.q)
-
-    def _check(self, a: int):
-        if not 0 <= a < self.q:
-            raise InvalidInput(f"encoding {a} outside [0, {self.q})")
 
     # -- ring operations ----------------------------------------------------
 
@@ -373,31 +372,23 @@ class Field:
             return 0 if e else 1
         return self._exp[self._log[a] * e % self._n]
 
+    @cached_property
+    def vec(self) -> "FieldVec":
+        """The elementwise face of this field, built on first use."""
+        return FieldVec(self)
+
     def op_table(self, op: str) -> np.ndarray:
-        """The read-only q x q table of "add", "sub" or "mul", built on first
-        use and cached.  int32, so callers may form a * q + b freely."""
+        """The read-only q x q table of "add", "sub" or "mul", built from
+        `vec` on first use and cached.  int32, so callers may form a * q + b
+        freely."""
         table = self._op_tables.get(op)
-        if table is not None:
-            return table
-        q = self.q
-        if op == "mul":
-            log = np.frombuffer(self._log, dtype=np.uint16).astype(np.int32)
-            exp = np.frombuffer(self._exp, dtype=np.uint16)
-            table = exp[log[:, None] + log[None, :]].astype(np.int32)
-            table[0, :] = 0
-            table[:, 0] = 0
-        elif op in ("add", "sub"):
-            sign = 1 if op == "add" else -1
-            r = np.arange(q, dtype=np.int32)
-            table = np.zeros((q, q), dtype=np.int32)
-            for i in range(self.s):
-                w = self.p ** i
-                d = r // w % self.p
-                table += (d[:, None] + sign * d[None, :]) % self.p * w
-        else:
-            raise InvalidInput(f"unknown field operation {op!r}")
-        table.flags.writeable = False
-        self._op_tables[op] = table
+        if table is None:
+            if op not in ("add", "sub", "mul"):
+                raise InvalidInput(f"unknown field operation {op!r}")
+            r = np.arange(self.q)
+            table = getattr(self.vec, op)(r[:, None], r[None, :]).astype(np.int32)
+            table.flags.writeable = False
+            self._op_tables[op] = table
         return table
 
     # -- structure ----------------------------------------------------------
@@ -413,26 +404,83 @@ class Field:
 
     def trace(self, a: int) -> int:
         """Absolute trace into F_p, returned as an int in [0, p)."""
-        acc = a
-        term = a
-        for _ in range(self.s - 1):
-            term = self.pow(term, self.p)
-            acc = self.add(acc, term)
-        # the trace lands in the prime subfield, whose encodings are 0..p-1
-        if acc >= self.p:
-            raise InvariantViolation(f"trace {acc} not in prime subfield")
-        return acc
+        return int(self.vec.trace(a))
 
     def subfield_elements(self, t: int) -> list[int]:
         """Encodings of the subfield GF(p^t), requires t | s.  Sorted."""
         if t < 1 or self.s % t != 0:
             raise InvalidInput(f"t = {t} does not divide s = {self.s}")
         # the subfield is exactly the fixed points of x -> x^(p^t)
-        e = self.p ** t
-        out = [x for x in range(self.q) if self.pow(x, e) == x]
-        if len(out) != e:
+        x = np.arange(self.q)
+        out = np.flatnonzero(self.vec.pow(x, self.p ** t) == x).tolist()
+        if len(out) != self.p ** t:
             raise InvariantViolation("subfield has wrong size")
         return out
+
+
+class FieldVec:
+    """Elementwise GF(q) arithmetic on integer numpy arrays: branch-free
+    gathers from O(q) intp copies of the field's log/antilog/neg/Zech tables.
+
+    With n = q - 1, log[0] is the sentinel 2n and exp is g^0 .. g^(n-1) twice,
+    then 2n + 1 zeros, so exp[log[a] + log[b]] is 0 when a or b is.  add and
+    sub are red[k] = k mod q for k in (-q, 2q) on prime fields, XOR for p = 2
+    and Zech logarithms for odd p with s > 1.  inv(0) is 0 here."""
+
+    def __init__(self, field: Field):
+        p, s, q = field.p, field.s, field.q
+        n = self._n = q - 1
+        log = self._log = np.array(field._log, dtype=np.intp)
+        log[0] = 2 * n
+        exp = self._exp = np.concatenate([np.array(field._exp, dtype=np.intp),
+                                          np.zeros(2 * n + 1, np.intp)])
+        neg = self._neg = np.array(field._neg, dtype=np.intp)
+        self._inv = exp[n - log]          # log[0] gives index -n, in the zero tail
+        if s == 1:
+            red = np.arange(2 * q) % q
+            self.add, self.sub = (lambda a, b: red[a + b]), (lambda a, b: red[a - b])
+        elif p == 2:
+            self.add = self.sub = np.bitwise_xor
+        else:
+            # a + b = exp[la + zadd[d]] for d = lb - la in [-2n, 2n] (negative d
+            # wraps): the Zech log of d, or 2n where 1 + g^d = 0, for a, b != 0;
+            # d itself for a = 0, where d < -n; 0 for b = 0, where d > n
+            zech = np.array(field._zech, dtype=np.intp)
+            zech[zech == n] = 2 * n
+            zadd = np.zeros(4 * n + 1, dtype=np.intp)
+            d = np.arange(-2 * n, n)
+            zadd[d] = np.where(d < -n, d, zech[d % n])
+
+            def add(a, b):
+                la = log[a]
+                return exp[la + zadd[log[b] - la]]
+            self.add, self.sub = add, lambda a, b: add(a, neg[b])
+        # Tr(x) = x + x^p + ... + x^(p^(s-1)) lies in F_p, encoded 0..p-1
+        tr = term = np.arange(q)
+        for _ in range(s - 1):
+            term = self.pow(term, p)
+            tr = self.add(tr, term)
+        if (tr >= p).any():
+            raise InvariantViolation("trace not in prime subfield")
+        self._tr = tr
+
+    def neg(self, a):
+        return self._neg[a]
+
+    def mul(self, a, b):
+        return self._exp[self._log[a] + self._log[b]]
+
+    def inv(self, a):
+        return self._inv[a]
+
+    def pow(self, a, e):
+        a, e = np.asarray(a), np.asarray(e)
+        if ((a == 0) & (e < 0)).any():
+            raise InvalidInput("inverse of zero")
+        return np.where(a == 0, e == 0, self._exp[self._log[a] * e % self._n])
+
+    def trace(self, a):
+        return self._tr[a]
 
 
 def field_new(p: int, s: int) -> Field:
@@ -483,7 +531,8 @@ class AdditiveCharacter:
             roots = [complex(1), complex(-1)]   # exact, avoids exp(i*pi) noise
         else:
             roots = [cmath.exp(2j * cmath.pi * k / p) for k in range(p)]
-        self.table = [roots[field.trace(x)] for x in field.elements()]
+        # a list, so that entries can be read and replaced as plain complexes
+        self.table = [roots[t] for t in field.vec.trace(np.arange(field.q)).tolist()]
 
     def __call__(self, a: int) -> complex:
         return self.table[a]

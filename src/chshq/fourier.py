@@ -54,6 +54,8 @@ def random_family(q: int, n: int, seed: int) -> VectorFamily:
     """Rows drawn as complex gaussians and normalized; deterministic per seed."""
     if n < 1:
         raise InvalidInput(f"dimension n = {n} must be >= 1")
+    if q * n > FOURIER_Q_CAP ** 2:
+        raise CapExceeded(f"random families capped at q * n <= {FOURIER_Q_CAP ** 2}")
     rng = np.random.default_rng(seed)
     shape = (2, q, n)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -66,61 +68,50 @@ def _check_cap(field: Field) -> None:
         raise CapExceeded(f"character-sum probes capped at q <= {FOURIER_Q_CAP}")
 
 
-def _kernel(field: Field, chi: AdditiveCharacter) -> np.ndarray:
+def _kernel(field: Field) -> np.ndarray:
     """K[x, y] = chi(-x*y)."""
     _check_cap(field)
-    tab = np.array(chi.table)
-    neg = [field.neg(t) for t in field.elements()]
-    return tab[neg][field.op_table("mul")]
+    tab = np.array(AdditiveCharacter(field).table)
+    return tab[field.vec.neg(np.arange(field.q))][field.op_table("mul")]
 
 
-def character_bilinear_sum(field: Field, fam: VectorFamily,
-                           chi: AdditiveCharacter | None = None) -> float:
+def character_bilinear_sum(field: Field, fam: VectorFamily) -> float:
     """| sum over x, y of chi(-xy) <u_x, v_y> |."""
     if fam.q != field.q:
         raise InvalidInput("family size does not match the field")
-    if chi is None:
-        chi = AdditiveCharacter(field)
     _check_cap(field)
     gram = fam.u.conj() @ fam.v.T            # gram[x, y] = <u_x, v_y>
-    return float(abs((_kernel(field, chi) * gram).sum()))
+    return float(abs((_kernel(field) * gram).sum()))
 
 
-def verify_bound(field: Field, fam: VectorFamily,
-                 chi: AdditiveCharacter | None = None) -> bool:
-    return character_bilinear_sum(field, fam, chi) <= field.q ** 1.5 + BOUND_TOL
+def verify_bound(field: Field, fam: VectorFamily) -> bool:
+    return character_bilinear_sum(field, fam) <= field.q ** 1.5 + BOUND_TOL
 
 
-def cauchy_schwarz_chain(field: Field, fam: VectorFamily,
-                         chi: AdditiveCharacter | None = None
-                         ) -> tuple[float, float, float]:
+def cauchy_schwarz_chain(field: Field, fam: VectorFamily) -> tuple[float, float, float]:
     """(S, sqrt(q) * sum_i ||u(., i)|| ||v(., i)||, q^(3/2)).
 
     The middle term applies the scalar character-sum bound per coordinate;
     a final Cauchy-Schwarz over coordinates gives the endpoint.  Both
     inequalities hold on every family, so the triple is nondecreasing."""
-    s = character_bilinear_sum(field, fam, chi)
+    s = character_bilinear_sum(field, fam)
     col_u = np.linalg.norm(fam.u, axis=0)
     col_v = np.linalg.norm(fam.v, axis=0)
     mid = float(np.sqrt(field.q) * (col_u * col_v).sum())
     return s, mid, field.q ** 1.5
 
 
-def fourier_matrix(field: Field, chi: AdditiveCharacter | None = None) -> np.ndarray:
+def fourier_matrix(field: Field) -> np.ndarray:
     """H[x, y] = chi(xy)/sqrt(q); unitary for every prime power q."""
     _check_cap(field)
-    if chi is None:
-        chi = AdditiveCharacter(field)
-    tab = np.array(chi.table)
+    tab = np.array(AdditiveCharacter(field).table)
     return tab[field.op_table("mul")] / np.sqrt(field.q)
 
 
-def tight_family(field: Field, chi: AdditiveCharacter | None = None) -> VectorFamily:
+def tight_family(field: Field) -> VectorFamily:
     """Standard basis against character columns: every term chi(-xy)<u_x,v_y>
     equals 1/sqrt(q), so the sum is exactly q^(3/2)."""
-    if chi is None:
-        chi = AdditiveCharacter(field)
-    v = fourier_matrix(field, chi)           # v[y, i] = chi(iy)/sqrt(q)
+    v = fourier_matrix(field)                # v[y, i] = chi(iy)/sqrt(q)
     u = np.eye(field.q, dtype=complex)
     return VectorFamily(u=u, v=v)
 
@@ -132,8 +123,7 @@ class MaximizeResult:
     history: tuple[float, ...]   # objective after each half-step
 
 
-def maximize_sum(field: Field, n: int, seed: int, rounds: int = 50,
-                 chi: AdditiveCharacter | None = None) -> MaximizeResult:
+def maximize_sum(field: Field, n: int, seed: int, rounds: int = 50) -> MaximizeResult:
     """Alternating maximization of the bilinear sum over unit families.
 
     Half-steps set u_x parallel to w_x = sum_y chi(-xy) v_y and then v_y
@@ -142,9 +132,7 @@ def maximize_sum(field: Field, n: int, seed: int, rounds: int = 50,
     with a zero update keep their previous vector."""
     if rounds < 1:
         raise InvalidInput("rounds must be >= 1")
-    if chi is None:
-        chi = AdditiveCharacter(field)
-    K = _kernel(field, chi)
+    K = _kernel(field)
     fam = random_family(field.q, n, seed)
     u, v = fam.u.copy(), fam.v.copy()
     history = []
@@ -159,7 +147,7 @@ def maximize_sum(field: Field, n: int, seed: int, rounds: int = 50,
             break
     best = VectorFamily(u=u, v=v)
     return MaximizeResult(family=best,
-                          value=character_bilinear_sum(field, best, chi),
+                          value=character_bilinear_sum(field, best),
                           history=tuple(history))
 
 

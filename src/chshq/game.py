@@ -64,13 +64,9 @@ def _check_strategy(field: Field, strategy: Strategy):
 def win_count(field: Field, strategy: Strategy) -> GameValue:
     """Exact number of winning input pairs for a deterministic strategy."""
     _check_strategy(field, strategy)
-    f, g = strategy
-    wins = 0
-    for x in field.elements():
-        for y in field.elements():
-            if field.add(f[x], g[y]) == field.mul(x, y):
-                wins += 1
-    return GameValue.from_wins(field.q, wins)
+    f, g = (np.asarray(t, dtype=np.intp) for t in strategy)
+    wins = field.op_table("add")[f[:, None], g[None, :]] == field.op_table("mul")
+    return GameValue.from_wins(field.q, int(wins.sum()))
 
 
 def _best_g_batch(field: Field, F) -> tuple[np.ndarray, np.ndarray]:

@@ -53,16 +53,25 @@ def is_legal(field: Field, c: Config) -> bool:
             and len(set(xs)) == len(xs) and len(set(slopes)) == len(slopes))
 
 
+INCIDENCE_BLOCK = 1 << 16   # (line, x) cells per block of the incidence count
+
+
 def incidences(field: Field, c: Config) -> int:
-    """Exact |{(p, l): p on l}|, grouped by x-coordinate for speed."""
-    by_x: dict[int, set[int]] = {}
-    for x, y in c.points:
-        by_x.setdefault(x, set()).add(y)
+    """Exact |{(p, l): p on l}|.  For every line and every distinct point
+    x-coordinate, (x, a*x - b) is looked up among the points encoded as
+    x*q + y, over blocks of lines of at most INCIDENCE_BLOCK cells."""
+    if not c.points or not c.lines:
+        return 0
+    q, vec = field.q, field.vec
+    codes = np.unique(np.array(c.points, dtype=np.intp) @ np.array([q, 1]))
+    xs = np.unique(codes // q)
+    a, b = np.array(c.lines, dtype=np.intp).T[:, :, None]     # (lines, 1) each
+    rows = max(1, INCIDENCE_BLOCK // len(xs))
     count = 0
-    for a, b in c.lines:
-        for x, ys in by_x.items():
-            if field.sub(field.mul(a, x), b) in ys:
-                count += 1
+    for i in range(0, len(a), rows):
+        hit = xs * q + vec.sub(vec.mul(a[i:i + rows], xs), b[i:i + rows])
+        at = np.minimum(np.searchsorted(codes, hit), len(codes) - 1)
+        count += int((codes[at] == hit).sum())
     return count
 
 
@@ -123,7 +132,7 @@ def grid_construction(field: Field) -> Config:
     if field.s != 1:
         raise InvalidInput("grid construction needs prime q")
     q = field.q
-    n1 = _icbrt(q)
+    n1 = _ifloor_pow(q, 1, 3)
     n2 = _ifloor_pow(q, 2, 3)
     points = [(x, y) for x in range(1, n1 + 1) for y in range(1, n2 + 1)]
     # y = c*x + d over the integers; as l_{a,b} that is a = c, b = -d mod q
@@ -134,18 +143,9 @@ def grid_construction(field: Field) -> Config:
 
 def grid_expected_incidences(q: int) -> int:
     """Closed form |L| * floor(q^(1/3)) for the grid construction."""
-    n1 = _icbrt(q)
+    n1 = _ifloor_pow(q, 1, 3)
     n2 = _ifloor_pow(q, 2, 3)
     return (n1 // 2) * (n2 // 2) * n1
-
-
-def _icbrt(n: int) -> int:
-    r = round(n ** (1 / 3))
-    while r ** 3 > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
-    return r
 
 
 def _ifloor_pow(n: int, num: int, den: int) -> int:
@@ -208,15 +208,14 @@ def subspace_cardinalities(field: Field) -> tuple[int, int, int]:
 
 def _span(field: Field, dim: int) -> list[int]:
     """All F_p-combinations of 1, g, ..., g^(dim-1), g primitive.  Sorted."""
-    g = field.primitive_element()
-    basis = [field.pow(g, i) for i in range(dim)]
-    out = {0}
-    for v in basis:
-        scaled = [field.mul(c, v) for c in range(field.p)]
-        out = {field.add(x, sv) for x in out for sv in scaled}
+    vec = field.vec
+    out = np.zeros(1, dtype=np.intp)
+    for v in vec.pow(field.primitive_element(), np.arange(dim)):
+        out = vec.add(out[:, None], vec.mul(np.arange(field.p), v)).ravel()
+    out = np.unique(out)
     if len(out) != field.p ** dim:
         raise InvariantViolation("span basis is linearly dependent")
-    return sorted(out)
+    return out.tolist()
 
 
 def trivial_incidence_bound(n_points: int, n_lines: int) -> float:
@@ -418,29 +417,6 @@ def random_transform(field: Field, rng: random.Random) -> ProjTransform:
             return ProjTransform(field, rows)
 
 
-class _OpTables:
-    """Field.add/sub/mul as op-table lookups, so that proj_dot and _cross
-    also run elementwise on integer arrays stored coordinate first.
-
-    The tables are copied to intp: lookups then return arrays that index
-    the next lookup without a conversion, which is most of the sweep's
-    per-batch cost on small configurations.
-    """
-
-    def __init__(self, field: Field):
-        self._add, self._sub, self._mul = (field.op_table(op).astype(np.intp)
-                                           for op in ("add", "sub", "mul"))
-
-    def add(self, a, b):
-        return self._add[a, b]
-
-    def sub(self, a, b):
-        return self._sub[a, b]
-
-    def mul(self, a, b):
-        return self._mul[a, b]
-
-
 def verify_incidence_preservation_exhaustive(field: Field, c: Config) -> int:
     """Assert that every element of PGL_3(q) preserves the projective
     incidence count of the lifted configuration; returns the group order.
@@ -449,13 +425,13 @@ def verify_incidence_preservation_exhaustive(field: Field, c: Config) -> int:
     does, vectorized over c3 for each (c1, c2): the batch is every nonzero
     c3 with det(M) = (c1 x c2) . c3 != 0 (empty when c2 is in span(c1)).
     Points go to M v = v0*c1 + v1*c2 + v2*c3 and lines to u adj(M), whose
-    rows are c2 x c3, c3 x c1 and c1 x c2.  All field arithmetic goes
-    through the op tables, which keeps this usable for extension fields.
+    rows are c2 x c3, c3 x c1 and c1 x c2.  All field arithmetic runs
+    elementwise through `field.vec`.
     """
     q = field.q
     if q > 9:
         raise InvalidInput("exhaustive transform sweep capped at q <= 9")
-    ops = _OpTables(field)
+    ops = field.vec
 
     pts, lns = lift_config(field, c)
     base = projective_incidences(field, pts, lns)

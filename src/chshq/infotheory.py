@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvariantViolation, CapExceeded
 from .field import Field
-from .boxes import RegularBox, ErrorDist, compose_m
+from .boxes import PMF_Q_CAP, RegularBox, ErrorDist, compose_m
 
 QM_CAP = 1 << 20   # largest enumerable input space q^m
 PAIR_BLOCK_CELLS = 1 << 22   # cells of one row block of the pair histograms
@@ -149,6 +149,8 @@ def pairwise_independence_check(task: HadamardTask) -> bool:
 
 def joint_from_error(field: Field, err: ErrorDist) -> np.ndarray:
     """Joint table of (X, Z) with X uniform and Z = X + e, e ~ err."""
+    if field.q > PMF_Q_CAP:
+        raise CapExceeded(f"joint tables capped at q <= {PMF_Q_CAP}")
     probs = np.array([float(p) for p in err.probs])
     z_minus_x = field.op_table("sub").T.copy()   # C order, as reductions expect
     return probs[z_minus_x] / field.q

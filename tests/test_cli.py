@@ -223,12 +223,30 @@ def test_exit_code_fourier_bad_sizes(capsys, argv):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["fourier", "verify", "--p", "2", "--s", "16", "--n", "1", "--trials", "1"],
+     "capped at q <= 4096"),
+    (["fourier", "maximize", "--p", "3", "--s", "10", "--n", "1", "--rounds", "1"],
+     "capped at q <= 4096"),
+    (["fourier", "verify", "--p", "3", "--n", "100000000", "--trials", "1"],
+     "capped at q * n <= 16777216"),
+    (["fourier", "maximize", "--p", "3", "--n", "100000000", "--rounds", "1"],
+     "capped at q * n <= 16777216"),
+], ids=["verify-q65536", "maximize-q59049", "verify-n1e8", "maximize-n1e8"])
+def test_exit_code_fourier_over_cap(capsys, argv, message):
+    # refused before the q x q gram (64 GiB), the mul table (13 GiB) or the
+    # (2, q, n) family (4.5 GiB at q = 3, n = 1e8) is built
+    assert run(argv) == 4
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
-    ["fourier", "verify", "--p", "2", "--s", "16", "--n", "1", "--trials", "1"],
-    ["fourier", "maximize", "--p", "3", "--s", "10", "--n", "1", "--rounds", "1"],
-], ids=["verify-q65536", "maximize-q59049"])
-def test_exit_code_fourier_over_cap(capsys, argv):
-    # refused before the q x q gram (64 GiB) or mul table (13 GiB) is built
+    ["box", "compose", "--q", "65536", "--E", "1/2", "--m", "2"],
+    ["box", "distribute", "--q", "65536", "--E", "1/2"],
+    ["ic-sweep", "--p", "2", "--s", "16", "--E", "1/2", "--m-max", "4"],
+], ids=["compose-q65536", "distribute-q65536", "ic-sweep-q65536"])
+def test_exit_code_q_squared_pmf_work_over_cap(capsys, argv):
+    # refused before q^2 Fraction products or a q x q joint table
     assert run(argv) == 4
     assert "capped at q <= 4096" in capsys.readouterr().err
 

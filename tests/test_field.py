@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import cmath
 import random
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import chshq.field
 from chshq.errors import InvalidInput, InvariantViolation, CapExceeded
 from chshq.field import (
     Field, field_new, field_from_q, field_from_json,
     is_prime, factorize, smallest_irreducible, additive_character,
-    Q_CAP, _digits, _poly_mulmod, _poly_powmod, _poly_trim,
+    Q_CAP, AdditiveCharacter, _digits, _poly_mulmod, _poly_powmod, _poly_trim,
 )
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
@@ -355,3 +358,111 @@ def test_from_json_rejects_reducible_modulus():
     d["modulus"] = [0, 0, 1]   # x^2, reducible
     with pytest.raises(InvalidInput):
         field_from_json(d)
+
+
+# ---------------------------------------------------------------------------
+# the elementwise face: Field.vec
+# ---------------------------------------------------------------------------
+
+def primes_up_to(n: int) -> list[int]:
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, int(n ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+PRIMES = primes_up_to(Q_CAP)
+DEGREE_PRIMES = {s: [p for p in PRIMES if p ** s <= Q_CAP] for s in range(1, 17)}
+
+
+@lru_cache(maxsize=8)
+def cached_field(p: int, s: int) -> Field:
+    return field_new(p, s)
+
+
+@st.composite
+def field_pairs(draw):
+    # the degree first, so that extension fields are drawn as often as prime ones
+    s = draw(st.integers(1, 16))
+    return draw(st.sampled_from(DEGREE_PRIMES[s])), s
+
+
+def loop_trace(f: Field, a: int) -> int:
+    # the scalar Frobenius sum that the vec trace replaced
+    acc = term = a
+    for _ in range(f.s - 1):
+        term = f.pow(term, f.p)
+        acc = f.add(acc, term)
+    return acc
+
+
+operands = st.lists(st.integers(0, Q_CAP - 1), max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=field_pairs(), a=operands, b=operands, e=st.integers(-3 * Q_CAP, 3 * Q_CAP))
+@example(pair=(2, 16), a=[65535, 1], b=[1, 65535], e=-1)
+@example(pair=(3, 10), a=[59048, 2], b=[59048, 1], e=59048)
+@example(pair=(65521, 1), a=[65520, 3], b=[1, 65520], e=-65521)
+@example(pair=(5, 6), a=[15624], b=[3124], e=7)
+def test_vec_ops_match_scalar_and_polynomial_ops(pair, a, b, e):
+    f = cached_field(*pair)
+    q, ref, vec = f.q, PolyReference(f), f.vec
+    assert f.vec is vec
+    # zero operands on either side and on both
+    n = min(len(a), len(b))
+    a = [x % q for x in a[:n]] + [0, 0, 1]
+    b = [y % q for y in b[:n]] + [0, q - 1, 0]
+    A, B = np.array(a), np.array(b)
+    for op in ("add", "sub", "mul"):
+        assert getattr(vec, op)(A, B).tolist() == [getattr(f, op)(x, y) for x, y in zip(a, b)]
+    assert vec.add(A, B).tolist() == [ref.digitwise(x, y, 1) for x, y in zip(a, b)]
+    assert vec.sub(A, B).tolist() == [ref.digitwise(x, y, -1) for x, y in zip(a, b)]
+    assert vec.mul(A, B).tolist() == [ref.mul(x, y) for x, y in zip(a, b)]
+    assert vec.neg(A).tolist() == [f.neg(x) for x in a]
+    assert vec.inv(A).tolist() == [f.inv(x) if x else 0 for x in a]
+    units = [x for x in a if x]
+    assert vec.pow(np.array(units), e).tolist() == [f.pow(x, e) for x in units]
+    assert vec.pow(np.array(units), e).tolist() == [ref.pow(x, e) for x in units]
+    assert vec.pow(A, abs(e)).tolist() == [f.pow(x, abs(e)) for x in a]
+    assert vec.trace(A).tolist() == [loop_trace(f, x) for x in a]
+    assert [f.trace(x) for x in a] == [loop_trace(f, x) for x in a]
+
+
+@pytest.mark.parametrize("q", [2, 4, 9, 25, 27, 65521])
+def test_vec_takes_scalars_and_refuses_inverse_powers_of_zero(q):
+    f = field_from_q(q)
+    assert int(f.vec.add(q - 1, 1)) == f.add(q - 1, 1)
+    assert int(f.vec.sub(0, 1)) == f.sub(0, 1)
+    assert int(f.vec.mul(q - 1, q - 1)) == f.mul(q - 1, q - 1)
+    assert int(f.vec.pow(0, 0)) == 1 and int(f.vec.pow(0, 3)) == 0
+    with pytest.raises(InvalidInput):
+        f.vec.pow(np.arange(q), -1)
+
+
+def character_roots(p: int) -> list[complex]:
+    if p == 2:
+        return [complex(1), complex(-1)]
+    return [cmath.exp(2j * cmath.pi * k / p) for k in range(p)]
+
+
+@pytest.mark.parametrize("p,s", [(2, 11), (3, 7), (5, 4)])
+def test_character_table_matches_scalar_trace_loop(p, s):
+    f = field_new(p, s)
+    chi = AdditiveCharacter(f)
+    assert type(chi.table) is list
+    roots = character_roots(p)
+    assert chi.table == [roots[loop_trace(f, x)] for x in f.elements()]
+
+
+@pytest.mark.parametrize("p,s", [(2, 4), (2, 6), (2, 12), (3, 4), (3, 6), (5, 2), (7, 2)])
+def test_subfield_elements_match_scalar_loop(p, s):
+    f = field_new(p, s)
+    for t in range(1, s + 1):
+        if s % t == 0:
+            e = p ** t
+            got = f.subfield_elements(t)
+            assert got == [x for x in f.elements() if f.pow(x, e) == x]
+            assert all(type(x) is int for x in got)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chshq.errors import InvalidInput
-from chshq.field import field_from_q, additive_character
+from chshq.field import field_from_q
 from chshq.game import tsirelson_bound
 from chshq.fourier import (
     VectorFamily, random_family, character_bilinear_sum, verify_bound,
@@ -84,13 +84,6 @@ def test_tight_family_achieves_bound(q):
     fam = tight_family(field)
     s = character_bilinear_sum(field, fam)
     assert abs(s - q ** 1.5) < 1e-9
-
-
-def test_tight_family_with_explicit_character():
-    field = field_from_q(9)
-    chi = additive_character(field)
-    fam = tight_family(field, chi)
-    assert abs(character_bilinear_sum(field, fam, chi) - 27.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,22 @@ def test_win_count_small_example():
     assert v.wins == 3 and v.p_win == Fraction(3, 4)
 
 
+def loop_win_count(field, strategy: Strategy) -> int:
+    # the scalar double loop that win_count replaced
+    f, g = strategy
+    return sum(field.add(f[x], g[y]) == field.mul(x, y)
+               for x in field.elements() for y in field.elements())
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_win_count_matches_scalar_loop(q):
+    field = field_from_q(q)
+    rng = random.Random(q)
+    for _ in range(10):
+        s = random_strategy(q, rng)
+        assert win_count(field, s).wins == loop_win_count(field, s)
+
+
 def test_win_count_rejects_malformed():
     f2 = field_from_q(2)
     with pytest.raises(InvalidInput):

@@ -35,6 +35,19 @@ def naive_incidences(field, c: Config) -> int:
                if y == field.sub(field.mul(a, x), b))
 
 
+def loop_incidences(field, c: Config) -> int:
+    # the per-(line, distinct x) scalar loop that incidences replaced
+    by_x: dict[int, set[int]] = {}
+    for x, y in c.points:
+        by_x.setdefault(x, set()).add(y)
+    count = 0
+    for a, b in c.lines:
+        for x, ys in by_x.items():
+            if field.sub(field.mul(a, x), b) in ys:
+                count += 1
+    return count
+
+
 def random_config(field, rng: random.Random, npts: int, nlns: int) -> Config:
     q = field.q
     pts = {(rng.randrange(q), rng.randrange(q)) for _ in range(npts)}
@@ -60,6 +73,59 @@ def test_incidences_match_naive_count(q):
         c = random_config(field, rng, rng.randrange(1, 2 * q),
                           rng.randrange(1, 2 * q))
         assert incidences(field, c) == naive_incidences(field, c)
+
+
+def rich_config(field, rng: random.Random) -> Config:
+    """Random points, and lines half of which pass through one of them."""
+    q = field.q
+    pts = [(rng.randrange(q), rng.randrange(q)) for _ in range(rng.randrange(1, 3 * q))]
+    lns = [(rng.randrange(q), rng.randrange(q)) for _ in range(rng.randrange(1, 2 * q))]
+    for _ in range(len(lns)):
+        (x, y), a = rng.choice(pts), rng.randrange(q)
+        lns.append((a, field.sub(field.mul(a, x), y)))
+    return make_config(pts, lns)
+
+
+@pytest.mark.parametrize("block", [None, 1, 5, 64])
+def test_incidences_match_loop_oracle(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(geometry, "INCIDENCE_BLOCK", block)
+    rng = random.Random(block)
+    for q in (2, 3, 4, 5, 7, 8, 9, 25, 27, 32, 101):
+        field = field_from_q(q)
+        for _ in range(8):
+            c = rich_config(field, rng)
+            assert incidences(field, c) == loop_incidences(field, c)
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_incidences_on_raw_configs_with_duplicates(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(geometry, "INCIDENCE_BLOCK", block)
+    field = field_from_q(7)
+    pts = ((1, 2), (1, 2), (3, 4), (1, 5))
+    lns = (Line(1, 6), Line(1, 6), Line(2, 2), Line(0, 5))
+    # not normalized: a repeated line counts twice, a repeated point once
+    c = Config(points=pts, lines=lns)
+    assert incidences(field, c) == loop_incidences(field, c) == 6
+    assert incidences(field, Config(points=(), lines=lns)) == 0
+    assert incidences(field, Config(points=pts, lines=())) == 0
+    assert incidences(field, make_config([], [])) == 0
+
+
+@pytest.mark.parametrize("p,s", [(2, 3), (2, 5), (3, 3), (3, 5), (3, 7), (5, 3), (7, 3)])
+def test_span_matches_set_loop(p, s):
+    field = Field(p, s)
+    g = field.primitive_element()
+    for dim in range(1, s + 1):
+        # the set-based loop that _span replaced
+        out = {0}
+        for v in [field.pow(g, i) for i in range(dim)]:
+            scaled = [field.mul(c, v) for c in range(p)]
+            out = {field.add(x, sv) for x in out for sv in scaled}
+        got = geometry._span(field, dim)
+        assert got == sorted(out)
+        assert all(type(x) is int for x in got)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 8])
