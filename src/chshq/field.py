@@ -264,6 +264,8 @@ class Field:
             raise InvalidInput(f"p = {p} is not prime")
         if s < 1:
             raise InvalidInput(f"s = {s} must be >= 1")
+        if s >= Q_CAP.bit_length():   # p^s >= 2^s > Q_CAP, and p ** s may never finish
+            raise CapExceeded(f"q = {p}^{s} exceeds the supported cap {Q_CAP}")
         q = p ** s
         if q > Q_CAP:
             raise CapExceeded(f"q = {q} exceeds the supported cap {Q_CAP}")

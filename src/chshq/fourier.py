@@ -54,6 +54,8 @@ def random_family(q: int, n: int, seed: int) -> VectorFamily:
     """Rows drawn as complex gaussians and normalized; deterministic per seed."""
     if n < 1:
         raise InvalidInput(f"dimension n = {n} must be >= 1")
+    if seed < 0:   # numpy's generators take no negative seed
+        raise InvalidInput(f"seed = {seed} must be >= 0")
     if q * n > FOURIER_Q_CAP ** 2:
         raise CapExceeded(f"random families capped at q * n <= {FOURIER_Q_CAP ** 2}")
     rng = np.random.default_rng(seed)

@@ -53,7 +53,9 @@ def is_legal(field: Field, c: Config) -> bool:
             and len(set(xs)) == len(xs) and len(set(slopes)) == len(slopes))
 
 
-INCIDENCE_BLOCK = 1 << 16   # (line, x) cells per block of the incidence count
+# cells per block: (line, x) pairs in `incidences`, (line, point, transform)
+# triples in the PGL_3 sweep
+INCIDENCE_BLOCK = 1 << 16
 
 
 def incidences(field: Field, c: Config) -> int:
@@ -417,47 +419,73 @@ def random_transform(field: Field, rng: random.Random) -> ProjTransform:
             return ProjTransform(field, rows)
 
 
+def _code_tables(field: Field):
+    """Arithmetic tables of F_q^3 with each vector encoded as the code
+    k = x*q^2 + y*q + z, built by running `field.vec`, `_cross` and
+    `proj_dot` over every pair of codes (at most q^6 entries each):
+
+    vadd[u*q^3 + v] = u + v, vcross[u*q^3 + v] = u x v, scale[s, v] = s*v
+    for s in F_q, and on[u*q^3 + v] = (u . v == 0).
+    """
+    q, vec = field.q, field.vec
+    k = np.arange(q ** 3)
+    digits = np.array([k // (q * q), k // q % q, k % q])      # (3, q^3)
+    u, v = digits[:, :, None], digits[:, None, :]
+
+    def code(t):
+        return (t[0] * q + t[1]) * q + t[2]
+
+    vadd = code(vec.add(u, v)).ravel()
+    vcross = code(_cross(vec, u, v)).ravel()
+    scale = code(vec.mul(np.arange(q)[:, None], v))           # (q, q^3)
+    on = (proj_dot(vec, u, v) == 0).ravel()
+    return vadd, vcross, scale, on
+
+
 def verify_incidence_preservation_exhaustive(field: Field, c: Config) -> int:
     """Assert that every element of PGL_3(q) preserves the projective
     incidence count of the lifted configuration; returns the group order.
 
     Enumerates the matrices M with columns c1, c2, c3 as all_transforms
-    does, vectorized over c3 for each (c1, c2): the batch is every nonzero
-    c3 with det(M) = (c1 x c2) . c3 != 0 (empty when c2 is in span(c1)).
-    Points go to M v = v0*c1 + v1*c2 + v2*c3 and lines to u adj(M), whose
-    rows are c2 x c3, c3 x c1 and c1 x c2.  All field arithmetic runs
-    elementwise through `field.vec`.
+    does: for each c1, every (c2, c3) with det(M) = (c1 x c2) . c3 != 0, in
+    blocks of at most INCIDENCE_BLOCK (line, point, transform) cells.  All
+    arithmetic is gathers from the `_code_tables` of F_q^3.  The images are
+    linear in the columns: points go to M v = (v0*c1 + v1*c2) + v2*c3 and
+    lines to u adj(M) = u0*(c2 x c3) + u1*(c3 x c1) + u2*(c1 x c2), so each
+    term that does not need both c2 and c3 is tabulated once per c1 (once
+    per call for v2*c3).  The base count is the scalar projective count.
     """
     q = field.q
     if q > 9:
         raise InvalidInput("exhaustive transform sweep capped at q <= 9")
-    ops = field.vec
-
     pts, lns = lift_config(field, c)
     base = projective_incidences(field, pts, lns)
+    vadd, vcross, scale, on = _code_tables(field)
+    n = q ** 3
     P = np.array(pts, dtype=np.intp).reshape(-1, 3).T[:, :, None]   # (3, np, 1)
     U = np.array(lns, dtype=np.intp).reshape(-1, 3).T[:, :, None]   # (3, nl, 1)
-    vectors = np.array([(a, b, c3) for a in range(q) for b in range(q)
-                        for c3 in range(q)][1:]).T                   # (3, q^3 - 1)
+    vectors = np.arange(1, n)                  # nonzero codes, in lex order
+    v2c3 = scale[P[2], vectors]                                    # (np, n - 1)
+    rows = max(1, INCIDENCE_BLOCK // max(1, len(lns) * len(pts)))
     checked = 0
     for c1 in all_proj_points(field):
-        col1 = np.array(c1)[:, None, None]
-        c12s = np.array(_cross(ops, c1, vectors))          # c1 x c2 for every c2
-        c31s = np.array(_cross(ops, vectors, c1))          # c3 x c1 for every c3
-        for i2 in range(vectors.shape[1]):
-            c2, c12 = vectors[:, i2], c12s[:, i2]
-            keep = proj_dot(ops, c12, vectors) != 0
-            c3s = vectors[:, keep]                                   # (3, m)
-            c23 = np.array(_cross(ops, c2, c3s))
-            # coordinate first: image points (3, np, m), image lines (3, nl, m)
-            img_p = proj_dot(ops, (col1, c2[:, None, None], c3s[:, None]), P)
-            img_l = proj_dot(ops, U, (c23[:, None], c31s[:, None, keep],
-                                      c12[:, None, None]))
-            d = proj_dot(ops, img_l[:, :, None], img_p[:, None])     # (nl, np, m)
-            counts = (d == 0).sum(axis=(0, 1))
+        k1 = (c1[0] * q + c1[1]) * q + c1[2]
+        c12 = vcross[k1 * n + vectors]         # c1 x c2 for every c2
+        v01 = vadd[scale[P[0], k1] * n + scale[P[1], vectors]]   # v0*c1 + v1*c2
+        u1 = scale[U[1], vcross[vectors * n + k1]]               # u1*(c3 x c1)
+        u2 = scale[U[2], c12]                                    # u2*(c1 x c2)
+        # (c2, c3) with det != 0 in lex order, as indices into vectors
+        i2, i3 = np.nonzero(~on[c12[:, None] * n + vectors])
+        for s in range(0, len(i2), rows):
+            j2, j3 = i2[s:s + rows], i3[s:s + rows]
+            img_p = vadd[v01[:, j2] * n + v2c3[:, j3]]                   # (np, m)
+            u0 = scale[U[0], vcross[(j2 + 1) * n + j3 + 1]]        # u0*(c2 x c3)
+            img_l = vadd[vadd[u0 * n + u1[:, j3]] * n + u2[:, j2]]       # (nl, m)
+            hits = on[img_l[:, None] * n + img_p].reshape(-1, len(j2))
+            counts = hits.sum(axis=0, dtype=np.int32)       # per transform
             if not np.all(counts == base):
                 raise InvariantViolation("incidence count changed under a transform")
-            checked += c3s.shape[1]
+            checked += len(j2)
     order = (q * q + q + 1) * (q ** 3 - q) * (q ** 3 - q * q)
     if checked != order:
         raise InvariantViolation("transform enumeration incomplete")

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from chshq import fourier
 from chshq.cli import run, parse_fraction, frac_str
 from chshq.errors import InvalidInput
 from fractions import Fraction
@@ -146,6 +149,12 @@ def test_exit_code_cap(capsys):
     capsys.readouterr()
 
 
+def test_exit_code_huge_extension_degree(capsys):
+    # refused before p ** s, which would not finish
+    assert run(["classical-value", "--p", "2", "--s", str(10 ** 20)]) == 4
+    assert "exceeds the supported cap" in capsys.readouterr().err
+
+
 def test_exit_code_missing_file(capsys):
     assert run(["incidences", "--in", "/nonexistent/x.json"]) == 2
     capsys.readouterr()
@@ -249,6 +258,137 @@ def test_exit_code_q_squared_pmf_work_over_cap(capsys, argv):
     # refused before q^2 Fraction products or a q x q joint table
     assert run(argv) == 4
     assert "capped at q <= 4096" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "maximize"])
+def test_exit_code_fourier_negative_seed(capsys, command):
+    # numpy's generators refuse negative seeds with a ValueError
+    assert run(["fourier", command, "--p", "3", "--n", "2", "--seed", "-1"]) == 2
+    assert "seed = -1 must be >= 0" in capsys.readouterr().err
+
+
+def test_fourier_verify_sums_once_per_trial(monkeypatch, capsys):
+    calls = []
+    real = fourier.character_bilinear_sum
+
+    def counted(field, fam):
+        calls.append(1)
+        return real(field, fam)
+    monkeypatch.setattr(fourier, "character_bilinear_sum", counted)
+    code, d = run_json(capsys, ["fourier", "verify", "--p", "3", "--n", "2",
+                                "--trials", "5"])
+    assert code == 0 and d["all_within_bound"] is True
+    assert len(calls) == 5
+
+
+# ---------------------------------------------------------------------------
+# fuzz: the exit-code contract holds on any argv
+# ---------------------------------------------------------------------------
+
+# each subcommand with its own flags; --help is the one flag no entry lists
+FUZZ_COMMANDS = {
+    ("classical-value",): ["--p", "--s", "--search", "--seed", "--restarts",
+                           "--max-rounds", "--out", "--format"],
+    ("construct",): ["--kind", "--p", "--s", "--seed", "--out", "--format"],
+    ("incidences",): ["--in", "--out", "--format"],
+    ("regularize",): ["--in", "--seed", "--out", "--format"],
+    ("box", "compose"): ["--q", "--E", "--m", "--out", "--format"],
+    ("box", "distribute"): ["--q", "--E", "--out", "--format"],
+    ("ic-sweep",): ["--p", "--s", "--E", "--m-min", "--m-max", "--out"],
+    ("fourier", "verify"): ["--p", "--s", "--n", "--trials", "--seed", "--out",
+                            "--format"],
+    ("fourier", "maximize"): ["--p", "--s", "--n", "--rounds", "--seed", "--out",
+                              "--format"],
+    ("report",): ["--all", "--seed", "--out"],
+}
+FUZZ_FLAGS = sorted({f for flags in FUZZ_COMMANDS.values() for f in flags}
+                    | {"--help"})
+FUZZ_WALL_S = 10.0
+
+# flag values: a plausible one three times in four, else garbage.  Sizes
+# stay in [-1, 4] and --p in {2, 3}, so an accepted run is small: q <= 3^4,
+# and m, n, trials, rounds and restarts are at most 4
+fuzz_plausible = {
+    "--p": st.sampled_from(["2", "3"]),
+    "--q": st.sampled_from(["2", "3", "4", "5", "7", "8", "9"]),
+    "--E": st.sampled_from(["0", "1/2", "13/20", "0.65", "1", "3/2", "-1/3",
+                            "1/0"]),
+    "--kind": st.sampled_from(["subfield", "grid", "subspace"]),
+    "--format": st.sampled_from(["json", "csv"]),
+}
+fuzz_sizes = st.integers(-1, 4).map(str)
+
+
+def not_an_int(text: str) -> bool:
+    # garbage text must not parse as a size, which could be large
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+fuzz_garbage = st.one_of(
+    st.sampled_from(["", "1e400", "nan", "0x10", "2**3", "1.5", "-", "\uff11"]),
+    st.text(max_size=6).filter(not_an_int))
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-1, 10),
+                         st.floats(), st.text(max_size=3))
+json_pairs = st.lists(st.one_of(st.lists(st.integers(-1, 9), max_size=3),
+                                json_scalars), max_size=6)
+
+
+@st.composite
+def legal_config_json(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    pairs = st.lists(st.lists(st.integers(0, q - 1), min_size=2, max_size=2),
+                     max_size=2 * q)
+    return {"q": q, "points": draw(pairs), "lines": draw(pairs)}
+
+
+fuzz_files = st.one_of(
+    legal_config_json().map(lambda d: json.dumps(d).encode()),
+    st.fixed_dictionaries({}, optional={"q": json_scalars, "points": json_pairs,
+                                        "lines": json_pairs}
+                          ).map(lambda d: json.dumps(d).encode()),
+    st.binary(max_size=30))
+
+
+def often(data, n=4):
+    """True about n - 1 times in n."""
+    return data.draw(st.sampled_from([True] * (n - 1) + [False]))
+
+
+def mostly(data, usual, other):
+    return data.draw(usual if often(data) else other)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_exit_codes_on_fuzzed_argv(tmp_path, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data.draw(fuzz_files))
+    paths = {"--in": (cfg, [tmp_path, tmp_path / "missing.json"]),
+             "--out": (tmp_path / "out", [tmp_path, tmp_path / "missing" / "x"])}
+    command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    flags = [f for f in FUZZ_COMMANDS[command] if often(data, 8)]
+    if not often(data, 8):
+        command = command[:-1]                # a bare group, or no command
+    argv = list(command)
+    for flag in flags + data.draw(st.lists(st.sampled_from(FUZZ_FLAGS), max_size=1)):
+        argv.append(flag)
+        if flag in paths:
+            good, bad = paths[flag]
+            argv.append(str(mostly(data, st.just(good), st.sampled_from(bad))))
+        elif flag not in ("--search", "--all", "--help"):
+            argv.append(mostly(data, fuzz_plausible.get(flag, fuzz_sizes), fuzz_garbage))
+    start = time.perf_counter()
+    try:
+        code = run(argv)
+    except SystemExit as e:   # argparse: 2 on a usage error, 0 after --help
+        code = e.code
+    assert code in (0, 2, 3, 4), argv
+    assert time.perf_counter() - start < FUZZ_WALL_S, argv
 
 
 # ---------------------------------------------------------------------------

@@ -431,6 +431,26 @@ def test_vec_ops_match_scalar_and_polynomial_ops(pair, a, b, e):
     assert [f.trace(x) for x in a] == [loop_trace(f, x) for x in a]
 
 
+@settings(max_examples=80, deadline=None)
+@given(pair=field_pairs(), a=operands, b=operands, c=operands)
+def test_vec_ops_satisfy_field_axioms(pair, a, b, c):
+    f = cached_field(*pair)
+    q, vec = f.q, f.vec
+    n = min(len(a), len(b), len(c))
+    # zero, one and -1 operands in every position
+    A = np.array([x % q for x in a[:n]] + [0, 0, 1, q - 1])
+    B = np.array([x % q for x in b[:n]] + [0, q - 1, 0, q - 1])
+    C = np.array([x % q for x in c[:n]] + [q - 1, 0, 0, 1])
+    add, mul = vec.add, vec.mul
+    assert np.array_equal(add(add(A, B), C), add(A, add(B, C)))
+    assert np.array_equal(mul(mul(A, B), C), mul(A, mul(B, C)))
+    assert np.array_equal(mul(A, add(B, C)), add(mul(A, B), mul(A, C)))
+    assert np.array_equal(add(A, B), add(B, A)) and np.array_equal(mul(A, B), mul(B, A))
+    assert not add(A, vec.neg(A)).any()
+    units = A[A != 0]
+    assert (mul(units, vec.inv(units)) == 1).all()
+
+
 @pytest.mark.parametrize("q", [2, 4, 9, 25, 27, 65521])
 def test_vec_takes_scalars_and_refuses_inverse_powers_of_zero(q):
     f = field_from_q(q)

@@ -7,6 +7,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +26,7 @@ from chshq.geometry import (
     ProjTransform, all_transforms, random_transform,
     verify_incidence_preservation_exhaustive,
     random_projective_regularize, slope_collision_probability,
-    _det_adjugate,
+    _cross, _det_adjugate, _code_tables,
 )
 
 
@@ -463,6 +464,110 @@ def test_exhaustive_checker_detects_changed_count(monkeypatch):
                         lambda f, pts, lns: real(f, pts, lns) + 1)
     with pytest.raises(InvariantViolation):
         verify_incidence_preservation_exhaustive(field, c)
+
+
+def sweep_per_column_pair(field, c: Config) -> int:
+    # the sweep that the code-table sweep replaced: one batch per (c1, c2)
+    # of every c3 with det != 0, all arithmetic through field.vec
+    q = field.q
+    ops = field.vec
+    pts, lns = lift_config(field, c)
+    base = projective_incidences(field, pts, lns)
+    P = np.array(pts, dtype=np.intp).reshape(-1, 3).T[:, :, None]
+    U = np.array(lns, dtype=np.intp).reshape(-1, 3).T[:, :, None]
+    vectors = np.array([(a, b, c3) for a in range(q) for b in range(q)
+                        for c3 in range(q)][1:]).T
+    checked = 0
+    for c1 in all_proj_points(field):
+        col1 = np.array(c1)[:, None, None]
+        c12s = np.array(_cross(ops, c1, vectors))
+        c31s = np.array(_cross(ops, vectors, c1))
+        for i2 in range(vectors.shape[1]):
+            c2, c12 = vectors[:, i2], c12s[:, i2]
+            keep = proj_dot(ops, c12, vectors) != 0
+            c3s = vectors[:, keep]
+            c23 = np.array(_cross(ops, c2, c3s))
+            img_p = proj_dot(ops, (col1, c2[:, None, None], c3s[:, None]), P)
+            img_l = proj_dot(ops, U, (c23[:, None], c31s[:, None, keep],
+                                      c12[:, None, None]))
+            d = proj_dot(ops, img_l[:, :, None], img_p[:, None])
+            if not np.all((d == 0).sum(axis=(0, 1)) == base):
+                raise InvariantViolation("incidence count changed under a transform")
+            checked += c3s.shape[1]
+    return checked
+
+
+def group_order(q: int) -> int:
+    return (q * q + q + 1) * (q ** 3 - q) * (q ** 3 - q * q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_sweep_matches_per_column_pair_oracle(q):
+    field = field_from_q(q)
+    rng = random.Random(q)
+    full = random_config(field, rng, q, q)
+    configs = [full, make_config(full.points, [])]
+    if q < 5:   # the oracle takes about 0.4 s per config at q = 5
+        configs += [random_config(field, rng, q + 1, q - 1),
+                    make_config([], full.lines), make_config([], [])]
+    for c in configs:
+        assert (verify_incidence_preservation_exhaustive(field, c)
+                == sweep_per_column_pair(field, c) == group_order(q))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_sweep_and_oracle_catch_a_wrong_vec_mul(monkeypatch, q):
+    field = field_from_q(q)
+    c = random_config(field, random.Random(q), q, q)
+    real = field.vec.mul
+
+    def wrong(a, b):
+        # off by one on the single pair (q - 1) * (q - 1); the scalar base
+        # count does not use vec, so the images disagree with it
+        out = real(a, b)
+        return np.where((np.asarray(a) == q - 1) & (np.asarray(b) == q - 1),
+                        field.vec.add(out, 1), out)
+    monkeypatch.setattr(field.vec, "mul", wrong)
+    with pytest.raises(InvariantViolation):
+        verify_incidence_preservation_exhaustive(field, c)
+    with pytest.raises(InvariantViolation):
+        sweep_per_column_pair(field, c)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_code_tables_match_field_ops(q):
+    field = field_from_q(q)
+    vec, n = field.vec, q ** 3
+    vadd, vcross, scale, on = _code_tables(field)
+    cube = (q, q, q)
+    u, v = (np.array(np.unravel_index(k, cube))
+            for k in np.unravel_index(np.arange(n * n), (n, n)))
+    assert np.array_equal(vadd, np.ravel_multi_index(vec.add(u, v), cube))
+    assert np.array_equal(vcross, np.ravel_multi_index(_cross(vec, u, v), cube))
+    assert np.array_equal(on, proj_dot(vec, u, v) == 0)
+    s, w = np.unravel_index(np.arange(q * n), (q, n))
+    w = np.array(np.unravel_index(w, cube))
+    assert np.array_equal(scale.ravel(), np.ravel_multi_index(vec.mul(s, w), cube))
+    # and against the scalar ops on sampled pairs
+    rng = random.Random(q)
+    for _ in range(200):
+        a, b, t = rng.randrange(n), rng.randrange(n), rng.randrange(q)
+        ta, tb = (tuple(map(int, np.unravel_index(k, cube))) for k in (a, b))
+        assert vadd[a * n + b] == np.ravel_multi_index(tuple(map(field.add, ta, tb)), cube)
+        assert vcross[a * n + b] == np.ravel_multi_index(_cross(field, ta, tb), cube)
+        assert on[a * n + b] == (proj_dot(field, ta, tb) == 0)
+        assert scale[t, b] == np.ravel_multi_index([field.mul(t, x) for x in tb], cube)
+
+
+@pytest.mark.parametrize("q,block", [(3, 1), (3, 1000), (4, 1000)])
+def test_sweep_result_does_not_depend_on_block(monkeypatch, q, block):
+    field = field_from_q(q)
+    c = random_config(field, random.Random(7), q, q)
+    per_block = max(1, block // (len(c.points) * len(c.lines)))
+    pairs = (q ** 3 - q) * (q ** 3 - q * q)     # (c2, c3) per c1
+    assert block == 1 or pairs % per_block      # a short last block per c1
+    monkeypatch.setattr(geometry, "INCIDENCE_BLOCK", block)
+    assert verify_incidence_preservation_exhaustive(field, c) == group_order(q)
 
 
 @pytest.mark.parametrize("q", [4, 7, 9, 25])
