@@ -31,6 +31,7 @@ import numpy as np
 from .errors import InvalidInput, InvariantViolation, CapExceeded
 
 Q_CAP = 1 << 16        # refuse fields larger than this
+OP_TABLE_Q_CAP = 1 << 12   # refuse q x q op tables above this q
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +383,13 @@ class Field:
     def op_table(self, op: str) -> np.ndarray:
         """The read-only q x q table of "add", "sub" or "mul", built from
         `vec` on first use and cached.  int32, so callers may form a * q + b
-        freely."""
+        freely.  Refused above OP_TABLE_Q_CAP, before anything is allocated."""
         table = self._op_tables.get(op)
         if table is None:
             if op not in ("add", "sub", "mul"):
                 raise InvalidInput(f"unknown field operation {op!r}")
+            if self.q > OP_TABLE_Q_CAP:
+                raise CapExceeded(f"q x q op tables capped at q <= {OP_TABLE_Q_CAP}")
             r = np.arange(self.q)
             table = getattr(self.vec, op)(r[:, None], r[None, :]).astype(np.int32)
             table.flags.writeable = False

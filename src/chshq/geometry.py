@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, InvariantViolation
+from .errors import CapExceeded, InvalidInput, InvariantViolation
 from .field import Field
 from .game import Strategy
 
@@ -56,6 +56,7 @@ def is_legal(field: Field, c: Config) -> bool:
 # cells per block: (line, x) pairs in `incidences`, (line, point, transform)
 # triples in the PGL_3 sweep
 INCIDENCE_BLOCK = 1 << 16
+SWEEP_Q_CAP = 9   # the exhaustive PGL_3 sweep refuses larger fields
 
 
 def incidences(field: Field, c: Config) -> int:
@@ -456,8 +457,8 @@ def verify_incidence_preservation_exhaustive(field: Field, c: Config) -> int:
     per call for v2*c3).  The base count is the scalar projective count.
     """
     q = field.q
-    if q > 9:
-        raise InvalidInput("exhaustive transform sweep capped at q <= 9")
+    if q > SWEEP_Q_CAP:
+        raise CapExceeded(f"exhaustive transform sweep capped at q <= {SWEEP_Q_CAP}")
     pts, lns = lift_config(field, c)
     base = projective_incidences(field, pts, lns)
     vadd, vcross, scale, on = _code_tables(field)
@@ -511,30 +512,28 @@ class RegularizationStats:
     v_inf: tuple[int, int, int]
 
 
-def random_projective_regularize(field: Field, c: Config, seed: int,
-                                 downsample: bool = True
+def random_projective_regularize(field: Field, c: Config, seed: int
                                  ) -> tuple[Config, RegularizationStats]:
     """Push an arbitrary configuration into legal position by a random chart.
 
-    Steps: optionally downsample so |P|, |L| <= q/2; lift to PG(2,q); draw a
-    uniform line l_inf and a uniform point v_inf on it; change chart so l_inf
-    becomes the line at infinity and v_inf the vertical direction; drop input
-    lines equal to l_inf, points on l_inf, and lines through v_inf (vertical
-    in the new chart, hence not expressible as l_{a,b}); finally keep one
-    point per x-coordinate and one line per slope, first in canonical order.
-    """
-    q = field.q
+    Steps: downsample so |P|, |L| <= q/2; draw a uniform line l_inf and a
+    uniform point v_inf on it; send the points (x : y : 1) and lines
+    (a : -1 : -b) through the chart T that makes l_inf the line at infinity
+    and v_inf the vertical direction.  Images (X : Y : Z) with Z = 0 (on
+    l_inf) and (L : M : N) with M = 0 (through v_inf, so vertical) are
+    dropped; of the rest keep the smallest y per x and the smallest b per
+    slope.  T preserves incidence, so kept incidences are counted on the
+    kept points' and lines' preimages."""
+    q, vec = field.q, field.vec
     rng = random.Random(seed)
     in_inc = incidences(field, c)
 
-    points = list(c.points)
-    lines = list(c.lines)
-    if downsample:
-        cap = q // 2
-        if len(points) > cap:
-            points = sorted(rng.sample(points, cap))
-        if len(lines) > cap:
-            lines = sorted(rng.sample(lines, cap))
+    points, lines = list(c.points), list(c.lines)
+    cap = q // 2
+    if len(points) > cap:
+        points = sorted(rng.sample(points, cap))
+    if len(lines) > cap:
+        lines = sorted(rng.sample(lines, cap))
     sampled = make_config(points, lines)
     s_inc = incidences(field, sampled)
 
@@ -543,41 +542,35 @@ def random_projective_regularize(field: Field, c: Config, seed: int,
     v_inf = on_l_inf[rng.randrange(len(on_l_inf))]
     T = ProjTransform.from_chart(field, l_inf, v_inf)
 
-    pts, lns = lift_config(field, sampled)
-    new_pts = []
-    for p in pts:
-        if proj_dot(field, l_inf, p) == 0:
-            continue                      # sent to infinity
-        X, Y, Z = T.apply_point(p)
-        zi = field.inv(Z)
-        new_pts.append((field.mul(X, zi), field.mul(Y, zi)))
-    new_lns = []
-    for l in lns:
-        if l == l_inf:
-            continue                      # became the line at infinity
-        L, M, N = T.apply_line(l)
-        if M == 0:
-            continue                      # vertical in the new chart
-        mi = field.inv(field.neg(M))      # l x + m y + n = 0  ->  y = a x - b
-        new_lns.append(Line(field.mul(L, mi), field.mul(field.neg(N), mi)))
+    def first_per_key(k, v, d):
+        # indices of the images with d != 0, one per key k/d: the smallest v/d
+        live = np.flatnonzero(d != 0)
+        di = vec.inv(d[live])
+        code = vec.mul(k[live], di) * q + vec.mul(v[live], di)
+        order = np.argsort(code)
+        _, first = np.unique(code[order] // q, return_index=True)
+        keep = order[first]
+        return live[keep], code[keep]
 
-    by_x: dict[int, int] = {}
-    for x, y in sorted(new_pts):
-        by_x.setdefault(x, y)
-    by_slope: dict[int, int] = {}
-    for a, b in sorted(new_lns):
-        by_slope.setdefault(a, b)
-    out = make_config([(x, y) for x, y in by_x.items()],
-                      [Line(a, b) for a, b in by_slope.items()])
+    P = np.array(sampled.points, dtype=np.intp).reshape(-1, 2)
+    X, Y, Z = (proj_dot(vec, row, (P[:, 0], P[:, 1], 1)) for row in T.rows)
+    kp, pcodes = first_per_key(X, Y, Z)
+    A = np.array(sampled.lines, dtype=np.intp).reshape(-1, 2)
+    U = (A[:, 0], field.neg(1), vec.neg(A[:, 1]))
+    L, M, N = (proj_dot(vec, U, col) for col in zip(*T.adj))
+    kl, lcodes = first_per_key(vec.neg(L), N, M)   # l x + m y + n = 0: y = a x - b
+
+    out = make_config(zip(*np.divmod(pcodes, q)), zip(*np.divmod(lcodes, q)))
     if not is_legal(field, out):
         raise InvariantViolation("regularized config is not legal")
+    preimages = make_config(P[kp].tolist(), A[kl].tolist())
     stats = RegularizationStats(
         input_points=len(c.points), input_lines=len(c.lines),
         input_incidences=in_inc,
         sampled_points=len(sampled.points), sampled_lines=len(sampled.lines),
         sampled_incidences=s_inc,
         kept_points=len(out.points), kept_lines=len(out.lines),
-        kept_incidences=incidences(field, out),
+        kept_incidences=incidences(field, preimages),
         l_inf=l_inf, v_inf=v_inf,
     )
     return out, stats

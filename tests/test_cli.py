@@ -260,6 +260,14 @@ def test_exit_code_q_squared_pmf_work_over_cap(capsys, argv):
     assert "capped at q <= 4096" in capsys.readouterr().err
 
 
+def test_exit_code_local_search_over_op_table_cap(capsys):
+    # refused before the (65536, 65536) op tables (32 GiB) are built
+    argv = ["classical-value", "--p", "2", "--s", "16", "--search",
+            "--restarts", "1", "--max-rounds", "1"]
+    assert run(argv) == 4
+    assert "capped at q <= 4096" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["verify", "maximize"])
 def test_exit_code_fourier_negative_seed(capsys, command):
     # numpy's generators refuse negative seeds with a ValueError

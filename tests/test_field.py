@@ -15,7 +15,7 @@ from chshq.errors import InvalidInput, InvariantViolation, CapExceeded
 from chshq.field import (
     Field, field_new, field_from_q, field_from_json,
     is_prime, factorize, smallest_irreducible, additive_character,
-    Q_CAP, AdditiveCharacter, _digits, _poly_mulmod, _poly_powmod, _poly_trim,
+    Q_CAP, OP_TABLE_Q_CAP, AdditiveCharacter, _digits, _poly_mulmod, _poly_powmod, _poly_trim,
 )
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
@@ -259,6 +259,15 @@ def test_op_table_matches_scalar_ops(q):
         assert table.tolist() == [[scalar(a, b) for b in range(q)] for a in range(q)]
     with pytest.raises(InvalidInput):
         f.op_table("div")
+
+
+def test_op_table_refused_above_cap():
+    # GF(8192) would need 256 MiB per table; GF(4096) is the largest built
+    assert OP_TABLE_Q_CAP == 4096
+    f = Field(2, 13)
+    for op in ("add", "sub", "mul"):
+        with pytest.raises(CapExceeded, match="capped at q <= 4096"):
+            f.op_table(op)
 
 
 # ---------------------------------------------------------------------------

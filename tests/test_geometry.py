@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chshq import geometry
-from chshq.errors import InvalidInput, InvariantViolation
+from chshq.errors import CapExceeded, InvalidInput, InvariantViolation
 from chshq.field import Field, field_from_q
 from chshq.game import Strategy, win_count
 from chshq.geometry import (
@@ -24,8 +24,8 @@ from chshq.geometry import (
     proj_cross, points_on_line,
     projective_plane_census, lift_config, projective_incidences,
     ProjTransform, all_transforms, random_transform,
-    verify_incidence_preservation_exhaustive,
-    random_projective_regularize, slope_collision_probability,
+    verify_incidence_preservation_exhaustive, SWEEP_Q_CAP,
+    RegularizationStats, random_projective_regularize, slope_collision_probability,
     _cross, _det_adjugate, _code_tables,
 )
 
@@ -570,6 +570,16 @@ def test_sweep_result_does_not_depend_on_block(monkeypatch, q, block):
     assert verify_incidence_preservation_exhaustive(field, c) == group_order(q)
 
 
+def test_sweep_refuses_q_above_cap_before_building_tables(monkeypatch):
+    def unreachable(field):
+        raise AssertionError("code tables built for a refused q")
+    monkeypatch.setattr(geometry, "_code_tables", unreachable)
+    field = field_from_q(11)
+    assert field.q > SWEEP_Q_CAP == 9
+    with pytest.raises(CapExceeded, match="capped at q <= 9"):
+        verify_incidence_preservation_exhaustive(field, make_config([(0, 0)], [(1, 0)]))
+
+
 @pytest.mark.parametrize("q", [4, 7, 9, 25])
 def test_from_chart_sends_targets_to_infinity(q):
     field = field_from_q(q)
@@ -612,8 +622,7 @@ def test_regularize_is_deterministic_per_seed():
 def test_regularize_without_downsampling_keeps_more():
     field = field_from_q(5)
     c = make_config([(0, 0), (1, 1)], [(1, 0)])
-    out, stats = random_projective_regularize(field, c, seed=0,
-                                              downsample=False)
+    out, stats = random_projective_regularize(field, c, seed=0)
     assert stats.sampled_points == 2 and stats.sampled_lines == 1
     assert is_legal(field, out)
 
@@ -628,6 +637,118 @@ def test_regularize_golden_q1009():
     assert (stats.kept_points, stats.kept_lines, stats.kept_incidences) == (413, 234, 985)
     digest = hashlib.sha256(json.dumps([out.points, out.lines]).encode()).hexdigest()
     assert digest == "0ebdd3804acbe8d3db1621196af929c02e7246bc9e3286bb634f216493015cef"
+
+
+def regularize_loop_oracle(field, c: Config, seed: int):
+    # the per-element chart regularization that the array pass replaced:
+    # canonical lifts through apply_point/apply_line, dehomogenization, one
+    # dict per x and per slope, and the kept incidences recounted on the output
+    q = field.q
+    rng = random.Random(seed)
+    points, lines = list(c.points), list(c.lines)
+    cap = q // 2
+    if len(points) > cap:
+        points = sorted(rng.sample(points, cap))
+    if len(lines) > cap:
+        lines = sorted(rng.sample(lines, cap))
+    sampled = make_config(points, lines)
+    l_inf = proj_point(field, rng.randrange(q * q + q + 1))
+    on_l_inf = points_on_line(field, l_inf)
+    v_inf = on_l_inf[rng.randrange(len(on_l_inf))]
+    T = ProjTransform.from_chart(field, l_inf, v_inf)
+
+    pts, lns = lift_config(field, sampled)
+    new_pts = []
+    for p in pts:
+        if proj_dot(field, l_inf, p) == 0:
+            continue                      # sent to infinity
+        X, Y, Z = T.apply_point(p)
+        zi = field.inv(Z)
+        new_pts.append((field.mul(X, zi), field.mul(Y, zi)))
+    new_lns = []
+    for l in lns:
+        if l == l_inf:
+            continue                      # became the line at infinity
+        L, M, N = T.apply_line(l)
+        if M == 0:
+            continue                      # vertical in the new chart
+        mi = field.inv(field.neg(M))      # l x + m y + n = 0  ->  y = a x - b
+        new_lns.append(Line(field.mul(L, mi), field.mul(field.neg(N), mi)))
+    by_x: dict[int, int] = {}
+    for x, y in sorted(new_pts):
+        by_x.setdefault(x, y)
+    by_slope: dict[int, int] = {}
+    for a, b in sorted(new_lns):
+        by_slope.setdefault(a, b)
+    out = make_config(by_x.items(), by_slope.items())
+    stats = RegularizationStats(
+        input_points=len(c.points), input_lines=len(c.lines),
+        input_incidences=incidences(field, c),
+        sampled_points=len(sampled.points), sampled_lines=len(sampled.lines),
+        sampled_incidences=incidences(field, sampled),
+        kept_points=len(out.points), kept_lines=len(out.lines),
+        kept_incidences=incidences(field, out),
+        l_inf=l_inf, v_inf=v_inf,
+    )
+    return out, stats
+
+
+def config_at_infinity(field, seed: int, rng: random.Random):
+    """At most q // 2 points and lines, so that nothing is sampled and the
+    chart is the seed's own: points on l_inf, l_inf itself and lines through
+    v_inf, filled up with random ones.  Also returns how many of its points
+    lie on l_inf and how many of its lines pass through v_inf."""
+    q, f = field.q, field
+    _, stats = regularize_loop_oracle(field, make_config([], []), seed)
+    l_inf, v_inf = stats.l_inf, stats.v_inf
+
+    def affine_line(u):   # the triple (a : -1 : -b) as (a, b)
+        return f.neg(f.mul(u[0], f.inv(u[1]))), f.mul(u[2], f.inv(u[1]))
+    on_l = {(f.mul(v[0], f.inv(v[2])), f.mul(v[1], f.inv(v[2])))
+            for v in points_on_line(field, l_inf) if v[2]}
+    # by duality the lines through v_inf, l_inf among them, are the points
+    # of the line v_inf
+    thru = {affine_line(u) for u in points_on_line(field, v_inf) if u[1]}
+    n = q // 2
+    pts = set(rng.sample(sorted(on_l), min(len(on_l), (n + 1) // 2)))
+    lns = set(rng.sample(sorted(thru), min(len(thru), n // 2)))
+    if l_inf[1]:
+        lns.add(affine_line(l_inf))
+    for objs in (pts, lns):
+        while len(objs) < n:
+            objs.add((rng.randrange(q), rng.randrange(q)))
+    c = make_config(pts, lns)
+    return c, len(pts & on_l), len(lns & thru)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_regularize_matches_loop_oracle(q):
+    field = field_from_q(q)
+    rng = random.Random(q)
+    dropped = [0, 0]
+    for seed in range(6):
+        full = random_config(field, rng, 2 * q, 2 * q)
+        for c in (full, random_config(field, rng, q // 2, q // 2),
+                  make_config(full.points, []), make_config([], full.lines),
+                  make_config([], [])):
+            assert (random_projective_regularize(field, c, seed)
+                    == regularize_loop_oracle(field, c, seed))
+        c, on_l, thru = config_at_infinity(field, seed, rng)
+        out, stats = random_projective_regularize(field, c, seed)
+        assert (out, stats) == regularize_loop_oracle(field, c, seed)
+        assert stats.sampled_points == len(c.points) and stats.sampled_lines == len(c.lines)
+        # the chart drops every point on l_inf and every line through v_inf
+        assert stats.kept_points <= len(c.points) - on_l
+        assert stats.kept_lines <= len(c.lines) - thru
+        dropped[0] += on_l
+        dropped[1] += thru
+    assert dropped[0] > 0 and dropped[1] > 0
+
+
+def test_regularize_kept_incidences_equal_output_count_q10007():
+    field = Field(10007, 1)
+    out, stats = random_projective_regularize(field, grid_construction(field), seed=3)
+    assert stats.kept_incidences == incidences(field, out) == 19777
 
 
 def test_regularize_draws_every_line_at_infinity():
