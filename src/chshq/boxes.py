@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log10
 
 import numpy as np
 
@@ -24,8 +25,7 @@ from .field import Field
 from .game import (Strategy, win_count, bias_from_p_win, p_win_from_bias,
                    _check_strategy)
 
-
-PMF_Q_CAP = 1 << 12   # convolve and infotheory.joint_from_error do q^2 work
+POW_DIGITS_CAP = 4300   # Python's default int-to-str digit limit
 
 
 @dataclass(frozen=True)
@@ -141,38 +141,47 @@ def regularize(field: Field, box: StrategyBox) -> RegularBox:
 # composition and the distributed game
 # ---------------------------------------------------------------------------
 
+def _regular_step(q: int, p, r) -> tuple[Fraction, Fraction]:
+    """(p(0), p(k != 0)) of e1 + e2 for regular errors with pairs p and r."""
+    (p0, p1), (r0, r1) = p, r
+    # with both errors nonzero, e1 = a sums to 0 for the q - 1 values with
+    # a != 0 and -a != 0, and to 1 for the q - 2 values with a != 0 and
+    # 1 - a != 0; scaling by F_q^* gives every k != 0 the count of k = 1
+    return p0 * r0 + (q - 1) * p1 * r1, p0 * r1 + p1 * r0 + (q - 2) * p1 * r1
+
+
 def convolve(field: Field, d1: ErrorDist, d2: ErrorDist) -> ErrorDist:
-    if d1.q != field.q or d2.q != field.q:
-        raise InvalidInput("distribution/field size mismatch")
+    """Error pmf of e1 + e2 for independent regular errors, in O(q)."""
     q = field.q
-    if q > PMF_Q_CAP:
-        raise CapExceeded(f"error convolution capped at q <= {PMF_Q_CAP}")
-    probs = [Fraction(0)] * q
-    for e1, p1 in enumerate(d1.probs):
-        if p1 == 0:
-            continue
-        for e2, p2 in enumerate(d2.probs):
-            probs[field.add(e1, e2)] += p1 * p2
-    return ErrorDist(q, tuple(probs))
+    if d1.q != q or d2.q != q:
+        raise InvalidInput("distribution/field size mismatch")
+    if not (d1.is_regular() and d2.is_regular()):
+        raise InvalidInput("convolution needs regular (F_q^*-invariant) errors")
+    c0, c1 = _regular_step(q, d1.probs[:2], d2.probs[:2])
+    return ErrorDist(q, (c0,) + (c1,) * (q - 1))
 
 
 def compose_m(field: Field, box: RegularBox, m: int) -> ErrorDist:
-    """Error of m independent uses summed over F_q (m-fold convolution)."""
+    """Error of m independent uses summed over F_q (m-fold convolution).
+
+    Refused before any step when E^m could not be printed: x^m, x the
+    larger of E's numerator and denominator, would reach 10^POW_DIGITS_CAP."""
     if m < 1:
         raise InvalidInput("m must be >= 1")
-    base = box.error_dist()
-    acc = base
+    x = max(abs(box.bias.numerator), box.bias.denominator)
+    if x > 1 and m >= POW_DIGITS_CAP / log10(x):   # no float of a huge m
+        raise CapExceeded(f"E^m would have more than {POW_DIGITS_CAP} digits")
+    q = field.q
+    if box.q != q:
+        raise InvalidInput("distribution/field size mismatch")
+    acc = base = box.error_dist().probs[:2]   # regular by construction
     for _ in range(m - 1):
-        acc = convolve(field, acc, base)
-    return acc
+        acc = _regular_step(q, acc, base)
+    return ErrorDist(q, (acc[0],) + (acc[1],) * (q - 1))
 
 
 def compose_closed_form(q: int, E: Fraction, m: int) -> ErrorDist:
-    """p(0) = 1/q + (q-1)E^m/q, p(k != 0) = 1/q - E^m/q.
-
-    One convolution step lands on zero as p0^2 + (q-1) p1^2: the off-zero
-    pairings contribute q-1 equal terms (one per nonzero error value, not
-    q), which is exactly what keeps the bias multiplicative."""
+    """p(0) = 1/q + (q-1)E^m/q, p(k != 0) = 1/q - E^m/q."""
     return RegularBox(q, Fraction(E) ** m).error_dist()
 
 
@@ -186,10 +195,7 @@ def distribute(field: Field, box: RegularBox) -> RegularBox:
     the convolution rather than assumed.
     """
     err = box.error_dist()
-    conv = convolve(field, err, err)
-    if not conv.is_regular():
-        raise InvariantViolation("two-use error is not regular")
-    return RegularBox(field.q, conv.bias())
+    return RegularBox(field.q, convolve(field, err, err).bias())
 
 
 # ---------------------------------------------------------------------------

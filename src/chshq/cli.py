@@ -29,7 +29,10 @@ SCHEMA = "chshq/1"
 # ---------------------------------------------------------------------------
 
 def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as e:   # an int past sys.get_int_max_str_digits()
+        raise CapExceeded(f"rational too long to print: {e}")
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, InvalidInput
-from .field import Field, AdditiveCharacter
+from .field import OP_TABLE_Q_CAP, Field, AdditiveCharacter
 
 NORM_TOL = 1e-10
 BOUND_TOL = 1e-9
-FOURIER_Q_CAP = 1 << 12   # every probe builds q x q arrays: 256 MiB complex at the cap
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,8 @@ def random_family(q: int, n: int, seed: int) -> VectorFamily:
         raise InvalidInput(f"dimension n = {n} must be >= 1")
     if seed < 0:   # numpy's generators take no negative seed
         raise InvalidInput(f"seed = {seed} must be >= 0")
-    if q * n > FOURIER_Q_CAP ** 2:
-        raise CapExceeded(f"random families capped at q * n <= {FOURIER_Q_CAP ** 2}")
+    if q * n > OP_TABLE_Q_CAP ** 2:
+        raise CapExceeded(f"random families capped at q * n <= {OP_TABLE_Q_CAP ** 2}")
     rng = np.random.default_rng(seed)
     shape = (2, q, n)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -65,23 +64,18 @@ def random_family(q: int, n: int, seed: int) -> VectorFamily:
     return VectorFamily(u=z[0], v=z[1])
 
 
-def _check_cap(field: Field) -> None:
-    if field.q > FOURIER_Q_CAP:
-        raise CapExceeded(f"character-sum probes capped at q <= {FOURIER_Q_CAP}")
-
-
 def _kernel(field: Field) -> np.ndarray:
     """K[x, y] = chi(-x*y)."""
-    _check_cap(field)
+    mul = field.op_table("mul")   # refuses q x q work above OP_TABLE_Q_CAP
     tab = np.array(AdditiveCharacter(field).table)
-    return tab[field.vec.neg(np.arange(field.q))][field.op_table("mul")]
+    return tab[field.vec.neg(np.arange(field.q))][mul]
 
 
 def character_bilinear_sum(field: Field, fam: VectorFamily) -> float:
     """| sum over x, y of chi(-xy) <u_x, v_y> |."""
     if fam.q != field.q:
         raise InvalidInput("family size does not match the field")
-    _check_cap(field)
+    field.op_table("mul")   # refused before the q x q gram, as _kernel would be
     gram = fam.u.conj() @ fam.v.T            # gram[x, y] = <u_x, v_y>
     return float(abs((_kernel(field) * gram).sum()))
 
@@ -105,9 +99,9 @@ def cauchy_schwarz_chain(field: Field, fam: VectorFamily) -> tuple[float, float,
 
 def fourier_matrix(field: Field) -> np.ndarray:
     """H[x, y] = chi(xy)/sqrt(q); unitary for every prime power q."""
-    _check_cap(field)
+    mul = field.op_table("mul")   # refuses q x q work above OP_TABLE_Q_CAP
     tab = np.array(AdditiveCharacter(field).table)
-    return tab[field.op_table("mul")] / np.sqrt(field.q)
+    return tab[mul] / np.sqrt(field.q)
 
 
 def tight_family(field: Field) -> VectorFamily:

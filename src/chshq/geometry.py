@@ -172,8 +172,8 @@ def subspace_construction(field: Field, seed: int = 0) -> Config:
 
     For s = 3k and s = 3k+1 there are p or p^2 times too many lines, and
     the line set is thinned by keeping each line independently with
-    probability 1/p or 1/p^2 (seeded).  For s = 3k+2 the count is already
-    right and no thinning happens.
+    probability 1/d, d = p or p^2 (seeded).  For s = 3k+2 the count is
+    already right and no thinning happens.
     """
     s = field.s
     if s % 2 == 0 or s < 3:
@@ -181,20 +181,22 @@ def subspace_construction(field: Field, seed: int = 0) -> Config:
     p = field.p
     k, r = divmod(s, 3)
     if r == 0:
-        b, keep = 2 * k, Fraction(1, p)
+        b, d = 2 * k, p
     elif r == 1:
-        b, keep = 2 * k + 1, Fraction(1, p * p)
+        b, d = 2 * k + 1, p * p
     else:
-        b, keep = 2 * k + 1, Fraction(1)
+        b, d = 2 * k + 1, 1
     a = s - b
     A = _span(field, a)
     B = _span(field, b)
     C = _span(field, b - a + 1)
     points = [(x, y) for x in A for y in B]
     lines = [Line(c, d) for c in C for d in B]
-    if keep != 1:
+    if d != 1:
         rng = random.Random(seed)
-        lines = [l for l in lines if rng.random() < keep]
+        # random() is k / 2^53: the product is exact when k * d < 2^53 and
+        # rounds to at least 1 otherwise, so this is random() < 1/d exactly
+        lines = [l for l in lines if rng.random() * d < 1]
     return make_config(points, lines)
 
 
@@ -288,26 +290,32 @@ def proj_cross(field: Field, u, v) -> tuple[int, int, int]:
     return proj_canonical(field, c)
 
 
-def points_on_line(field: Field, line: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-    """The q+1 canonical points v with line . v = 0, in all_proj_points order.
+def point_on_line(field: Field, line: tuple[int, int, int],
+                  i: int) -> tuple[int, int, int]:
+    """The i-th of the q+1 canonical points on a line, in all_proj_points order.
 
     Solved per case instead of scanning the plane: with l2 != 0 each
     (1, y, .) has one solution z, then comes (0, 1, -l1/l2); with l2 = 0 and
     l1 != 0 the points are (1, -l0/l1, z) for every z, then (0, 0, 1); the
     line (l0, 0, 0) holds (0, 1, z) for every z and (0, 0, 1).
     """
-    f = field
+    f, q = field, field.q
     l0, l1, l2 = line
+    if not 0 <= i <= q:
+        raise InvalidInput(f"index {i} outside the {q + 1} points of a line")
     if l2:
         m = f.neg(f.inv(l2))
-        return ([(1, y, f.mul(f.add(l0, f.mul(l1, y)), m)) for y in f.elements()]
-                + [(0, 1, f.mul(l1, m))])
+        return (1, i, f.mul(f.add(l0, f.mul(l1, i)), m)) if i < q else (0, 1, f.mul(l1, m))
     if l1:
-        y = f.neg(f.mul(l0, f.inv(l1)))
-        return [(1, y, z) for z in f.elements()] + [(0, 0, 1)]
+        return (1, f.neg(f.mul(l0, f.inv(l1))), i) if i < q else (0, 0, 1)
     if l0:
-        return [(0, 1, z) for z in f.elements()] + [(0, 0, 1)]
+        return (0, 1, i) if i < q else (0, 0, 1)
     raise InvalidInput("zero triple is not a line")
+
+
+def points_on_line(field: Field, line: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+    """The q+1 canonical points v with line . v = 0, in all_proj_points order."""
+    return [point_on_line(field, line, i) for i in range(field.q + 1)]
 
 
 def projective_plane_census(field: Field) -> tuple[int, int, int]:
@@ -370,7 +378,7 @@ class ProjTransform:
         and v_inf (a point on l_inf) to the vertical direction (0:1:0)."""
         if proj_dot(field, l_inf, v_inf) != 0:
             raise InvalidInput("v_inf must lie on l_inf")
-        w = next(p for p in points_on_line(field, l_inf) if p != v_inf)
+        w = next(p for p in (point_on_line(field, l_inf, i) for i in (0, 1)) if p != v_inf)
         n = field.q * field.q + field.q + 1
         u = next(p for p in (proj_point(field, i) for i in range(n))
                  if proj_dot(field, l_inf, p) != 0)
@@ -538,8 +546,7 @@ def random_projective_regularize(field: Field, c: Config, seed: int
     s_inc = incidences(field, sampled)
 
     l_inf = proj_point(field, rng.randrange(q * q + q + 1))   # lines share the triples
-    on_l_inf = points_on_line(field, l_inf)
-    v_inf = on_l_inf[rng.randrange(len(on_l_inf))]
+    v_inf = point_on_line(field, l_inf, rng.randrange(q + 1))
     T = ProjTransform.from_chart(field, l_inf, v_inf)
 
     def first_per_key(k, v, d):

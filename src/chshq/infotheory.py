@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvariantViolation, CapExceeded
 from .field import Field
-from .boxes import PMF_Q_CAP, RegularBox, ErrorDist, compose_m
+from .boxes import RegularBox, ErrorDist, compose_m
 
 QM_CAP = 1 << 20   # largest enumerable input space q^m
 PAIR_BLOCK_CELLS = 1 << 22   # cells of one row block of the pair histograms
@@ -149,11 +149,19 @@ def pairwise_independence_check(task: HadamardTask) -> bool:
 
 def joint_from_error(field: Field, err: ErrorDist) -> np.ndarray:
     """Joint table of (X, Z) with X uniform and Z = X + e, e ~ err."""
-    if field.q > PMF_Q_CAP:
-        raise CapExceeded(f"joint tables capped at q <= {PMF_Q_CAP}")
-    probs = np.array([float(p) for p in err.probs])
     z_minus_x = field.op_table("sub").T.copy()   # C order, as reductions expect
+    probs = np.array([float(p) for p in err.probs])
     return probs[z_minus_x] / field.q
+
+
+def _check_m(q: int, m: int) -> None:
+    """Refuse m < 1, and m whose index count (q^m - 1)/(q - 1) is past float
+    range, judged from logs: q ** m for a huge m would not finish."""
+    if m < 1:
+        raise InvalidInput("m must be >= 1")
+    if min(m, 1025) * log2(q) - log2(q - 1) >= 1024:   # every q >= 2 past m = 1024
+        raise CapExceeded(f"IC index count (q^m - 1)/(q - 1) at m = {m} "
+                          f"exceeds float range")
 
 
 @dataclass(frozen=True)
@@ -170,6 +178,7 @@ def ic_sum(field: Field, m: int, E) -> IcSumResult:
     E = Fraction(E)
     if not 0 <= E <= 1:
         raise InvalidInput("bias must be in [0, 1] for the IC sum")
+    _check_m(field.q, m)
     err = compose_m(field, RegularBox(field.q, E), m)
     mi = mutual_information(joint_from_error(field, err))
     n = (field.q ** m - 1) // (field.q - 1)
@@ -206,7 +215,10 @@ def ic_dichotomy_experiment(field: Field, E, m_range) -> DichotomyResult:
     "bounded": last three totals nonincreasing; "growing": last three
     strictly increasing with ratio >= 1.1 at each step.  The crossover
     sits at q E^2 = 1, i.e. E = q^(-1/2)."""
-    ms = list(m_range)
+    ms = []
+    for m in m_range:   # a range past the cap is refused before it is listed
+        _check_m(field.q, m)
+        ms.append(m)
     if len(ms) < 3:
         raise InvalidInput("need at least three m values to classify")
     rows = tuple(ic_sum(field, m, E) for m in ms)

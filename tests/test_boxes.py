@@ -5,10 +5,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chshq.errors import InvalidInput
-from chshq.field import field_from_q
+from chshq.field import factorize, field_from_q
 from chshq.game import Strategy, win_count, p_win_from_bias
 from chshq.boxes import (
     ErrorDist, RegularBox, StrategyBox,
@@ -149,7 +151,28 @@ def test_regularize_handles_optimal_strategy():
 # composition
 # ---------------------------------------------------------------------------
 
+PRIME_POWERS = [q for q in range(2, 4097) if len(factorize(q)) == 1]
+
+
+def convolve_loop_oracle(field, d1: ErrorDist, d2: ErrorDist) -> ErrorDist:
+    # the q^2 loop over error pairs that the two-number rule replaced; it
+    # takes any pmfs, regular or not
+    q = field.q
+    probs = [Fraction(0)] * q
+    for e1, p1 in enumerate(d1.probs):
+        if p1 == 0:
+            continue
+        for e2, p2 in enumerate(d2.probs):
+            probs[field.add(e1, e2)] += p1 * p2
+    return ErrorDist(q, tuple(probs))
+
+
+def regular_dist(q: int, E: Fraction) -> ErrorDist:
+    return RegularBox(q, E).error_dist()
+
+
 def test_convolve_commutes_and_associates():
+    # on general pmfs, which only the loop oracle takes
     field = field_from_q(4)
     rng = random.Random(5)
 
@@ -158,11 +181,57 @@ def test_convolve_commutes_and_associates():
         t = sum(w)
         return ErrorDist(4, tuple(Fraction(v, t) for v in w))
 
+    conv = convolve_loop_oracle
+    for _ in range(10):
+        d1, d2, d3 = rand_dist(), rand_dist(), rand_dist()
+        assert conv(field, d1, d2) == conv(field, d2, d1)
+        assert (conv(field, conv(field, d1, d2), d3)
+                == conv(field, d1, conv(field, d2, d3)))
+
+
+def test_convolve_regular_commutes_and_associates():
+    field = field_from_q(4)
+    rng = random.Random(5)
+
+    def rand_dist():
+        return regular_dist(4, Fraction(rng.randrange(-3, 10), 9))
+
     for _ in range(10):
         d1, d2, d3 = rand_dist(), rand_dist(), rand_dist()
         assert convolve(field, d1, d2) == convolve(field, d2, d1)
         assert (convolve(field, convolve(field, d1, d2), d3)
                 == convolve(field, d1, convolve(field, d2, d3)))
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS if q <= 128])
+def test_convolve_matches_loop_oracle(q):
+    # p = 2, prime and Zech fields alike; E from -1/(q-1) through 0 to 1
+    field = field_from_q(q)
+    biases = [Fraction(-1, q - 1), Fraction(0), Fraction(1), Fraction(13, 20),
+              Fraction(-1, 2 * (q - 1))]
+    for E1, E2 in zip(biases, biases[1:] + biases[:1]):
+        d1, d2 = regular_dist(q, E1), regular_dist(q, E2)
+        assert convolve(field, d1, d2) == convolve_loop_oracle(field, d1, d2)
+
+
+def test_convolve_rejects_non_regular_operands():
+    field = field_from_q(3)
+    bent = ErrorDist(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    flat = regular_dist(3, Fraction(0))
+    for d1, d2 in ((bent, flat), (flat, bent)):
+        with pytest.raises(InvalidInput, match="regular"):
+            convolve(field, d1, d2)
+    with pytest.raises(InvalidInput, match="mismatch"):
+        convolve(field, flat, regular_dist(5, Fraction(0)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25, 27, 49, 128])
+def test_off_zero_pair_counts(q):
+    # convolve's two counts: q - 1 nonzero a with -a != 0, q - 2 with 1 - a != 0
+    vec = field_from_q(q).vec
+    a = np.arange(1, q)
+    assert int((vec.neg(a) != 0).sum()) == q - 1
+    assert int((vec.sub(1, a) != 0).sum()) == q - 2
 
 
 def test_compose_equals_closed_form():
@@ -172,6 +241,22 @@ def test_compose_equals_closed_form():
             box = RegularBox(q, E)
             for m in range(1, 6):
                 assert compose_m(field, box, m) == compose_closed_form(q, E, m)
+
+
+@st.composite
+def regular_boxes(draw):
+    q = draw(st.sampled_from(PRIME_POWERS))
+    den = draw(st.integers(1, 10 ** 6))
+    return RegularBox(q, Fraction(draw(st.integers(-(den // (q - 1)), den)), den))
+
+
+@settings(max_examples=40, deadline=None)
+@given(box=regular_boxes(), m=st.integers(1, 8))
+@example(box=RegularBox(65521, Fraction(1, 2)), m=2)
+@example(box=RegularBox(65536, Fraction(1, 2)), m=2)
+def test_compose_matches_closed_form_property(box, m):
+    field = field_from_q(box.q)
+    assert compose_m(field, box, m) == compose_closed_form(box.q, box.bias, m)
 
 
 def test_compose_zero_bias_is_absorbing():
@@ -184,6 +269,8 @@ def test_compose_m_validation():
     field = field_from_q(3)
     with pytest.raises(InvalidInput):
         compose_m(field, RegularBox(3, Fraction(1, 2)), 0)
+    with pytest.raises(InvalidInput, match="mismatch"):
+        compose_m(field, RegularBox(5, Fraction(1, 2)), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chshq import fourier
+from chshq.boxes import compose_closed_form
 from chshq.cli import run, parse_fraction, frac_str
-from chshq.errors import InvalidInput
+from chshq.errors import CapExceeded, InvalidInput
 from fractions import Fraction
 
 
@@ -32,6 +33,8 @@ def test_fraction_io():
         parse_fraction("three quarters")
     with pytest.raises(InvalidInput):
         parse_fraction("1/0")
+    with pytest.raises(CapExceeded, match="too long to print"):
+        frac_str(Fraction(1, 10 ** 4300))   # past Python's int-to-str limit
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +253,51 @@ def test_exit_code_fourier_over_cap(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv", [
-    ["box", "compose", "--q", "65536", "--E", "1/2", "--m", "2"],
-    ["box", "distribute", "--q", "65536", "--E", "1/2"],
     ["ic-sweep", "--p", "2", "--s", "16", "--E", "1/2", "--m-max", "4"],
-], ids=["compose-q65536", "distribute-q65536", "ic-sweep-q65536"])
+], ids=["ic-sweep-q65536"])
 def test_exit_code_q_squared_pmf_work_over_cap(capsys, argv):
-    # refused before q^2 Fraction products or a q x q joint table
+    # refused before a q x q joint table
     assert run(argv) == 4
     assert "capped at q <= 4096" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["box", "compose", "--q", "65536", "--E", "1/2", "--m", "2"],
+    ["box", "distribute", "--q", "65536", "--E", "1/2"],
+], ids=["compose-q65536", "distribute-q65536"])
+def test_box_at_largest_q_prints_closed_form(capsys, argv):
+    # regular errors compose in O(q), so no cap below Q_CAP applies
+    code, d = run_json(capsys, argv)
+    assert code == 0
+    expect = compose_closed_form(65536, Fraction(1, 2), 2)
+    assert d["pmf"] == [frac_str(p) for p in expect.probs]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["ic-sweep", "--p", "3", "--E", "1/2", "--m-min", "645", "--m-max", "648"],
+     "exceeds float range"),
+    (["box", "compose", "--q", "3", "--E", "13/20", "--m", "3400"],
+     "more than 4300 digits"),
+    (["box", "compose", "--q", "3", "--E", "1/2", "--m", "100000000"],
+     "more than 4300 digits"),
+], ids=["ic-sweep-m648", "compose-m3400", "compose-m1e8"])
+def test_exit_code_large_m_over_cap(capsys, argv, message):
+    # refused before the work: a float overflow in ic_sum, an unprintable
+    # E^m, and 10^8 convolution steps
+    start = time.perf_counter()
+    assert run(argv) == 4
+    assert time.perf_counter() - start < 5
+    assert message in capsys.readouterr().err
+
+
+def test_box_compose_long_exact_power(capsys):
+    # E^3000 at 13/20 has 3904 digits, under the 4300-digit print limit
+    code, d = run_json(capsys, ["box", "compose", "--q", "3", "--E", "13/20",
+                                "--m", "3000"])
+    assert code == 0
+    expect = compose_closed_form(3, Fraction(13, 20), 3000)
+    assert d["pmf"] == [frac_str(p) for p in expect.probs]
+    assert d["bias"] == frac_str(Fraction(13, 20) ** 3000)
 
 
 def test_exit_code_local_search_over_op_table_cap(capsys):

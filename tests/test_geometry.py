@@ -21,12 +21,12 @@ from chshq.geometry import (
     subfield_construction, grid_construction, grid_expected_incidences,
     subspace_construction, subspace_cardinalities, trivial_incidence_bound,
     proj_canonical, all_proj_points, all_proj_lines, proj_point, proj_dot,
-    proj_cross, points_on_line,
+    proj_cross, point_on_line, points_on_line,
     projective_plane_census, lift_config, projective_incidences,
     ProjTransform, all_transforms, random_transform,
     verify_incidence_preservation_exhaustive, SWEEP_Q_CAP,
     RegularizationStats, random_projective_regularize, slope_collision_probability,
-    _cross, _det_adjugate, _code_tables,
+    _cross, _det_adjugate, _code_tables, _span,
 )
 
 
@@ -233,6 +233,25 @@ def test_subspace_construction_q27():
     assert subspace_construction(field, seed=1) == c   # deterministic
 
 
+def fraction_thinned_lines(field, seed: int) -> list[Line]:
+    # the rational keep test, random() < 1/d, that the float product replaced
+    p, s = field.p, field.s
+    k, r = divmod(s, 3)
+    b, d = (2 * k, p) if r == 0 else (2 * k + 1, p * p)
+    B, C = _span(field, b), _span(field, 2 * b - s + 1)
+    rng = random.Random(seed)
+    return [Line(c, e) for c in C for e in B if rng.random() < Fraction(1, d)]
+
+
+@pytest.mark.parametrize("p,s", [(2, 3), (3, 3), (5, 3), (2, 7), (3, 7),
+                                 (2, 9), (3, 9)])
+def test_subspace_thinning_matches_fraction_rule(p, s):
+    field = Field(p, s)
+    for seed in range(3):
+        expect = fraction_thinned_lines(field, seed)
+        assert subspace_construction(field, seed=seed).lines == tuple(sorted(expect))
+
+
 def test_subspace_needs_odd_degree_at_least_three():
     with pytest.raises(InvalidInput):
         subspace_construction(field_from_q(9))
@@ -288,6 +307,19 @@ def test_proj_point_and_points_on_line_reject_bad_input():
             proj_point(field, i)
     with pytest.raises(InvalidInput):
         points_on_line(field, (0, 0, 0))
+    for i in (-1, 4):
+        with pytest.raises(InvalidInput, match="outside the 4 points"):
+            point_on_line(field, (1, 2, 0), i)
+    with pytest.raises(InvalidInput):
+        point_on_line(field, (0, 0, 0), 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_point_on_line_is_the_listed_point(q):
+    field = field_from_q(q)
+    for line in all_proj_lines(field):
+        listed = points_on_line(field, line)
+        assert [point_on_line(field, line, i) for i in range(q + 1)] == listed
 
 
 def test_cross_product_join_and_meet():
