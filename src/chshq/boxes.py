@@ -14,6 +14,7 @@ probability, which is what regularize() computes, exactly.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log10
@@ -37,9 +38,11 @@ class ErrorDist:
     def __post_init__(self):
         if len(self.probs) != self.q:
             raise InvalidInput("pmf length must equal q")
-        if any(p < 0 for p in self.probs):
+        # over the distinct entries: a regular pmf has two, however large q is
+        counts = Counter(self.probs)
+        if any(p < 0 for p in counts):
             raise InvalidInput("pmf entries must be nonnegative")
-        if sum(self.probs) != 1:
+        if sum(p * n for p, n in counts.items()) != 1:
             raise InvalidInput("pmf entries must sum to exactly 1")
 
     def p_win(self) -> Fraction:
@@ -162,7 +165,8 @@ def convolve(field: Field, d1: ErrorDist, d2: ErrorDist) -> ErrorDist:
 
 
 def compose_m(field: Field, box: RegularBox, m: int) -> ErrorDist:
-    """Error of m independent uses summed over F_q (m-fold convolution).
+    """Error of m independent uses summed over F_q (m-fold convolution),
+    in O(q + log m) steps.
 
     Refused before any step when E^m could not be printed: x^m, x the
     larger of E's numerator and denominator, would reach 10^POW_DIGITS_CAP."""
@@ -174,10 +178,16 @@ def compose_m(field: Field, box: RegularBox, m: int) -> ErrorDist:
     q = field.q
     if box.q != q:
         raise InvalidInput("distribution/field size mismatch")
-    acc = base = box.error_dist().probs[:2]   # regular by construction
-    for _ in range(m - 1):
-        acc = _regular_step(q, acc, base)
-    return ErrorDist(q, (acc[0],) + (acc[1],) * (q - 1))
+    # the step is exact, associative and commutative, so square-and-multiply
+    # gives the m-fold result in O(log m) steps, also when E^m never grows
+    acc, power = None, box.error_dist().probs[:2]   # regular by construction
+    while True:
+        if m & 1:
+            acc = power if acc is None else _regular_step(q, acc, power)
+        m >>= 1
+        if not m:
+            return ErrorDist(q, (acc[0],) + (acc[1],) * (q - 1))
+        power = _regular_step(q, power, power)
 
 
 def compose_closed_form(q: int, E: Fraction, m: int) -> ErrorDist:

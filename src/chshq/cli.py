@@ -35,6 +35,12 @@ def frac_str(x: Fraction) -> str:
         raise CapExceeded(f"rational too long to print: {e}")
 
 
+def pmf_strs(probs) -> list[str]:
+    """frac_str of each entry, printed once per distinct value."""
+    text = {p: frac_str(p) for p in set(probs)}
+    return [text[p] for p in probs]
+
+
 def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -179,7 +185,7 @@ def cmd_box_compose(args) -> int:
     dist = boxes.compose_m(field, box, args.m)
     _emit({
         "schema": SCHEMA, "q": field.q, "E": frac_str(E), "m": args.m,
-        "pmf": [frac_str(p) for p in dist.probs],
+        "pmf": pmf_strs(dist.probs),
         "p_win": frac_str(dist.p_win()),
         "bias": frac_str(dist.bias()),
     }, args)
@@ -194,7 +200,7 @@ def cmd_box_distribute(args) -> int:
         "schema": SCHEMA, "q": field.q, "E": frac_str(E),
         "E_dist": frac_str(box.bias),
         "p_win_dist": frac_str(box.p_win()),
-        "pmf": [frac_str(p) for p in box.error_dist().probs],
+        "pmf": pmf_strs(box.error_dist().probs),
     }, args)
     return 0
 

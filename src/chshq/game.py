@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InvalidInput, CapExceeded
 from .field import Field
 
-EXACT_Q_CAP = 8        # exhaustive classical value is q^(q-2) * q^2 work
+EXACT_Q_CAP = 9        # exhaustive classical value is q^(q-2)/(q-1) * q^2 work
 PAIRS_Q_CAP = 4        # full double enumeration is q^(2q) * q^2 work
 BATCH_CELLS = 1 << 16  # cells of one exact-search chunk's (tables, y, value) counts
 
@@ -106,37 +106,57 @@ def _better(cand, best):
 
 
 def exact_classical_value(field: Field) -> tuple[GameValue, Strategy]:
-    """Exhaustive classical value over the f(0) = f(1) = 0 slice.
+    """Exhaustive classical value over one gauge class of each slice table.
 
-    Two symmetries preserve the win count: the shift (f + c, g - c), and the
+    Three symmetries preserve the win count: the shift (f + c, g - c); the
     linear term (f(x) + a*x, g(y - a)), because f(x) + a*x + g(y - a) = x*y
-    iff f(x) + g(y') = x*y' with y' = y - a.  Together they fix f(0) = f(1) = 0,
-    so only the q^(q-2) tables of that slice are enumerated, each paired with
-    its best response g.  The witness is still the lexicographically smallest
-    optimal f with f(0) = 0: an optimal f with f(1) = v > 0 maps to the
-    optimal and smaller f - v*x, so that witness lies in the slice.
+    iff f(x) + g(y') = x*y' with y' = y - a; and the output scale
+    (u*f(x), u*g(y/u)) for u != 0, because u*f(x) + u*g(y') = x*y with
+    y' = y/u iff f(x) + g(y') = x*y'.  The first two fix f(0) = f(1) = 0;
+    the third makes the first nonzero entry of a nonzero table 1.  So only
+    the zero table and the (q^(q-2) - 1)/(q - 1) slice tables with leading
+    entry 1 are enumerated, each paired with its best response g.
 
-    Tables run in lex order in chunks of BATCH_CELLS // q^2; argmax keeps the
-    first maximum of a chunk and only a strictly larger win count replaces
-    the best so far, so the chunking never changes the result.
+    The witness is still the lexicographically smallest optimal f with
+    f(0) = 0: an optimal f with f(1) = v > 0 maps to the optimal and
+    smaller f - v*x, and an optimal slice table with leading entry v > 1
+    maps to the optimal and smaller f/v, which keeps its zero prefix.
+
+    The zero table comes first, then the tables with leading 1 at position
+    k = q-1 down to 2, each block with its free suffix in lex order: lex
+    order over the reduced set.  A block runs in chunks of BATCH_CELLS // q^2
+    tables; argmax keeps the first maximum of a chunk and only a strictly
+    larger win count replaces the best so far, so the chunking never changes
+    the result.
     """
     q = field.q
     if q > EXACT_Q_CAP:
         raise CapExceeded(f"exact classical value capped at q <= {EXACT_Q_CAP}")
-    total = q ** (q - 2)
     chunk = BATCH_CELLS // (q * q)
-    radix = q ** np.arange(q - 3, -1, -1)    # f(2) is the leading digit
     best = None
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        F = np.zeros((len(idx), q), dtype=np.intp)
-        F[:, 2:] = idx[:, None] // radix % q
+    for F in _gauge_tables(q, chunk):
         g, wins = _best_g_batch(field, F)
         i = int(wins.argmax())
         if best is None or wins[i] > best[0]:
             best = (int(wins[i]), tuple(F[i].tolist()), tuple(g[i].tolist()))
     wins, f, g = best
     return GameValue.from_wins(q, wins), Strategy(f, g)
+
+
+def _gauge_tables(q: int, chunk: int):
+    """The zero table, then each block of slice tables 0..0 1 * .. * (the 1
+    at position k = q-1 down to 2), in chunks of at most `chunk` rows."""
+    yield np.zeros((1, q), dtype=np.intp)
+    for k in range(q - 1, 1, -1):
+        free = q - 1 - k
+        radix = q ** np.arange(free - 1, -1, -1)   # f(k + 1) is the leading digit
+        total = q ** free
+        for start in range(0, total, chunk):
+            idx = np.arange(start, min(start + chunk, total))
+            F = np.zeros((len(idx), q), dtype=np.intp)
+            F[:, k] = 1
+            F[:, k + 1:] = idx[:, None] // radix % q
+            yield F
 
 
 def exhaustive_pairs_value(field: Field) -> tuple[GameValue, Strategy]:

@@ -4,7 +4,8 @@ Each test prints its verdict directly to the real stderr so the lines
 survive pytest's capture; tolerances and runtime limits are asserted,
 not just reported.  Golden values for q in {4, 5, 7} were computed once
 by the exhaustive searcher, cross-checked against the independent
-full-pair oracle where feasible, and frozen below as literals.
+full-pair oracle where feasible, and frozen below as literals; q = 9 was
+cross-checked against the full f(0) = f(1) = 0 slice search before freezing.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ GOLDEN_VALUES = {
     4: (9, Fraction(9, 16), (0, 0, 0, 1), (0, 2, 0, 3)),
     5: (12, Fraction(12, 25), (0, 0, 0, 0, 1), (0, 3, 2, 1, 0)),
     7: (19, Fraction(19, 49), (0, 0, 0, 0, 1, 2, 5), (0, 3, 0, 6, 1, 5, 0)),
+    9: (29, Fraction(29, 81), (0, 0, 0, 1, 3, 4, 3, 1, 4),
+        (0, 1, 0, 3, 4, 7, 0, 5, 0)),
 }
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from chshq import boxes
 from chshq.errors import InvalidInput
 from chshq.field import factorize, field_from_q
 from chshq.game import Strategy, win_count, p_win_from_bias
@@ -257,6 +258,34 @@ def regular_boxes(draw):
 def test_compose_matches_closed_form_property(box, m):
     field = field_from_q(box.q)
     assert compose_m(field, box, m) == compose_closed_form(box.q, box.bias, m)
+
+
+def step_loop_compose(q, E, m):
+    # the m - 1 sequential two-number steps that square-and-multiply replaced
+    acc = base = RegularBox(q, E).error_dist().probs[:2]
+    for _ in range(m - 1):
+        acc = boxes._regular_step(q, acc, base)
+    return acc
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 16])
+def test_compose_by_squaring_matches_step_loop(q):
+    field = field_from_q(q)
+    for E in (Fraction(1, 2), Fraction(13, 20), Fraction(-1, q - 1)):
+        for m in range(1, 40):
+            d = compose_m(field, RegularBox(q, E), m)
+            assert d.probs[:2] == step_loop_compose(q, E, m)
+
+
+@pytest.mark.parametrize("q,E,m", [
+    (3, 1, 10 ** 8), (5, 0, 10 ** 8), (3, 1, 10 ** 100),
+    (2, -1, 10 ** 8), (2, -1, 10 ** 8 + 1),
+], ids=["E1", "E0", "E1-m1e100", "q2-E-1-even", "q2-E-1-odd"])
+def test_compose_bias_that_never_grows_at_huge_m(q, E, m):
+    # E^m stays printable, so no refusal: O(log m) steps must give the closed form
+    field = field_from_q(q)
+    assert compose_m(field, RegularBox(q, Fraction(E)), m) == \
+        compose_closed_form(q, Fraction(E), m)
 
 
 def test_compose_zero_bias_is_absorbing():

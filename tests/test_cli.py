@@ -47,6 +47,17 @@ def test_classical_value_exact(capsys):
     assert d["p_win"] == "3/4" and d["wins"] == 3 and d["method"] == "exact"
 
 
+def test_classical_value_exact_q9(capsys):
+    code, d = run_json(capsys, ["classical-value", "--p", "3", "--s", "2"])
+    assert code == 0 and d["method"] == "exact" and d["wins"] == 29
+    assert d["f"] == [0, 0, 0, 1, 3, 4, 3, 1, 4]
+
+
+def test_exit_code_exact_over_cap(capsys):
+    assert run(["classical-value", "--p", "11"]) == 4
+    assert "capped at q <= 9" in capsys.readouterr().err
+
+
 def test_classical_value_search(capsys):
     code, d = run_json(capsys, ["classical-value", "--p", "3", "--s", "1",
                                 "--search", "--seed", "1", "--restarts", "6"])
@@ -288,6 +299,16 @@ def test_exit_code_large_m_over_cap(capsys, argv, message):
     assert run(argv) == 4
     assert time.perf_counter() - start < 5
     assert message in capsys.readouterr().err
+
+
+def test_box_compose_bias_that_never_grows_at_huge_m(capsys):
+    # E = 1 never reaches the digit cap; 10^8 sequential steps took about an hour
+    start = time.perf_counter()
+    code, d = run_json(capsys, ["box", "compose", "--q", "3", "--E", "1",
+                                "--m", "100000000"])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert d["pmf"] == ["1/1", "0/1", "0/1"] and d["bias"] == "1/1"
 
 
 def test_box_compose_long_exact_power(capsys):

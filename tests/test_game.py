@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -126,7 +127,7 @@ def test_pair_oracle_cap():
     with pytest.raises(CapExceeded):
         exhaustive_pairs_value(field_from_q(5))
     with pytest.raises(CapExceeded):
-        exact_classical_value(field_from_q(9))
+        exact_classical_value(field_from_q(11))
 
 
 def reference_exact_value(field):
@@ -167,6 +168,57 @@ def test_exact_golden_q8():
     assert s == Strategy((0, 0, 0, 0, 1, 2, 5, 3), (0, 3, 2, 6, 0, 5, 7, 0))
 
 
+def test_exact_golden_q9():
+    # frozen after a cross-check against slice_exact_value (about 11 s)
+    field = field_from_q(9)
+    v, s = exact_classical_value(field)
+    assert v.wins == 29 and v.p_win == Fraction(29, 81)
+    assert s == Strategy((0, 0, 0, 1, 3, 4, 3, 1, 4), (0, 1, 0, 3, 4, 7, 0, 5, 0))
+
+
+def slice_exact_value(field):
+    """Oracle: every one of the q^(q-2) tables of the f(0) = f(1) = 0 slice,
+    in lex order and in chunks through the batched kernel, with no output-scale
+    gauge.  Returns (wins, f, g) for the lexicographically smallest optimal f."""
+    q = field.q
+    total = q ** (q - 2)
+    chunk = game.BATCH_CELLS // (q * q)
+    radix = q ** np.arange(q - 3, -1, -1)    # f(2) is the leading digit
+    best = None
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        F = np.zeros((len(idx), q), dtype=np.intp)
+        F[:, 2:] = idx[:, None] // radix % q
+        g, wins = game._best_g_batch(field, F)
+        i = int(wins.argmax())
+        if best is None or wins[i] > best[0]:
+            best = (int(wins[i]), tuple(F[i].tolist()), tuple(g[i].tolist()))
+    return best
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_exact_matches_slice_oracle(q):
+    field = field_from_q(q)
+    v, s = exact_classical_value(field)
+    assert (v.wins, s.f, s.g) == slice_exact_value(field)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_kernel_sees_one_table_per_gauge_class(monkeypatch, q):
+    # the zero table plus (q^(q-2) - 1)/(q - 1) tables with leading entry 1
+    field = field_from_q(q)
+    rows = []
+    kernel = game._best_g_batch
+
+    def counted(field, F):
+        rows.append(len(F))
+        return kernel(field, F)
+
+    monkeypatch.setattr(game, "_best_g_batch", counted)
+    exact_classical_value(field)
+    assert sum(rows) == (q ** (q - 2) - 1) // (q - 1) + 1
+
+
 @pytest.mark.parametrize("tables_per_chunk", [1, 7])
 def test_search_is_partition_invariant(monkeypatch, tables_per_chunk):
     # 7 does not divide the 5^3 tables of the q = 5 slice
@@ -183,6 +235,8 @@ def test_returned_witness_achieves_value():
         assert win_count(field, s) == v
         assert s.f[0] == 0    # shift symmetry: f(0) = 0
         assert s.f[1] == 0    # linear-term symmetry: f(1) = 0
+        lead = next((e for e in s.f[2:] if e), None)
+        assert lead in (None, 1)   # output-scale symmetry: leading entry 1
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +281,18 @@ def test_linear_term_invariance_property(case):
         tuple(field.add(s.f[x], field.mul(a, x)) for x in field.elements()),
         tuple(s.g[field.sub(y, a)] for y in field.elements()))
     assert win_count(field, moved) == win_count(field, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies_with_constant())
+def test_output_scale_invariance_property(case):
+    # (u*f(x), u*g(y/u)) for u != 0: the symmetry behind the leading-1 gauge
+    field, s, u = case
+    u = u or 1
+    scaled = Strategy(
+        tuple(field.mul(u, v) for v in s.f),
+        tuple(field.mul(u, s.g[field.mul(y, field.inv(u))]) for y in field.elements()))
+    assert win_count(field, scaled) == win_count(field, s)
 
 
 def test_normalize_shift():
