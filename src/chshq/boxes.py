@@ -6,15 +6,16 @@ and is uniform off zero; a single rational bias E then determines it:
 
     p(0) = 1/q + (q-1)E/q,    p(k != 0) = 1/q - E/q
 
-Every deterministic strategy can be wrapped (shared randomness relabeling
-inputs and correcting outputs) into a regular box with the same winning
-probability, which is what regularize() computes, exactly.
+ErrorDist holds just that pair, so every error is regular by its type and
+sums of errors compose in O(1) whatever q is.  Every deterministic
+strategy can be wrapped (shared randomness relabeling inputs and
+correcting outputs) into a regular box with the same winning probability,
+which is what regularize() computes, exactly.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log10
@@ -29,34 +30,36 @@ from .game import (Strategy, win_count, bias_from_p_win, p_win_from_bias,
 POW_DIGITS_CAP = 4300   # Python's default int-to-str digit limit
 
 
+def _check_q(q) -> None:
+    if not isinstance(q, int) or q < 2:
+        raise InvalidInput(f"q = {q!r} must be an integer >= 2")
+
+
 @dataclass(frozen=True)
 class ErrorDist:
-    """Exact pmf of the error over F_q, indexed by encoding."""
+    """Exact pmf of a regular error over F_q: Pr[e = 0] = p0 and
+    Pr[e = k] = p1 for each of the q - 1 values k != 0."""
     q: int
-    probs: tuple[Fraction, ...]
+    p0: Fraction
+    p1: Fraction
 
     def __post_init__(self):
-        if len(self.probs) != self.q:
-            raise InvalidInput("pmf length must equal q")
-        # over the distinct entries: a regular pmf has two, however large q is
-        counts = Counter(self.probs)
-        if any(p < 0 for p in counts):
+        _check_q(self.q)
+        if self.p0 < 0 or self.p1 < 0:
             raise InvalidInput("pmf entries must be nonnegative")
-        if sum(p * n for p, n in counts.items()) != 1:
+        if self.p0 + (self.q - 1) * self.p1 != 1:
             raise InvalidInput("pmf entries must sum to exactly 1")
 
-    def p_win(self) -> Fraction:
-        return self.probs[0]
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        """The q entries, indexed by encoding; the one O(q) view."""
+        return (self.p0,) + (self.p1,) * (self.q - 1)
 
-    def is_regular(self) -> bool:
-        off = set(self.probs[1:])
-        return len(off) <= 1
+    def p_win(self) -> Fraction:
+        return self.p0
 
     def bias(self) -> Fraction:
-        """Bias of the induced regular box; error if not regular."""
-        if not self.is_regular():
-            raise InvalidInput("distribution is not regular")
-        return bias_from_p_win(self.q, self.probs[0])
+        return bias_from_p_win(self.q, self.p0)
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,7 @@ class RegularBox:
     bias: Fraction
 
     def __post_init__(self):
+        _check_q(self.q)
         E = Fraction(self.bias)
         object.__setattr__(self, "bias", E)
         if not -Fraction(1, self.q - 1) <= E <= 1:
@@ -72,9 +76,8 @@ class RegularBox:
 
     def error_dist(self) -> ErrorDist:
         q, E = self.q, self.bias
-        p0 = Fraction(1, q) + Fraction(q - 1, q) * E
-        pk = Fraction(1, q) - E / q
-        return ErrorDist(q, (p0,) + (pk,) * (q - 1))
+        return ErrorDist(q, Fraction(1, q) + Fraction(q - 1, q) * E,
+                         Fraction(1, q) - E / q)
 
     def p_win(self) -> Fraction:
         return p_win_from_bias(self.q, self.bias)
@@ -144,29 +147,22 @@ def regularize(field: Field, box: StrategyBox) -> RegularBox:
 # composition and the distributed game
 # ---------------------------------------------------------------------------
 
-def _regular_step(q: int, p, r) -> tuple[Fraction, Fraction]:
-    """(p(0), p(k != 0)) of e1 + e2 for regular errors with pairs p and r."""
-    (p0, p1), (r0, r1) = p, r
-    # with both errors nonzero, e1 = a sums to 0 for the q - 1 values with
-    # a != 0 and -a != 0, and to 1 for the q - 2 values with a != 0 and
-    # 1 - a != 0; scaling by F_q^* gives every k != 0 the count of k = 1
-    return p0 * r0 + (q - 1) * p1 * r1, p0 * r1 + p1 * r0 + (q - 2) * p1 * r1
-
-
 def convolve(field: Field, d1: ErrorDist, d2: ErrorDist) -> ErrorDist:
-    """Error pmf of e1 + e2 for independent regular errors, in O(q)."""
+    """Error pmf of e1 + e2 for independent regular errors, in O(1)."""
     q = field.q
     if d1.q != q or d2.q != q:
         raise InvalidInput("distribution/field size mismatch")
-    if not (d1.is_regular() and d2.is_regular()):
-        raise InvalidInput("convolution needs regular (F_q^*-invariant) errors")
-    c0, c1 = _regular_step(q, d1.probs[:2], d2.probs[:2])
-    return ErrorDist(q, (c0,) + (c1,) * (q - 1))
+    (p0, p1), (r0, r1) = (d1.p0, d1.p1), (d2.p0, d2.p1)
+    # with both errors nonzero, e1 = a sums to 0 for the q - 1 values with
+    # a != 0 and -a != 0, and to 1 for the q - 2 values with a != 0 and
+    # 1 - a != 0; scaling by F_q^* gives every k != 0 the count of k = 1
+    return ErrorDist(q, p0 * r0 + (q - 1) * p1 * r1,
+                     p0 * r1 + p1 * r0 + (q - 2) * p1 * r1)
 
 
 def compose_m(field: Field, box: RegularBox, m: int) -> ErrorDist:
     """Error of m independent uses summed over F_q (m-fold convolution),
-    in O(q + log m) steps.
+    in O(log m) steps.
 
     Refused before any step when E^m could not be printed: x^m, x the
     larger of E's numerator and denominator, would reach 10^POW_DIGITS_CAP."""
@@ -175,19 +171,18 @@ def compose_m(field: Field, box: RegularBox, m: int) -> ErrorDist:
     x = max(abs(box.bias.numerator), box.bias.denominator)
     if x > 1 and m >= POW_DIGITS_CAP / log10(x):   # no float of a huge m
         raise CapExceeded(f"E^m would have more than {POW_DIGITS_CAP} digits")
-    q = field.q
-    if box.q != q:
+    if box.q != field.q:
         raise InvalidInput("distribution/field size mismatch")
-    # the step is exact, associative and commutative, so square-and-multiply
+    # convolution is exact, associative and commutative, so square-and-multiply
     # gives the m-fold result in O(log m) steps, also when E^m never grows
-    acc, power = None, box.error_dist().probs[:2]   # regular by construction
+    acc, power = None, box.error_dist()
     while True:
         if m & 1:
-            acc = power if acc is None else _regular_step(q, acc, power)
+            acc = power if acc is None else convolve(field, acc, power)
         m >>= 1
         if not m:
-            return ErrorDist(q, (acc[0],) + (acc[1],) * (q - 1))
-        power = _regular_step(q, power, power)
+            return acc
+        power = convolve(field, power, power)
 
 
 def compose_closed_form(q: int, E: Fraction, m: int) -> ErrorDist:
@@ -231,7 +226,8 @@ def monte_carlo_win(field: Field, box, game: str = "base",
     add, mul = field.op_table("add"), field.op_table("mul")
 
     if isinstance(box, RegularBox):
-        pmf = np.array([float(p) for p in box.error_dist().probs])
+        err = box.error_dist()
+        pmf = np.array([float(err.p0)] + [float(err.p1)] * (q - 1))
         pmf = pmf / pmf.sum()   # guard float rounding in np.choice
         if game == "base":
             e = rng.choice(q, size=samples, p=pmf)

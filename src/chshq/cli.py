@@ -22,6 +22,7 @@ from .field import Field, field_new, field_from_q
 from . import game, geometry, boxes, infotheory, fourier
 
 SCHEMA = "chshq/1"
+PMF_TEXT_CAP = 1 << 26   # characters of the q strings of one printed pmf
 
 
 # ---------------------------------------------------------------------------
@@ -35,10 +36,14 @@ def frac_str(x: Fraction) -> str:
         raise CapExceeded(f"rational too long to print: {e}")
 
 
-def pmf_strs(probs) -> list[str]:
-    """frac_str of each entry, printed once per distinct value."""
-    text = {p: frac_str(p) for p in set(probs)}
-    return [text[p] for p in probs]
+def pmf_strs(dist: boxes.ErrorDist) -> list[str]:
+    """frac_str of the q entries, two values each printed once; refused
+    before the list is built when they would pass PMF_TEXT_CAP characters."""
+    s0, s1 = frac_str(dist.p0), frac_str(dist.p1)
+    if len(s0) + (dist.q - 1) * len(s1) > PMF_TEXT_CAP:
+        raise CapExceeded(f"pmf text at q = {dist.q} exceeds "
+                          f"{PMF_TEXT_CAP} characters")
+    return [s0] + [s1] * (dist.q - 1)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -82,9 +87,17 @@ def config_from_json(d: dict) -> tuple[Field, geometry.Config]:
     return field, cfg
 
 
+def _write(text: str, out) -> None:
+    """Write text to the file out, or to stdout when no file is given."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(payload: dict, args):
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
@@ -95,12 +108,7 @@ def _emit(payload: dict, args):
             w.writerow([k, json.dumps(v, sort_keys=True)
                         if isinstance(v, (list, dict)) else v])
         text = buf.getvalue()
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
 
 
 def _read_json(path: str) -> dict:
@@ -185,7 +193,7 @@ def cmd_box_compose(args) -> int:
     dist = boxes.compose_m(field, box, args.m)
     _emit({
         "schema": SCHEMA, "q": field.q, "E": frac_str(E), "m": args.m,
-        "pmf": pmf_strs(dist.probs),
+        "pmf": pmf_strs(dist),
         "p_win": frac_str(dist.p_win()),
         "bias": frac_str(dist.bias()),
     }, args)
@@ -200,7 +208,7 @@ def cmd_box_distribute(args) -> int:
         "schema": SCHEMA, "q": field.q, "E": frac_str(E),
         "E_dist": frac_str(box.bias),
         "p_win_dist": frac_str(box.p_win()),
-        "pmf": pmf_strs(box.error_dist().probs),
+        "pmf": pmf_strs(box.error_dist()),
     }, args)
     return 0
 
@@ -221,11 +229,7 @@ def cmd_ic_sweep(args) -> int:
     text = _csv_text(f"# schema={SCHEMA} q={field.q} E={frac_str(E)}",
                      ["m", "n_indices", "per_index_mi", "total", "verdict"],
                      rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
 
 
@@ -336,9 +340,8 @@ def cmd_report(args) -> int:
 
 
 def _write_table(outdir: str, name: str, seed: int, columns, rows) -> str:
-    path = os.path.join(outdir, name)
-    with open(path, "w") as fh:
-        fh.write(_csv_text(f"# schema={SCHEMA} seed={seed}", columns, rows))
+    _write(_csv_text(f"# schema={SCHEMA} seed={seed}", columns, rows),
+           os.path.join(outdir, name))
     return name
 
 
@@ -357,10 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=int, required=True, help="characteristic")
         p.add_argument("--s", type=int, default=1, help="extension degree")
 
-    def add_io_args(p, fmt=True):
+    def add_io_args(p):
         p.add_argument("--out", help="output file (default stdout)")
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("classical-value", help="optimal deterministic strategy")
     add_field_args(p)

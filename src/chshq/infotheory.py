@@ -150,8 +150,7 @@ def pairwise_independence_check(task: HadamardTask) -> bool:
 def joint_from_error(field: Field, err: ErrorDist) -> np.ndarray:
     """Joint table of (X, Z) with X uniform and Z = X + e, e ~ err."""
     z_minus_x = field.op_table("sub").T.copy()   # C order, as reductions expect
-    probs = np.array([float(p) for p in err.probs])
-    return probs[z_minus_x] / field.q
+    return np.where(z_minus_x == 0, float(err.p0), float(err.p1)) / field.q
 
 
 def _check_m(q: int, m: int) -> None:

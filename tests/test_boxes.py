@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chshq import boxes
 from chshq.errors import InvalidInput
 from chshq.field import factorize, field_from_q
 from chshq.game import Strategy, win_count, p_win_from_bias
@@ -30,19 +29,28 @@ def random_strategy(q: int, rng: random.Random) -> Strategy:
 # ---------------------------------------------------------------------------
 
 def test_error_dist_validation():
-    with pytest.raises(InvalidInput):
-        ErrorDist(3, (Fraction(1, 2), Fraction(1, 2)))          # wrong length
-    with pytest.raises(InvalidInput):
-        ErrorDist(2, (Fraction(3, 2), Fraction(-1, 2)))         # negative
-    with pytest.raises(InvalidInput):
-        ErrorDist(2, (Fraction(1, 2), Fraction(1, 3)))          # sum != 1
+    ErrorDist(3, Fraction(1, 2), Fraction(1, 4))
+    with pytest.raises(InvalidInput, match="nonnegative"):
+        ErrorDist(2, Fraction(3, 2), Fraction(-1, 2))          # negative p1
+    with pytest.raises(InvalidInput, match="nonnegative"):
+        ErrorDist(3, Fraction(-1, 2), Fraction(3, 4))          # negative p0
+    with pytest.raises(InvalidInput, match="sum"):
+        ErrorDist(2, Fraction(1, 2), Fraction(1, 3))           # sum != 1
+    with pytest.raises(InvalidInput, match="sum"):
+        ErrorDist(3, Fraction(1, 2), Fraction(1, 2))           # p1 counted q - 1 times
+    with pytest.raises(InvalidInput, match=">= 2"):
+        ErrorDist(1, Fraction(1), Fraction(0))                 # q < 2
 
 
-def test_error_dist_bias_requires_regularity():
-    d = ErrorDist(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
-    assert not d.is_regular()
-    with pytest.raises(InvalidInput):
-        d.bias()
+@pytest.mark.parametrize("q", [1, 0, -3, 2.5, 3.0, "3", None])
+@pytest.mark.parametrize("make", [
+    lambda q: ErrorDist(q, Fraction(1), Fraction(0)),
+    lambda q: RegularBox(q, Fraction(0)),
+], ids=["ErrorDist", "RegularBox"])
+def test_bad_q_is_invalid_input(make, q):
+    # q is checked before any use: 1 would divide by zero, 2.5 fail in Fraction
+    with pytest.raises(InvalidInput, match="integer >= 2"):
+        make(q)
 
 
 def test_regular_box_range():
@@ -155,17 +163,16 @@ def test_regularize_handles_optimal_strategy():
 PRIME_POWERS = [q for q in range(2, 4097) if len(factorize(q)) == 1]
 
 
-def convolve_loop_oracle(field, d1: ErrorDist, d2: ErrorDist) -> ErrorDist:
+def convolve_loop_oracle(field, probs1: tuple, probs2: tuple) -> tuple:
     # the q^2 loop over error pairs that the two-number rule replaced; it
-    # takes any pmfs, regular or not
-    q = field.q
-    probs = [Fraction(0)] * q
-    for e1, p1 in enumerate(d1.probs):
+    # takes any pmfs given as q-tuples, regular or not
+    probs = [Fraction(0)] * field.q
+    for e1, p1 in enumerate(probs1):
         if p1 == 0:
             continue
-        for e2, p2 in enumerate(d2.probs):
+        for e2, p2 in enumerate(probs2):
             probs[field.add(e1, e2)] += p1 * p2
-    return ErrorDist(q, tuple(probs))
+    return tuple(probs)
 
 
 def regular_dist(q: int, E: Fraction) -> ErrorDist:
@@ -180,7 +187,7 @@ def test_convolve_commutes_and_associates():
     def rand_dist():
         w = [rng.randrange(1, 9) for _ in range(4)]
         t = sum(w)
-        return ErrorDist(4, tuple(Fraction(v, t) for v in w))
+        return tuple(Fraction(v, t) for v in w)
 
     conv = convolve_loop_oracle
     for _ in range(10):
@@ -212,16 +219,13 @@ def test_convolve_matches_loop_oracle(q):
               Fraction(-1, 2 * (q - 1))]
     for E1, E2 in zip(biases, biases[1:] + biases[:1]):
         d1, d2 = regular_dist(q, E1), regular_dist(q, E2)
-        assert convolve(field, d1, d2) == convolve_loop_oracle(field, d1, d2)
+        assert convolve(field, d1, d2).probs == \
+            convolve_loop_oracle(field, d1.probs, d2.probs)
 
 
-def test_convolve_rejects_non_regular_operands():
+def test_convolve_rejects_size_mismatch():
     field = field_from_q(3)
-    bent = ErrorDist(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
     flat = regular_dist(3, Fraction(0))
-    for d1, d2 in ((bent, flat), (flat, bent)):
-        with pytest.raises(InvalidInput, match="regular"):
-            convolve(field, d1, d2)
     with pytest.raises(InvalidInput, match="mismatch"):
         convolve(field, flat, regular_dist(5, Fraction(0)))
 
@@ -260,11 +264,11 @@ def test_compose_matches_closed_form_property(box, m):
     assert compose_m(field, box, m) == compose_closed_form(box.q, box.bias, m)
 
 
-def step_loop_compose(q, E, m):
-    # the m - 1 sequential two-number steps that square-and-multiply replaced
-    acc = base = RegularBox(q, E).error_dist().probs[:2]
+def step_loop_compose(field, E, m):
+    # the m - 1 sequential convolutions that square-and-multiply replaced
+    acc = base = RegularBox(field.q, E).error_dist()
     for _ in range(m - 1):
-        acc = boxes._regular_step(q, acc, base)
+        acc = convolve(field, acc, base)
     return acc
 
 
@@ -274,7 +278,7 @@ def test_compose_by_squaring_matches_step_loop(q):
     for E in (Fraction(1, 2), Fraction(13, 20), Fraction(-1, q - 1)):
         for m in range(1, 40):
             d = compose_m(field, RegularBox(q, E), m)
-            assert d.probs[:2] == step_loop_compose(q, E, m)
+            assert d == step_loop_compose(field, E, m)
 
 
 @pytest.mark.parametrize("q,E,m", [

@@ -8,9 +8,9 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chshq import fourier
+from chshq import cli, fourier
 from chshq.boxes import compose_closed_form
-from chshq.cli import run, parse_fraction, frac_str
+from chshq.cli import PMF_TEXT_CAP, run, parse_fraction, frac_str, pmf_strs
 from chshq.errors import CapExceeded, InvalidInput
 from fractions import Fraction
 
@@ -277,7 +277,7 @@ def test_exit_code_q_squared_pmf_work_over_cap(capsys, argv):
     ["box", "distribute", "--q", "65536", "--E", "1/2"],
 ], ids=["compose-q65536", "distribute-q65536"])
 def test_box_at_largest_q_prints_closed_form(capsys, argv):
-    # regular errors compose in O(q), so no cap below Q_CAP applies
+    # regular errors compose in O(1), and the printed pmf is under PMF_TEXT_CAP
     code, d = run_json(capsys, argv)
     assert code == 0
     expect = compose_closed_form(65536, Fraction(1, 2), 2)
@@ -309,6 +309,99 @@ def test_box_compose_bias_that_never_grows_at_huge_m(capsys):
     assert time.perf_counter() - start < 1
     assert code == 0
     assert d["pmf"] == ["1/1", "0/1", "0/1"] and d["bias"] == "1/1"
+
+
+# `box compose --q 5 --E 13/20 --m 3` and `box distribute --q 9 --E 1/2`,
+# byte for byte, frozen while ErrorDist still held q entries
+BOX_GOLDEN = {
+    ("compose", "json"): '''\
+{
+  "E": "13/20",
+  "bias": "2197/8000",
+  "m": 3,
+  "p_win": "4197/10000",
+  "pmf": [
+    "4197/10000",
+    "5803/40000",
+    "5803/40000",
+    "5803/40000",
+    "5803/40000"
+  ],
+  "q": 5,
+  "schema": "chshq/1"
+}
+''',
+    ("compose", "csv"): '''\
+key,value
+E,13/20
+bias,2197/8000
+m,3
+p_win,4197/10000
+pmf,"[""4197/10000"", ""5803/40000"", ""5803/40000"", ""5803/40000"", ""5803/40000""]"
+q,5
+schema,chshq/1
+''',
+    ("distribute", "json"): '''\
+{
+  "E": "1/2",
+  "E_dist": "1/4",
+  "p_win_dist": "1/3",
+  "pmf": [
+    "1/3",
+    "1/12",
+    "1/12",
+    "1/12",
+    "1/12",
+    "1/12",
+    "1/12",
+    "1/12",
+    "1/12"
+  ],
+  "q": 9,
+  "schema": "chshq/1"
+}
+''',
+    ("distribute", "csv"): '''\
+key,value
+E,1/2
+E_dist,1/4
+p_win_dist,1/3
+pmf,"[""1/3"", ""1/12"", ""1/12"", ""1/12"", ""1/12"", ""1/12"", ""1/12"", ""1/12"", ""1/12""]"
+q,9
+schema,chshq/1
+''',
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(BOX_GOLDEN))
+def test_box_output_bytes(capsys, command, fmt):
+    argv = (["box", "compose", "--q", "5", "--E", "13/20", "--m", "3"]
+            if command == "compose" else
+            ["box", "distribute", "--q", "9", "--E", "1/2"])
+    assert run(argv + ["--format", fmt]) == 0
+    assert capsys.readouterr().out == BOX_GOLDEN[command, fmt]
+
+
+@pytest.mark.parametrize("q", ["16384", "65536"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_exit_code_box_pmf_text_over_cap(capsys, q, fmt):
+    # uncapped, q = 16384 would write 128 MB of JSON
+    start = time.perf_counter()
+    assert run(["box", "compose", "--q", q, "--E", "13/20", "--m", "3000",
+                "--format", fmt]) == 4
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"exceeds {PMF_TEXT_CAP} characters" in captured.err
+
+
+def test_pmf_text_cap_boundary(monkeypatch):
+    d = compose_closed_form(5, Fraction(13, 20), 3)    # 10 + 4 * 10 characters
+    monkeypatch.setattr(cli, "PMF_TEXT_CAP", 50)
+    assert pmf_strs(d) == ["4197/10000"] + ["5803/40000"] * 4
+    monkeypatch.setattr(cli, "PMF_TEXT_CAP", 49)
+    with pytest.raises(CapExceeded, match="exceeds 49 characters"):
+        pmf_strs(d)
 
 
 def test_box_compose_long_exact_power(capsys):
