@@ -7,12 +7,15 @@ additive character chi, the quantity
 
 never exceeds q^(3/2); the Fourier family (standard basis against
 normalized character columns) attains it.  Inner products are
-conjugate-linear in the first slot throughout.
+conjugate-linear in the first slot throughout.  Sums and maximization
+apply the kernel chi(-xy) as a DFT over the trace-form digits and never
+form a q x q array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,9 +38,11 @@ class VectorFamily:
         object.__setattr__(self, "v", v)
         if u.shape != v.shape or u.ndim != 2:
             raise InvalidInput("u and v must both be (q, n) arrays")
+        if 0 in u.shape:
+            raise InvalidInput(f"family shape {u.shape} is empty")
         for arr in (u, v):
             norms = np.linalg.norm(arr, axis=1)
-            if np.abs(norms - 1.0).max() > NORM_TOL:
+            if not (np.abs(norms - 1.0) <= NORM_TOL).all():   # False on NaN
                 raise InvalidInput("family vectors must be unit norm")
 
     @property
@@ -64,20 +69,50 @@ def random_family(q: int, n: int, seed: int) -> VectorFamily:
     return VectorFamily(u=z[0], v=z[1])
 
 
-def _kernel(field: Field) -> np.ndarray:
-    """K[x, y] = chi(-x*y)."""
-    mul = field.op_table("mul")   # refuses q x q work above OP_TABLE_Q_CAP
-    tab = np.array(AdditiveCharacter(field).table)
-    return tab[field.vec.neg(np.arange(field.q))][mul]
+@lru_cache(maxsize=8)
+def _digit_dft(p: int, a: int) -> np.ndarray:
+    """F[k, m] = exp(-2 pi i d(k).d(m) / p) for the a base-p digits d(.): the
+    DFT over (Z_p)^a, real +-1 for p = 2.  Read-only, as every caller shares it."""
+    e = np.arange(p ** a)
+    d = e[:, None] // p ** np.arange(a) % p
+    t = -(d @ d.T) % p
+    f = 1.0 - 2.0 * t if p == 2 else np.exp(2j * np.pi * np.arange(p) / p)[t]
+    f.flags.writeable = False
+    return f
+
+
+def _character_transform(field: Field):
+    """The map v -> K v, (K v)[x] = sum_y chi(-xy) v_y, on (q, n) arrays,
+    without forming the q x q kernel K.
+
+    With d(.) the base-p digits of the encoding and T[i, j] = Tr(a^i a^j) the
+    trace form of the polynomial basis, Tr(xy) = d(x)^T T d(y).  So K v is the
+    DFT over (Z_p)^s of v in encoding order, read at the frequency whose digit
+    j is (d(x)^T T)_j = Tr(x a^j).  That DFT is np.fft.fft for s = 1, and
+    otherwise the Kronecker product of the DFTs over the high ceil(s/2) and
+    the low floor(s/2) digits: two matrix products, O(n q p^ceil(s/2))."""
+    p, s, q = field.p, field.s, field.q
+    x = np.arange(q)
+    freq = sum(p ** j * field.vec.trace(field.vec.mul(x, p ** j)) for j in range(s))
+    if s == 1:
+        return lambda v: np.fft.fft(v, axis=0)[freq]
+    hi, lo = _digit_dft(p, s - s // 2), _digit_dft(p, s // 2)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        # real factors act on the real and imaginary parts alike
+        a = np.ascontiguousarray(v).view(np.float64) if p == 2 else v
+        m = a.shape[1]
+        a = (hi @ a.reshape(len(hi), len(lo) * m)).reshape(len(hi), len(lo), m)
+        a = np.matmul(lo, a).reshape(q, m)
+        return (a.view(complex) if p == 2 else a)[freq]
+    return apply
 
 
 def character_bilinear_sum(field: Field, fam: VectorFamily) -> float:
-    """| sum over x, y of chi(-xy) <u_x, v_y> |."""
+    """| sum over x, y of chi(-xy) <u_x, v_y> | = | <u, K v> |."""
     if fam.q != field.q:
         raise InvalidInput("family size does not match the field")
-    field.op_table("mul")   # refused before the q x q gram, as _kernel would be
-    gram = fam.u.conj() @ fam.v.T            # gram[x, y] = <u_x, v_y>
-    return float(abs((_kernel(field) * gram).sum()))
+    return float(abs(np.vdot(fam.u, _character_transform(field)(fam.v))))
 
 
 def verify_bound(field: Field, fam: VectorFamily) -> bool:
@@ -101,7 +136,7 @@ def fourier_matrix(field: Field) -> np.ndarray:
     """H[x, y] = chi(xy)/sqrt(q); unitary for every prime power q."""
     mul = field.op_table("mul")   # refuses q x q work above OP_TABLE_Q_CAP
     tab = np.array(AdditiveCharacter(field).table)
-    return tab[mul] / np.sqrt(field.q)
+    return (tab / np.sqrt(field.q))[mul]   # scaled before the q x q gather
 
 
 def tight_family(field: Field) -> VectorFamily:
@@ -128,15 +163,15 @@ def maximize_sum(field: Field, n: int, seed: int, rounds: int = 50) -> MaximizeR
     with a zero update keep their previous vector."""
     if rounds < 1:
         raise InvalidInput("rounds must be >= 1")
-    K = _kernel(field)
+    K = _character_transform(field)
     fam = random_family(field.q, n, seed)
     u, v = fam.u.copy(), fam.v.copy()
     history = []
     for _ in range(rounds):
-        w = K @ v
+        w = K(v)
         u = _renorm_into(w, u)
         history.append(float(np.linalg.norm(w, axis=1).sum()))
-        t = K.conj().T @ u
+        t = K(u.conj()).conj()   # K^H u, as K is symmetric
         v = _renorm_into(t, v)
         history.append(float(np.linalg.norm(t, axis=1).sum()))
         if len(history) >= 4 and history[-1] - history[-3] < 1e-12:

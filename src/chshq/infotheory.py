@@ -16,7 +16,7 @@ from math import log2
 import numpy as np
 
 from .errors import InvalidInput, InvariantViolation, CapExceeded
-from .field import Field
+from .field import OP_TABLE_Q_CAP, Field
 from .boxes import RegularBox, ErrorDist, compose_m
 
 QM_CAP = 1 << 20   # largest enumerable input space q^m
@@ -148,9 +148,15 @@ def pairwise_independence_check(task: HadamardTask) -> bool:
 # ---------------------------------------------------------------------------
 
 def joint_from_error(field: Field, err: ErrorDist) -> np.ndarray:
-    """Joint table of (X, Z) with X uniform and Z = X + e, e ~ err."""
-    z_minus_x = field.op_table("sub").T.copy()   # C order, as reductions expect
-    return np.where(z_minus_x == 0, float(err.p0), float(err.p1)) / field.q
+    """Joint table of (X, Z) with X uniform and Z = X + e, e ~ err: e = 0
+    exactly on the diagonal z = x."""
+    q = field.q
+    if q > OP_TABLE_Q_CAP:
+        raise CapExceeded(f"q x q joint tables capped at q <= {OP_TABLE_Q_CAP}")
+    joint = np.full((q, q), float(err.p1))
+    np.fill_diagonal(joint, float(err.p0))
+    joint /= q
+    return joint
 
 
 def _check_m(q: int, m: int) -> None:

@@ -247,20 +247,29 @@ def test_exit_code_fourier_bad_sizes(capsys, argv):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["fourier", "verify", "--p", "2", "--s", "16", "--n", "1", "--trials", "1"],
-     "capped at q <= 4096"),
-    (["fourier", "maximize", "--p", "3", "--s", "10", "--n", "1", "--rounds", "1"],
-     "capped at q <= 4096"),
     (["fourier", "verify", "--p", "3", "--n", "100000000", "--trials", "1"],
      "capped at q * n <= 16777216"),
     (["fourier", "maximize", "--p", "3", "--n", "100000000", "--rounds", "1"],
      "capped at q * n <= 16777216"),
-], ids=["verify-q65536", "maximize-q59049", "verify-n1e8", "maximize-n1e8"])
+], ids=["verify-n1e8", "maximize-n1e8"])
 def test_exit_code_fourier_over_cap(capsys, argv, message):
-    # refused before the q x q gram (64 GiB), the mul table (13 GiB) or the
-    # (2, q, n) family (4.5 GiB at q = 3, n = 1e8) is built
+    # refused before the (2, q, n) family (4.5 GiB at q = 3, n = 1e8) is built
     assert run(argv) == 4
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["fourier", "verify", "--p", "2", "--s", "16", "--n", "4", "--trials", "3"], "max_sum"),
+    (["fourier", "verify", "--p", "2", "--s", "16", "--n", "1", "--trials", "1"], "max_sum"),
+    (["fourier", "maximize", "--p", "3", "--s", "10", "--n", "1", "--rounds", "1"], "value"),
+], ids=["verify-q65536-n4", "verify-q65536", "maximize-q59049"])
+def test_fourier_at_large_q(capsys, argv, key):
+    # the character transform builds no q x q kernel or gram, so the probes run
+    # past OP_TABLE_Q_CAP, and the paper's q^(3/2) bound holds there
+    code, d = run_json(capsys, argv)
+    assert code == 0
+    assert d["q"] > 4096
+    assert 0 < d[key] <= d["bound"] == d["q"] ** 1.5
 
 
 @pytest.mark.parametrize("argv", [

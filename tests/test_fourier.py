@@ -4,17 +4,57 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chshq.errors import InvalidInput
-from chshq.field import field_from_q
+from chshq.field import AdditiveCharacter, Field, factorize, field_from_q
 from chshq.game import tsirelson_bound
 from chshq.fourier import (
     VectorFamily, random_family, character_bilinear_sum, verify_bound,
     cauchy_schwarz_chain, fourier_matrix, tight_family, maximize_sum,
-    implied_bias_ceiling,
+    implied_bias_ceiling, _character_transform, _renorm_into,
 )
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
+PRIME_POWERS_81 = [q for q in range(2, 82) if len(factorize(q)) == 1]
+LARGE_FIELDS = [(2, 11), (3, 7), (5, 5), (2, 12)]
+ORACLE_ROWS = 512   # kernel rows per block: 32 MB of complex at q = 4096
+
+
+def _kernel(field: Field, rows=slice(None)) -> np.ndarray:
+    """The dense oracle K[x, y] = chi(-x*y), restricted to the given rows."""
+    mul = field.op_table("mul")
+    tab = np.array(AdditiveCharacter(field).table)
+    return tab[field.vec.neg(np.arange(field.q))][mul[rows]]
+
+
+def kernel_apply_oracle(field: Field, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """K v, or K^H v = conj(K) v as K is symmetric, a block of kernel rows at a time."""
+    blocks = (_kernel(field, slice(i, i + ORACLE_ROWS)) for i in range(0, field.q, ORACLE_ROWS))
+    return np.concatenate([(k.conj() if adjoint else k) @ v for k in blocks])
+
+
+def bilinear_sum_oracle(field: Field, fam: VectorFamily) -> float:
+    gram = fam.u.conj() @ fam.v.T            # gram[x, y] = <u_x, v_y>
+    return float(abs((_kernel(field) * gram).sum()))
+
+
+def maximize_oracle(field: Field, n: int, seed: int, rounds: int = 50):
+    """The alternating maximization on the dense kernel: (history, value)."""
+    K = _kernel(field)
+    fam = random_family(field.q, n, seed)
+    u, v = fam.u.copy(), fam.v.copy()
+    history = []
+    for _ in range(rounds):
+        w = K @ v
+        u = _renorm_into(w, u)
+        history.append(float(np.linalg.norm(w, axis=1).sum()))
+        t = K.conj().T @ u
+        v = _renorm_into(t, v)
+        history.append(float(np.linalg.norm(t, axis=1).sum()))
+        if len(history) >= 4 and history[-1] - history[-3] < 1e-12:
+            break
+    return history, bilinear_sum_oracle(field, VectorFamily(u=u, v=v))
 
 
 # ---------------------------------------------------------------------------
@@ -34,11 +74,62 @@ def test_family_shape_mismatch():
         VectorFamily(u=np.eye(2, dtype=complex), v=np.eye(3, dtype=complex))
 
 
+@pytest.mark.parametrize("side", ["u", "v"])
+def test_family_rejects_nan_rows(side):
+    fam = random_family(3, 2, seed=0)
+    bad = getattr(fam, side).copy()
+    bad[1, 1] = np.nan
+    with pytest.raises(InvalidInput):
+        VectorFamily(**{"u": fam.u, "v": fam.v, side: bad})
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_family_rejects_empty_shapes(shape):
+    empty = np.zeros(shape, dtype=complex)
+    with pytest.raises(InvalidInput):
+        VectorFamily(u=empty, v=empty)
+
+
 def test_random_family_deterministic():
     a = random_family(5, 3, seed=4)
     b = random_family(5, 3, seed=4)
     assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
     assert a.q == 5 and a.n == 3
+
+
+# ---------------------------------------------------------------------------
+# the character transform against the dense kernel
+# ---------------------------------------------------------------------------
+
+def _check_transform(field, n):
+    fam = random_family(field.q, n, seed=field.q + n)
+    K = _character_transform(field)
+    tol = 1e-10 * field.q
+    assert np.abs(K(fam.v) - kernel_apply_oracle(field, fam.v)).max() <= tol
+    kh_u = K(fam.u.conj()).conj()
+    assert np.abs(kh_u - kernel_apply_oracle(field, fam.u, adjoint=True)).max() <= tol
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("q", PRIME_POWERS_81)
+def test_transform_matches_kernel(q, n):
+    _check_transform(field_from_q(q), n)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("p,s", LARGE_FIELDS)
+def test_transform_matches_kernel_large(p, s, n):
+    _check_transform(Field(p, s), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from(PRIME_POWERS_81), n=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_bilinear_sum_matches_kernel_oracle(q, n, seed):
+    field = field_from_q(q)
+    fam = random_family(q, n, seed)
+    assert abs(character_bilinear_sum(field, fam)
+               - bilinear_sum_oracle(field, fam)) <= 1e-10 * q ** 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +203,17 @@ def test_maximize_single_vector_pair():
     field = field_from_q(2)
     r = maximize_sum(field, n=1, seed=3, rounds=60)
     assert abs(r.value - 2 * 2 ** 0.5) < 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_maximize_matches_dense_oracle(q, seed):
+    field = field_from_q(q)
+    r = maximize_sum(field, n=3, seed=seed)
+    history, value = maximize_oracle(field, n=3, seed=seed)
+    assert len(r.history) == len(history)
+    assert np.abs(np.subtract(r.history, history)).max() <= 1e-9
+    assert abs(r.value - value) <= 1e-9
 
 
 def test_maximize_rejects_bad_args():

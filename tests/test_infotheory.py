@@ -194,6 +194,29 @@ def test_joint_from_error_marginals():
     assert abs(j.sum() - 1.0) < 1e-12
 
 
+def joint_from_error_oracle(field, err) -> np.ndarray:
+    """The joint table built through the q x q `sub` op table."""
+    z_minus_x = field.op_table("sub").T.copy()
+    return np.where(z_minus_x == 0, float(err.p0), float(err.p1)) / field.q
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
+def test_joint_from_error_matches_sub_table_oracle(q):
+    field = field_from_q(q)
+    for E in (Fraction(-1, q - 1), Fraction(0), Fraction(1, 2), Fraction(13, 20), Fraction(1)):
+        err = RegularBox(q, E).error_dist()
+        j = joint_from_error(field, err)
+        assert j.flags.c_contiguous
+        assert np.array_equal(j, joint_from_error_oracle(field, err))
+
+
+def test_joint_from_error_refused_above_cap():
+    field = field_from_q(8192)
+    err = RegularBox(8192, Fraction(1, 2)).error_dist()
+    with pytest.raises(CapExceeded, match="capped at q <= 4096"):
+        joint_from_error(field, err)
+
+
 def test_ic_sum_matches_closed_form():
     for q in (2, 3, 5):
         field = field_from_q(q)
