@@ -10,6 +10,12 @@ where "smallest" compares the low-degree coefficients as a base-p integer.
 That makes every derived quantity (primitive element, traces, subfields)
 reproducible from (p, s) alone.
 
+A field is built from s x s matrices over F_p alone: M_a, the matrix of
+multiplication by a, has the digits of x^i * a as row i, so the digits of
+b * a are d(b) @ M_a.  One matrix power by squaring runs Rabin's
+irreducibility test on M_x, the primitive-element search on M_g, and the
+doubling that lists the powers of g.
+
 Every field is held as log/antilog tables of its canonical primitive element
 g (the smallest encoding of order q - 1), so mul, inv and pow are index
 arithmetic.  Addition is digit-wise mod p: `% p` for prime fields, XOR for
@@ -82,93 +88,63 @@ def factorize(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_p (dense coefficient lists, low degree first)
+# construction by multiplication matrices over F_p
 # ---------------------------------------------------------------------------
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _digits(n: int, p: int, width: int) -> list[int]:
+    out = []
+    for _ in range(width):
+        out.append(n % p)
+        n //= p
+    return out
 
 
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    # mod is monic; reduce as we go to keep degrees < len(mod) - 1
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_rem(res, mod, p)
-
-
-def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
-    a = a[:]
-    deg_m = len(mod) - 1
-    for i in range(len(a) - 1, deg_m - 1, -1):
-        c = a[i]
-        if c == 0:
-            continue
-        a[i] = 0
-        for j in range(deg_m):
-            a[i - deg_m + j] = (a[i - deg_m + j] - c * mod[j]) % p
-    return _poly_trim(a[:deg_m])
-
-
-def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_rem(a[:], mod, p)
-    while e:
+def _matpow(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    """m^e over F_p for e >= 1, by squaring; m is square with entries in [0, p)."""
+    out = None
+    while True:
         if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
+            out = m if out is None else out @ m % p
         e >>= 1
-    return result
+        if not e:
+            return out
+        m = m @ m % p
 
 
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while b:
-        a, b = b, _poly_divmod_rem(a, b, p)
-    return a
+def _mul_matrix(a: list[int], x: np.ndarray, p: int) -> np.ndarray:
+    """M_a, the s x s matrix of multiplication by a = sum a_i x^i: row i holds
+    the digits of x^i * a, so d(b * a) = d(b) @ M_a.  x is M_x."""
+    rows = [np.array(a, dtype=np.int64)]
+    for _ in range(len(a) - 1):
+        rows.append(rows[-1] @ x % p)
+    return np.array(rows)
 
 
-def _poly_divmod_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    # remainder of a by b, b not necessarily monic
-    b = _poly_trim(b[:])
-    inv_lead = pow(b[-1], p - 2, p)
-    a = a[:]
-    while len(a) >= len(b) and _poly_trim(a):
-        shift = len(a) - len(b)
-        c = a[-1] * inv_lead % p
-        for j, bj in enumerate(b):
-            a[shift + j] = (a[shift + j] - c * bj) % p
-        _poly_trim(a)
-    return _poly_trim(a)
+def _x_matrix(coeffs, p: int) -> np.ndarray:
+    """M_x for the monic modulus f = coeffs (low degree first): row i holds the
+    digits of x^(i+1) mod f, a shift for i < s - 1 and -f's low digits last."""
+    s = len(coeffs) - 1
+    x = np.eye(s, k=1, dtype=np.int64)
+    x[-1] = [-c % p for c in coeffs[:-1]]
+    return x
 
 
 def _is_irreducible(coeffs: list[int], p: int) -> bool:
-    """coeffs is monic of degree s >= 1, low degree first, length s+1."""
+    """coeffs is monic of degree s >= 1, low degree first, length s+1.
+
+    Rabin's test on X = M_x: x^(p^s) = x mod f, and for each prime r | s,
+    gcd(x^(p^(s/r)) - x, f) = 1.  Given the first, F_p[x]/(f) is a product of
+    fields F_(p^d) with d | s, so the gcd is 1 iff x^(p^(s/r)) - x is a unit,
+    that is iff its (p^s - 1)-th power is 1."""
     s = len(coeffs) - 1
-    if s == 1:
-        return True
-    # Rabin: x^(p^s) == x mod f, and gcd(x^(p^(s/r)) - x, f) = 1 for prime r | s
-    x = [0, 1]
-    frob = _poly_powmod(x, p ** s, coeffs, p)
-    if _poly_trim([(f - g) % p for f, g in _zip_pad(frob, x)]):
+    x = _x_matrix(coeffs, p)
+    frob = [x]   # X^(p^j) for j = 0 .. s
+    for _ in range(s):
+        frob.append(_matpow(frob[-1], p, p))
+    if (frob[s] != x).any():
         return False
-    for r in factorize(s):
-        sub = _poly_powmod(x, p ** (s // r), coeffs, p)
-        diff = [(f - g) % p for f, g in _zip_pad(sub, x)]
-        g = _poly_gcd(diff, coeffs, p)
-        if len(g) != 1:
-            return False
-    return True
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+    one = np.eye(s, dtype=np.int64)
+    return all((_matpow((frob[s // r] - x) % p, p ** s - 1, p) == one).all() for r in factorize(s))
 
 
 def smallest_irreducible(p: int, s: int) -> tuple[int, ...]:
@@ -186,49 +162,35 @@ def smallest_irreducible(p: int, s: int) -> tuple[int, ...]:
     raise InvariantViolation(f"no irreducible of degree {s} over F_{p}")
 
 
-def _digits(n: int, p: int, width: int) -> list[int]:
-    out = []
-    for _ in range(width):
-        out.append(n % p)
-        n //= p
-    return out
-
-
-# ---------------------------------------------------------------------------
-# table construction
-# ---------------------------------------------------------------------------
-
-def _primitive_root(p: int, s: int, modulus: tuple[int, ...]) -> int:
-    """Smallest encoding of multiplicative order p^s - 1, by polynomial powering."""
+def _primitive_root(p: int, s: int, x: np.ndarray) -> int:
+    """Smallest encoding g of multiplicative order p^s - 1: M_g^((q-1)/r) != I
+    for each prime r | q - 1."""
     q = p ** s
     cofactors = [(q - 1) // r for r in factorize(q - 1)]
-    mod = list(modulus)
+    one = np.eye(s, dtype=np.int64)
     for g in range(1, q):
-        x = _poly_trim(_digits(g, p, s))
-        if all(_poly_powmod(x, e, mod, p) != [1] for e in cofactors):
+        mg = _mul_matrix(_digits(g, p, s), x, p)
+        if not any((_matpow(mg, e, p) == one).all() for e in cofactors):
             return g
     raise InvariantViolation("no primitive element found")
 
 
-def _powers(p: int, s: int, modulus: tuple[int, ...], g: int) -> np.ndarray:
+def _powers(p: int, s: int, mg: np.ndarray) -> np.ndarray:
     """Encodings of g^0, ..., g^(q-2), by doubling: powers k .. 2k-1 are the
-    digit vectors of powers 0 .. k-1 times the s x s matrix over F_p of
-    multiplication by g^k, whose row i holds the digits of x^i * g^k."""
+    digit vectors of powers 0 .. k-1 times M_(g^k), which squares to
+    M_(g^2k)."""
     n = p ** s - 1
     dtype = np.int32 if s * (p - 1) ** 2 < 2 ** 31 else np.int64
     digits = np.zeros((n, s), dtype=dtype)
     digits[0, 0] = 1
-    mod = list(modulus)
-    gk = _poly_trim(_digits(g, p, s))
+    mat = mg.astype(dtype)
     k = 1
     while k < n:
-        rows = [_poly_rem([0] * i + gk, mod, p) for i in range(s)]
-        mat = np.array([r + [0] * (s - len(r)) for r in rows], dtype=dtype)
         m = min(k, n - k)
         block = digits[k:k + m]
         np.matmul(digits[:m], mat, out=block)
         block %= p
-        gk = _poly_mulmod(gk, gk, mod, p)
+        mat = mat @ mat % p
         k += m
     return digits @ p ** np.arange(s, dtype=np.int64)
 
@@ -290,8 +252,9 @@ class Field:
     def _tabulate(self):
         p, s, q = self.p, self.s, self.q
         n = self._n = q - 1
-        self._g = _primitive_root(p, s, self.modulus)
-        exp = _powers(p, s, self.modulus, self._g)
+        x = _x_matrix(self.modulus, p)
+        self._g = _primitive_root(p, s, x)
+        exp = _powers(p, s, _mul_matrix(_digits(self._g, p, s), x, p))
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(n)
         if not np.array_equal(exp[log[1:]], np.arange(1, q)):
@@ -499,16 +462,11 @@ def field_from_q(q: int) -> Field:
         raise InvalidInput(f"q = {q} is not a prime power")
     if q > Q_CAP:   # before factoring: trial division of a huge q never ends
         raise CapExceeded(f"q = {q} exceeds the supported cap {Q_CAP}")
-    for p in factorize(q):
-        s = 0
-        n = q
-        while n % p == 0:
-            n //= p
-            s += 1
-        if n != 1:
-            raise InvalidInput(f"q = {q} is not a prime power")
-        return Field(p, s)
-    raise InvalidInput(f"q = {q} is not a prime power")
+    primes = factorize(q)
+    if len(primes) != 1:
+        raise InvalidInput(f"q = {q} is not a prime power")
+    p = primes[0]
+    return Field(p, round(math.log(q, p)))   # exact for every q <= Q_CAP
 
 
 def field_from_json(d: dict) -> Field:

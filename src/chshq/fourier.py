@@ -41,7 +41,7 @@ class VectorFamily:
         if 0 in u.shape:
             raise InvalidInput(f"family shape {u.shape} is empty")
         for arr in (u, v):
-            norms = np.linalg.norm(arr, axis=1)
+            norms = np.sqrt(np.vecdot(arr, arr).real)   # vecdot conjugates arr
             if not (np.abs(norms - 1.0) <= NORM_TOL).all():   # False on NaN
                 raise InvalidInput("family vectors must be unit norm")
 
@@ -168,12 +168,10 @@ def maximize_sum(field: Field, n: int, seed: int, rounds: int = 50) -> MaximizeR
     u, v = fam.u.copy(), fam.v.copy()
     history = []
     for _ in range(rounds):
-        w = K(v)
-        u = _renorm_into(w, u)
-        history.append(float(np.linalg.norm(w, axis=1).sum()))
-        t = K(u.conj()).conj()   # K^H u, as K is symmetric
-        v = _renorm_into(t, v)
-        history.append(float(np.linalg.norm(t, axis=1).sum()))
+        u, norms = _renorm_into(K(v), u)
+        history.append(float(norms.sum()))
+        v, norms = _renorm_into(K(u.conj()).conj(), v)   # K^H u, as K is symmetric
+        history.append(float(norms.sum()))
         if len(history) >= 4 and history[-1] - history[-3] < 1e-12:
             break
     best = VectorFamily(u=u, v=v)
@@ -182,12 +180,14 @@ def maximize_sum(field: Field, n: int, seed: int, rounds: int = 50) -> MaximizeR
                           history=tuple(history))
 
 
-def _renorm_into(target: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(target, axis=1, keepdims=True)
+def _renorm_into(target: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of target scaled to unit norm, fallback's rows where target's are
+    zero; and target's row norms."""
+    norms = np.linalg.norm(target, axis=1)
     out = fallback.copy()
-    nz = norms[:, 0] > 0
-    out[nz] = target[nz] / norms[nz]
-    return out
+    nz = norms > 0
+    out[nz] = target[nz] / norms[nz, None]
+    return out, norms
 
 
 def implied_bias_ceiling(q: int) -> float:

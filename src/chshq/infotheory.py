@@ -118,12 +118,14 @@ def pairwise_independence_check(task: HadamardTask) -> bool:
     With H the q^m x kq one-hot matrix of the k codewords, block (i, j) of
     H^T H is the joint histogram of codewords i and j.  It is formed in row
     blocks of at most PAIR_BLOCK_CELLS cells, upper triangle only; the
-    counts are at most q^m <= QM_CAP, so float64 holds them exactly.
+    counts are at most q^m <= QM_CAP, so float64 holds them exactly.  The
+    k x q^m codeword table is refused above QM_CAP entries before it is built.
     """
     field, m = task.field, task.m
     q = field.q
-    if q ** m > QM_CAP:
-        raise CapExceeded(f"q^m exceeds enumeration cap {QM_CAP}")
+    if len(task.vectors) * q ** m > QM_CAP:
+        raise CapExceeded(f"{len(task.vectors)} codewords of length q^m = {q ** m} "
+                          f"exceed the enumeration cap of {QM_CAP} entries")
     values = _codeword_values(field, m, task.vectors)
     n = q ** m
     for v in values:

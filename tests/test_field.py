@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import cmath
+import hashlib
+import json
 import random
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from chshq.errors import InvalidInput, InvariantViolation, CapExceeded
 from chshq.field import (
     Field, field_new, field_from_q, field_from_json,
     is_prime, factorize, smallest_irreducible, additive_character,
-    Q_CAP, OP_TABLE_Q_CAP, AdditiveCharacter, _digits, _poly_mulmod, _poly_powmod, _poly_trim,
+    Q_CAP, OP_TABLE_Q_CAP, AdditiveCharacter, _digits,
 )
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
@@ -104,6 +107,32 @@ def test_small_degree_moduli_match_root_test():
                 assert chshq.field._is_irreducible(coeffs, p) == (not has_root(coeffs, p))
 
 
+def reducible_monics(p: int, s: int) -> set[tuple[int, ...]]:
+    """Every product a * b of monic a, b over F_p with deg a + deg b = s and
+    both degrees >= 1, as coefficient tuples, low degree first."""
+    def monics(d):
+        return [[n // p ** i % p for i in range(d)] + [1] for n in range(p ** d)]
+    out = set()
+    for d in range(1, s // 2 + 1):
+        for a in monics(d):
+            for b in monics(s - d):
+                c = [0] * (s + 1)
+                for i, ai in enumerate(a):
+                    for j, bj in enumerate(b):
+                        c[i + j] = (c[i + j] + ai * bj) % p
+                out.add(tuple(c))
+    return out
+
+
+@pytest.mark.parametrize("p,s", [(2, s) for s in range(1, 11)] + [(3, s) for s in range(1, 7)]
+                         + [(5, 4), (7, 3), (13, 2), (251, 1)])
+def test_irreducibility_matches_product_sieve(p, s):
+    reducible = reducible_monics(p, s)
+    for n in range(p ** s):
+        coeffs = [n // p ** i % p for i in range(s)] + [1]
+        assert chshq.field._is_irreducible(coeffs, p) == (tuple(coeffs) not in reducible)
+
+
 def test_no_irreducible_raises_invariant_violation(monkeypatch):
     monkeypatch.setattr(chshq.field, "_is_irreducible", lambda coeffs, p: False)
     with pytest.raises(InvariantViolation):
@@ -117,6 +146,32 @@ def test_modulus_has_no_small_roots():
         assert mod[-1] == 1 and len(mod) == s + 1
         for x in range(p):
             assert sum(c * x ** i for i, c in enumerate(mod)) % p != 0
+
+
+# [p, s, modulus, primitive element, sha256 of g^0 .. g^(q-2) as little-endian
+# uint16] for every p^s <= Q_CAP with s >= 2, every prime below 1000, and 65521
+FIELD_BUILDS = json.loads((Path(__file__).parent / "field_builds.json").read_text())
+
+
+def antilog_sha256(f: Field) -> str:
+    g = f.primitive_element()
+    powers = np.array([f.pow(g, k) for k in range(f.q - 1)], dtype="<u2")
+    return hashlib.sha256(powers.tobytes()).hexdigest()
+
+
+def test_field_builds_match_frozen_golden():
+    pairs = {(p, s) for p, s, *_ in FIELD_BUILDS}
+    assert len(FIELD_BUILDS) == len(pairs) == 262
+    assert sum(s >= 2 for _, s in pairs) == 93
+    assert {(p, s) for p, s in pairs if s >= 2} == {
+        (p, s) for s in range(2, 17) for p in DEGREE_PRIMES[s]}
+    assert {p for p, s in pairs if s == 1} == set(primes_up_to(1000)) | {65521}
+    wrong = []
+    for p, s, modulus, g, sha in FIELD_BUILDS:
+        f = field_new(p, s)
+        if (list(f.modulus), f.primitive_element(), antilog_sha256(f)) != (modulus, g, sha):
+            wrong.append((p, s))
+    assert not wrong, f"builds differ from the golden for (p, s) = {wrong}"
 
 
 # ---------------------------------------------------------------------------
@@ -189,29 +244,75 @@ REFERENCE_FIELDS = [(2, 2), (3, 2), (2, 9), (2, 10), (2, 11), (3, 5), (3, 7),
                     (3, 10), (2, 16), (5, 6), (7, 5), (251, 2), (65521, 1)]
 
 
+# Polynomials over F_p as dense coefficient lists, low degree first.  The
+# library builds its fields from multiplication matrices and keeps none of
+# this, so PolyReference below shares no arithmetic with it.
+
+def poly_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
+    # mod is monic; reduce as we go to keep degrees < len(mod) - 1
+    res = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            res[i + j] = (res[i + j] + ai * bj) % p
+    return poly_rem(res, mod, p)
+
+
+def poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
+    a = a[:]
+    deg_m = len(mod) - 1
+    for i in range(len(a) - 1, deg_m - 1, -1):
+        c = a[i]
+        if c == 0:
+            continue
+        a[i] = 0
+        for j in range(deg_m):
+            a[i - deg_m + j] = (a[i - deg_m + j] - c * mod[j]) % p
+    return poly_trim(a[:deg_m])
+
+
+def poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    result = [1]
+    base = poly_rem(a[:], mod, p)
+    while e:
+        if e & 1:
+            result = poly_mulmod(result, base, mod, p)
+        base = poly_mulmod(base, base, mod, p)
+        e >>= 1
+    return result
+
+
 class PolyReference:
-    """GF(p^s) by polynomial arithmetic on digits, sharing no table code."""
+    """GF(p^s) by polynomial arithmetic on digits, sharing no code with the
+    library's matrices and tables."""
 
     def __init__(self, f: Field):
         self.p, self.s, self.q, self.mod = f.p, f.s, f.q, list(f.modulus)
 
-    def digits(self, a):
-        return _poly_trim(_digits(a, self.p, self.s))
+    def coeffs(self, a):
+        return [a // self.p ** i % self.p for i in range(self.s)]
 
     def encode(self, c):
         return sum(ci * self.p ** i for i, ci in enumerate(c))
 
     def digitwise(self, a, b, sign):
         return self.encode([(x + sign * y) % self.p for x, y in
-                            zip(_digits(a, self.p, self.s), _digits(b, self.p, self.s))])
+                            zip(self.coeffs(a), self.coeffs(b))])
 
     def mul(self, a, b):
-        return self.encode(_poly_mulmod(self.digits(a), self.digits(b), self.mod, self.p))
+        return self.encode(poly_mulmod(self.coeffs(a), self.coeffs(b), self.mod, self.p))
 
     def pow(self, a, e):
         # a^e = (a^(q-2))^(-e) for e < 0
         e = e if e >= 0 else -e * (self.q - 2)
-        return self.encode(_poly_powmod(self.digits(a), e, self.mod, self.p))
+        return self.encode(poly_powmod(self.coeffs(a), e, self.mod, self.p))
 
     def has_full_order(self, a):
         n = self.q - 1

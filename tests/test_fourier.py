@@ -47,10 +47,10 @@ def maximize_oracle(field: Field, n: int, seed: int, rounds: int = 50):
     history = []
     for _ in range(rounds):
         w = K @ v
-        u = _renorm_into(w, u)
+        u, _ = _renorm_into(w, u)
         history.append(float(np.linalg.norm(w, axis=1).sum()))
         t = K.conj().T @ u
-        v = _renorm_into(t, v)
+        v, _ = _renorm_into(t, v)
         history.append(float(np.linalg.norm(t, axis=1).sum()))
         if len(history) >= 4 and history[-1] - history[-3] < 1e-12:
             break
@@ -214,6 +214,29 @@ def test_maximize_matches_dense_oracle(q, seed):
     assert len(r.history) == len(history)
     assert np.abs(np.subtract(r.history, history)).max() <= 1e-9
     assert abs(r.value - value) <= 1e-9
+
+
+@pytest.mark.parametrize("p,s,n,seed", [(2, 6, 8, 3), (3, 3, 4, 1), (5, 2, 2, 7), (7, 1, 3, 2)])
+def test_maximize_history_is_the_renormalized_norms(p, s, n, seed):
+    # the loop as it stood when each half-step took its row norms a second
+    # time for the history: the same rounds, bit for bit
+    field = Field(p, s)
+    K = _character_transform(field)
+    fam = random_family(field.q, n, seed)
+    u, v = fam.u.copy(), fam.v.copy()
+    history = []
+    for _ in range(50):
+        w = K(v)
+        u, _ = _renorm_into(w, u)
+        history.append(float(np.linalg.norm(w, axis=1).sum()))
+        t = K(u.conj()).conj()
+        v, _ = _renorm_into(t, v)
+        history.append(float(np.linalg.norm(t, axis=1).sum()))
+        if len(history) >= 4 and history[-1] - history[-3] < 1e-12:
+            break
+    r = maximize_sum(field, n, seed)
+    assert r.history == tuple(history)
+    assert r.value == character_bilinear_sum(field, VectorFamily(u=u, v=v))
 
 
 def test_maximize_rejects_bad_args():

@@ -181,6 +181,18 @@ def test_u_m_cap():
         build_U_m(field, 11)    # 4^11 > 2^20 entries
 
 
+def test_pairwise_check_caps_the_codeword_table(monkeypatch):
+    # q = 3, m = 6 has a 364 x 729 codeword table, well within QM_CAP
+    assert pairwise_independence_check(build_U_m(field_from_q(3), 6))
+    # 2^11 inputs are within QM_CAP, but the 2047 x 2048 codeword table is not
+    def unreachable(*args):
+        raise AssertionError("codeword table built past the cap")
+    task = build_U_m(field_from_q(2), 11)
+    monkeypatch.setattr(infotheory, "_codeword_values", unreachable)
+    with pytest.raises(CapExceeded, match="2047 codewords"):
+        pairwise_independence_check(task)
+
+
 # ---------------------------------------------------------------------------
 # IC sums
 # ---------------------------------------------------------------------------
