@@ -16,19 +16,23 @@ b * a are d(b) @ M_a.  One matrix power by squaring runs Rabin's
 irreducibility test on M_x, the primitive-element search on M_g, and the
 doubling that lists the powers of g.
 
-Every field is held as log/antilog tables of its canonical primitive element
-g (the smallest encoding of order q - 1), so mul, inv and pow are index
-arithmetic.  Addition is digit-wise mod p: `% p` for prime fields, XOR for
-p = 2, and Zech logarithms log(1 + g^k) for odd p with s > 1.  `Field.vec`
-runs the same tables elementwise on integer arrays, and `op_table` serves
-the cached q x q add/sub/mul tables it builds.
+Every field holds one set of tables, derived once by `_tables` in one
+sentinel scheme from the powers of its canonical primitive element g (the
+smallest encoding of order q - 1): log, antilog, neg and inv, so that mul,
+inv and pow are index arithmetic, and for addition (digit-wise mod p) a
+mod-q table for prime fields, nothing for p = 2 (XOR) and Zech logarithms
+for odd p with s > 1.  `_Arith` writes add, sub, neg and mul once over them,
+and two faces run those bodies: the scalar methods index compact uint16 and
+int32 tables as plain Python ints, and `Field.vec` gathers elementwise on
+integer arrays from intp widenings of the same tables.  `op_table` serves
+the cached q x q add/sub/mul tables that `vec` builds.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from array import array
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,6 +42,9 @@ from .errors import InvalidInput, InvariantViolation, CapExceeded
 
 Q_CAP = 1 << 16        # refuse fields larger than this
 OP_TABLE_Q_CAP = 1 << 12   # refuse q x q op tables above this q
+
+# op table item types: field elements are < q <= 2**16, logarithms lie in [-2q, 2q]
+_ELT, _LOG = np.uint16, np.int32
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +118,14 @@ def _matpow(m: np.ndarray, e: int, p: int) -> np.ndarray:
         m = m @ m % p
 
 
-def _mul_matrix(a: list[int], x: np.ndarray, p: int) -> np.ndarray:
-    """M_a, the s x s matrix of multiplication by a = sum a_i x^i: row i holds
-    the digits of x^i * a, so d(b * a) = d(b) @ M_a.  x is M_x."""
-    rows = [np.array(a, dtype=np.int64)]
-    for _ in range(len(a) - 1):
+def _mul_matrices(a: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    """M_a for each row a of the (k, s) digit array a, stacked to (k, s, s).
+    M_a is the matrix of multiplication by a = sum a_i x^i: row i holds the
+    digits of x^i * a, so d(b * a) = d(b) @ M_a.  x is M_x."""
+    rows = [a]
+    for _ in range(x.shape[0] - 1):
         rows.append(rows[-1] @ x % p)
-    return np.array(rows)
+    return np.stack(rows, axis=1)
 
 
 def _x_matrix(coeffs, p: int) -> np.ndarray:
@@ -162,16 +170,27 @@ def smallest_irreducible(p: int, s: int) -> tuple[int, ...]:
     raise InvariantViolation(f"no irreducible of degree {s} over F_{p}")
 
 
-def _primitive_root(p: int, s: int, x: np.ndarray) -> int:
-    """Smallest encoding g of multiplicative order p^s - 1: M_g^((q-1)/r) != I
-    for each prime r | q - 1."""
+def _primitive_root(p: int, s: int, x: np.ndarray) -> tuple[int, np.ndarray]:
+    """Smallest encoding g of multiplicative order p^s - 1, with M_g:
+    M_g^((q-1)/r) != I for each prime r | q - 1.  Candidates are tested in
+    stacks, one matrix power per cofactor for the whole stack; a stack stays
+    small enough that its s^3 work per matrix costs no more than the numpy
+    calls it saves."""
     q = p ** s
     cofactors = [(q - 1) // r for r in factorize(q - 1)]
     one = np.eye(s, dtype=np.int64)
-    for g in range(1, q):
-        mg = _mul_matrix(_digits(g, p, s), x, p)
-        if not any((_matpow(mg, e, p) == one).all() for e in cofactors):
-            return g
+    block = max(1, min(16, 4096 // s ** 3))
+    for start in range(1, q, block):
+        g = np.arange(start, min(start + block, q))
+        mg = _mul_matrices(g[:, None] // p ** np.arange(s) % p, x, p)
+        ok = np.ones(len(g), dtype=bool)
+        for e in cofactors:
+            ok &= ~(_matpow(mg, e, p) == one).all(axis=(1, 2))
+            if not ok.any():
+                break
+        else:
+            i = ok.argmax()
+            return int(g[i]), mg[i]
     raise InvariantViolation("no primitive element found")
 
 
@@ -192,13 +211,68 @@ def _powers(p: int, s: int, mg: np.ndarray) -> np.ndarray:
         block %= p
         mat = mat @ mat % p
         k += m
-    return digits @ p ** np.arange(s, dtype=np.int64)
+    return digits @ p ** np.arange(s, dtype=dtype)
 
 
-def _packed(values: np.ndarray) -> array:
-    """A compact table whose items index as plain Python ints.  Entries are
-    below Q_CAP <= 2**16, so unsigned 16-bit items hold them."""
-    return array("H", values.astype(np.uint16).tobytes())
+def _tables(p: int, s: int, powers: np.ndarray) -> dict[str, np.ndarray]:
+    """The op tables of GF(p^s) from powers = g^0, ..., g^(n-1), n = q - 1.
+
+    log[0] is the sentinel 2n, and exp is the powers twice, then 2n + 1
+    zeros, so exp[log[a] + log[b]] = a * b is 0 when a or b is; neg and inv
+    (inv(0) = 0) are read off exp the same way.  For addition, red[k] =
+    k mod q on (-q, 2q) when s = 1, nothing (XOR) when p = 2, and otherwise
+    a + b = exp[log[a] + zadd[log[b] - log[a]]]: zadd[d], d in [-2n, 2n]
+    (negative d wraps), is the Zech logarithm log(1 + g^d) or 2n where
+    1 + g^d = 0 for a, b != 0, d itself for a = 0 (d < -n) and 0 for b = 0
+    (d > n).  Elements are uint16, logarithms int32."""
+    q = p ** s
+    n = q - 1
+    powers = powers.astype(_ELT)
+    log = np.zeros(q, dtype=_LOG)
+    log[powers] = np.arange(n, dtype=_LOG)
+    if not np.array_equal(powers[log[1:]], np.arange(1, q)):
+        raise InvariantViolation(f"powers of g do not cover GF({q})*")
+    log[0] = 2 * n
+    exp = np.concatenate([powers, powers, np.zeros(2 * n + 1, dtype=_ELT)])
+    # -1 = g^(n/2) for odd p; for p = 2 negation is the identity
+    tables = {"log": log, "exp": exp, "neg": exp[log + (n // 2 if p > 2 else 0)],
+              "inv": exp[n - log]}
+    if s == 1:
+        tables["red"] = np.tile(np.arange(q, dtype=_ELT), 2)
+    elif p > 2:
+        # 1 + g^k bumps the constant digit; log[0] = 2n marks 1 + g^k = 0
+        low = powers % p
+        zech = log[powers - low + (low + 1) % p]
+        tables["zadd"] = np.concatenate([zech, np.zeros(n + 1, dtype=_LOG),
+                                         np.arange(-2 * n, -n, dtype=_LOG), zech])
+    return tables
+
+
+class _Arith:
+    """add, sub, neg and mul, written once over the tables of `_tables`: the
+    same bodies run on Python ints over memoryviews of the tables (`Field`)
+    and on integer numpy arrays over their intp widenings (`Field.vec`).
+    `_bind` fixes the add kind from (p, s) and stores closures over the
+    tables, so that an instance holds no reference to itself."""
+
+    def _bind(self, p: int, s: int, tables: dict) -> None:
+        self._tables, self._n, self._inv = tables, p ** s - 1, tables["inv"]
+        self._log, self._exp = log, exp = tables["log"], tables["exp"]
+        neg = tables["neg"]
+        if s == 1:
+            red = tables["red"]
+            add, sub = (lambda a, b: red[a + b]), (lambda a, b: red[a - b])
+        elif p == 2:
+            add = sub = operator.xor
+        else:
+            zadd = tables["zadd"]
+
+            def add(a, b):
+                la = log[a]
+                return exp[la + zadd[log[b] - la]]
+            sub = (lambda a, b: add(a, neg[b]))
+        self.add, self.sub, self.neg = add, sub, neg.__getitem__
+        self.mul = lambda a, b: exp[log[a] + log[b]]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +291,7 @@ class FieldSpec:
         return {"p": self.p, "s": self.s, "modulus": list(self.modulus)}
 
 
-class Field:
+class Field(_Arith):
     """Arithmetic on integer-encoded elements of GF(p^s)."""
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...] | None = None):
@@ -235,9 +309,13 @@ class Field:
         if modulus is None:
             modulus = smallest_irreducible(p, s)
         else:
-            modulus = tuple(int(c) % p for c in modulus[:-1]) + (int(modulus[-1]),)
+            try:
+                modulus = tuple(operator.index(c) for c in modulus)
+            except TypeError:
+                raise InvalidInput("modulus must be a sequence of integers") from None
             if len(modulus) != s + 1 or modulus[-1] != 1:
                 raise InvalidInput("modulus must be monic of degree s")
+            modulus = tuple(c % p for c in modulus[:-1]) + (1,)
             if not _is_irreducible(list(modulus), p):
                 raise InvalidInput("modulus is reducible")
         self.p = p
@@ -246,35 +324,11 @@ class Field:
         self.modulus = modulus
         self.spec = FieldSpec(p, s, q, modulus)
 
-        self._tabulate()
+        self._g, mg = _primitive_root(p, s, _x_matrix(modulus, p))
+        powers = _powers(p, s, mg)
+        # memoryviews of the tables, whose items index as plain Python ints
+        self._bind(p, s, {k: memoryview(t) for k, t in _tables(p, s, powers).items()})
         self._op_tables: dict[str, np.ndarray] = {}
-
-    def _tabulate(self):
-        p, s, q = self.p, self.s, self.q
-        n = self._n = q - 1
-        x = _x_matrix(self.modulus, p)
-        self._g = _primitive_root(p, s, x)
-        exp = _powers(p, s, _mul_matrix(_digits(self._g, p, s), x, p))
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(n)
-        if not np.array_equal(exp[log[1:]], np.arange(1, q)):
-            raise InvariantViolation(f"powers of {self._g} do not cover GF({q})*")
-        # -1 = g^(n/2) for odd p; for p = 2 negation is the identity
-        half = n // 2 if p > 2 else 0
-        neg = np.zeros(q, dtype=np.int64)
-        neg[exp] = np.roll(exp, -half)
-        # exp is stored twice so that log[a] + log[b] never needs reducing
-        self._exp = _packed(np.concatenate([exp, exp]))
-        self._log = _packed(log)
-        self._neg = _packed(neg)
-        self._zech = None
-        if s > 1 and p > 2:
-            # 1 + g^k: bump the constant digit; sentinel n where 1 + g^k = 0
-            low = exp % p
-            one_plus = exp - low + (low + 1) % p
-            zech = log[one_plus]
-            zech[one_plus == 0] = n
-            self._zech = _packed(zech)
 
     # -- encoding -----------------------------------------------------------
 
@@ -295,41 +349,12 @@ class Field:
     def units(self) -> range:
         return range(1, self.q)
 
-    # -- ring operations ----------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        if not (a and b):
-            return a or b
-        # a + b = g^la (1 + g^(lb - la)); a negative index wraps mod q - 1
-        la = self._log[a]
-        z = self._zech[self._log[b] - la]
-        return 0 if z == self._n else self._exp[la + z]
-
-    def sub(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return (a - b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self._neg[b])
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
-    def mul(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return a * b % self.p
-        if a and b:
-            return self._exp[self._log[a] + self._log[b]]
-        return 0
+    # -- ring operations (add, sub, neg and mul come from _Arith) ----------
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise InvalidInput("inverse of zero")
-        return self._exp[self._n - self._log[a]]
+        return self._inv[a]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -386,57 +411,21 @@ class Field:
         return out
 
 
-class FieldVec:
+class FieldVec(_Arith):
     """Elementwise GF(q) arithmetic on integer numpy arrays: branch-free
-    gathers from O(q) intp copies of the field's log/antilog/neg/Zech tables.
-
-    With n = q - 1, log[0] is the sentinel 2n and exp is g^0 .. g^(n-1) twice,
-    then 2n + 1 zeros, so exp[log[a] + log[b]] is 0 when a or b is.  add and
-    sub are red[k] = k mod q for k in (-q, 2q) on prime fields, XOR for p = 2
-    and Zech logarithms for odd p with s > 1.  inv(0) is 0 here."""
+    gathers from intp widenings of the field's tables.  inv(0) is 0 here."""
 
     def __init__(self, field: Field):
-        p, s, q = field.p, field.s, field.q
-        n = self._n = q - 1
-        log = self._log = np.array(field._log, dtype=np.intp)
-        log[0] = 2 * n
-        exp = self._exp = np.concatenate([np.array(field._exp, dtype=np.intp),
-                                          np.zeros(2 * n + 1, np.intp)])
-        neg = self._neg = np.array(field._neg, dtype=np.intp)
-        self._inv = exp[n - log]          # log[0] gives index -n, in the zero tail
-        if s == 1:
-            red = np.arange(2 * q) % q
-            self.add, self.sub = (lambda a, b: red[a + b]), (lambda a, b: red[a - b])
-        elif p == 2:
-            self.add = self.sub = np.bitwise_xor
-        else:
-            # a + b = exp[la + zadd[d]] for d = lb - la in [-2n, 2n] (negative d
-            # wraps): the Zech log of d, or 2n where 1 + g^d = 0, for a, b != 0;
-            # d itself for a = 0, where d < -n; 0 for b = 0, where d > n
-            zech = np.array(field._zech, dtype=np.intp)
-            zech[zech == n] = 2 * n
-            zadd = np.zeros(4 * n + 1, dtype=np.intp)
-            d = np.arange(-2 * n, n)
-            zadd[d] = np.where(d < -n, d, zech[d % n])
-
-            def add(a, b):
-                la = log[a]
-                return exp[la + zadd[log[b] - la]]
-            self.add, self.sub = add, lambda a, b: add(a, neg[b])
+        p, s = field.p, field.s
+        self._bind(p, s, {k: np.asarray(t).astype(np.intp) for k, t in field._tables.items()})
         # Tr(x) = x + x^p + ... + x^(p^(s-1)) lies in F_p, encoded 0..p-1
-        tr = term = np.arange(q)
+        tr = term = np.arange(field.q)
         for _ in range(s - 1):
             term = self.pow(term, p)
             tr = self.add(tr, term)
         if (tr >= p).any():
             raise InvariantViolation("trace not in prime subfield")
         self._tr = tr
-
-    def neg(self, a):
-        return self._neg[a]
-
-    def mul(self, a, b):
-        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         return self._inv[a]
@@ -470,10 +459,12 @@ def field_from_q(q: int) -> Field:
 
 
 def field_from_json(d: dict) -> Field:
+    """The field of `FieldSpec.to_json_dict`; InvalidInput for any malformed dict."""
     try:
-        return Field(int(d["p"]), int(d["s"]), tuple(d["modulus"]))
-    except KeyError as e:
-        raise InvalidInput(f"field json missing key {e}")
+        p, s, modulus = d["p"], d["s"], list(d["modulus"])
+    except (KeyError, TypeError) as e:
+        raise InvalidInput(f"malformed field json: {e!r}") from None
+    return Field(p, s, modulus)
 
 
 # ---------------------------------------------------------------------------

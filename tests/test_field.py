@@ -371,6 +371,20 @@ def test_op_table_refused_above_cap():
             f.op_table(op)
 
 
+@pytest.mark.parametrize("q", [7, 16, 27])   # one field of each add kind
+def test_scalar_ops_return_plain_ints(q):
+    f = field_from_q(q)
+    pairs = [(0, 0), (0, 1), (1, 0), (2, q - 1), (q - 1, 2), (q - 1, q - 1)]
+    for a, b in pairs:   # a < b in sub as well as a > b
+        for op in (f.add, f.sub, f.mul):
+            assert type(op(a, b)) is int
+    for a in (0, 1, q - 1):
+        assert type(f.neg(a)) is int and type(f.trace(a)) is int
+        assert type(f.pow(a, 0)) is int and type(f.pow(a, 5)) is int
+    for a in (1, 2, q - 1):
+        assert type(f.inv(a)) is int and type(f.pow(a, -3)) is int
+
+
 # ---------------------------------------------------------------------------
 # multiplicative structure, trace, subfields
 # ---------------------------------------------------------------------------
@@ -466,6 +480,19 @@ def test_spec_json_roundtrip():
 def test_from_json_rejects_reducible_modulus():
     d = field_new(2, 2).spec.to_json_dict()
     d["modulus"] = [0, 0, 1]   # x^2, reducible
+    with pytest.raises(InvalidInput):
+        field_from_json(d)
+
+
+GF4_JSON = {"p": 2, "s": 2, "modulus": [1, 1, 1]}
+
+
+@pytest.mark.parametrize("d", [
+    {**GF4_JSON, "modulus": m} for m in (["x", 1, 1], 5, None, [1.5, 1, 1], [], [1, 1, 1, 1])
+] + [{**GF4_JSON, k: v} for k in ("p", "s") for v in ("2", 2.0, None, [2])] + [
+    {"p": 2, "s": 2}, {}, [], None, "GF(4)",
+])
+def test_from_json_rejects_malformed_dicts(d):
     with pytest.raises(InvalidInput):
         field_from_json(d)
 
