@@ -13,8 +13,11 @@ reproducible from (p, s) alone.
 A field is built from s x s matrices over F_p alone: M_a, the matrix of
 multiplication by a, has the digits of x^i * a as row i, so the digits of
 b * a are d(b) @ M_a.  One matrix power by squaring runs Rabin's
-irreducibility test on M_x, the primitive-element search on M_g, and the
-doubling that lists the powers of g.
+irreducibility test on M_x and the primitive-element search on M_g.  The
+powers of g are listed by doubling, each step a float32 (float64 for primes
+p > 2896) BLAS product over blocks of rows, reduced mod p in place; every
+value is an integer of at most s(p - 1)^2, small enough that the products
+and the floor of each quotient by p are exact (`_powers` gives the bound).
 
 Every field holds one set of tables, derived once by `_tables` in one
 sentinel scheme from the powers of its canonical primitive element g (the
@@ -42,6 +45,7 @@ from .errors import InvalidInput, InvariantViolation, CapExceeded
 
 Q_CAP = 1 << 16        # refuse fields larger than this
 OP_TABLE_Q_CAP = 1 << 12   # refuse q x q op tables above this q
+POWER_ROWS = 4096      # rows per BLAS product when listing the powers of g
 
 # op table item types: field elements are < q <= 2**16, logarithms lie in [-2q, 2q]
 _ELT, _LOG = np.uint16, np.int32
@@ -164,6 +168,8 @@ def smallest_irreducible(p: int, s: int) -> tuple[int, ...]:
     if s == 1:
         return (0, 1)
     for n in range(p ** s):
+        if n % p == 0:   # constant term 0: x divides the candidate
+            continue
         coeffs = _digits(n, p, s) + [1]
         if _is_irreducible(coeffs, p):
             return tuple(coeffs)
@@ -195,23 +201,45 @@ def _primitive_root(p: int, s: int, x: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _powers(p: int, s: int, mg: np.ndarray) -> np.ndarray:
-    """Encodings of g^0, ..., g^(q-2), by doubling: powers k .. 2k-1 are the
-    digit vectors of powers 0 .. k-1 times M_(g^k), which squares to
-    M_(g^2k)."""
+    """Encodings of g^0, ..., g^(q-2), as the uint16 array `_tables` keeps,
+    by doubling: powers k .. 2k-1 are the digit vectors of powers 0 .. k-1
+    times M_(g^k), which squares to M_(g^2k).
+
+    Each step is a float BLAS product taken `POWER_ROWS` rows at a time and
+    reduced mod p in place as x - floor(x / p) * p through one scratch
+    block; the encodings, digits times p^i, go block by block into the
+    result.  All of it is exact.  Digits lie in [0, p), so a sum x = kp + r
+    is an integer of at most s(p - 1)^2, and k + 1 < sp.  For r > 0, x / p
+    lies at least 1/p below k + 1, and a float with an m-bit significand
+    rounds it up to k + 1 only if 1/p <= (k + 1) 2^-m; so floor(x / p) = k
+    whenever s p^2 <= 2^m.  float32 (m = 24) serves s p^2 < 2^23, GF(2^16)
+    and GF(3^10) among them, and float64 the rest: prime fields with
+    p > 2896, where s p^2 < 2^32."""
     n = p ** s - 1
-    dtype = np.int32 if s * (p - 1) ** 2 < 2 ** 31 else np.int64
+    dtype = np.float32 if s * p * p < 2 ** 23 else np.float64
     digits = np.zeros((n, s), dtype=dtype)
     digits[0, 0] = 1
+    scratch = np.empty((min(POWER_ROWS, n), s), dtype=dtype)
     mat = mg.astype(dtype)
     k = 1
     while k < n:
         m = min(k, n - k)
-        block = digits[k:k + m]
-        np.matmul(digits[:m], mat, out=block)
-        block %= p
-        mat = mat @ mat % p
+        for i in range(0, m, POWER_ROWS):
+            j = min(i + POWER_ROWS, m)
+            block, t = digits[k + i:k + j], scratch[:j - i]
+            np.matmul(digits[i:j], mat, out=block)
+            np.divide(block, p, out=t)
+            np.floor(t, out=t)
+            t *= p
+            block -= t
         k += m
-    return digits @ p ** np.arange(s, dtype=dtype)
+        if k < n:
+            mat = mat @ mat % p
+    out = np.empty(n, dtype=_ELT)
+    weights = p ** np.arange(s, dtype=dtype)
+    for i in range(0, n, POWER_ROWS):
+        out[i:i + POWER_ROWS] = digits[i:i + POWER_ROWS] @ weights
+    return out
 
 
 def _tables(p: int, s: int, powers: np.ndarray) -> dict[str, np.ndarray]:
@@ -227,7 +255,7 @@ def _tables(p: int, s: int, powers: np.ndarray) -> dict[str, np.ndarray]:
     (d > n).  Elements are uint16, logarithms int32."""
     q = p ** s
     n = q - 1
-    powers = powers.astype(_ELT)
+    powers = powers.astype(_ELT, copy=False)
     log = np.zeros(q, dtype=_LOG)
     log[powers] = np.arange(n, dtype=_LOG)
     if not np.array_equal(powers[log[1:]], np.arange(1, q)):

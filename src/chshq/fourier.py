@@ -24,6 +24,7 @@ from .field import OP_TABLE_Q_CAP, Field, AdditiveCharacter
 
 NORM_TOL = 1e-10
 BOUND_TOL = 1e-9
+STOP_RTOL = 1e-13   # maximize_sum stops when a round raises the objective by less, relatively
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ def maximize_sum(field: Field, n: int, seed: int, rounds: int = 50) -> MaximizeR
         history.append(float(norms.sum()))
         v, norms = _renorm_into(K(u.conj()).conj(), v)   # K^H u, as K is symmetric
         history.append(float(norms.sum()))
-        if len(history) >= 4 and history[-1] - history[-3] < 1e-12:
+        if len(history) >= 4 and history[-1] - history[-3] <= STOP_RTOL * history[-1]:
             break
     best = VectorFamily(u=u, v=v)
     return MaximizeResult(family=best,

@@ -191,12 +191,11 @@ def subspace_construction(field: Field, seed: int = 0) -> Config:
     B = _span(field, b)
     C = _span(field, b - a + 1)
     points = [(x, y) for x in A for y in B]
-    lines = [Line(c, d) for c in C for d in B]
-    if d != 1:
-        rng = random.Random(seed)
-        # random() is k / 2^53: the product is exact when k * d < 2^53 and
-        # rounds to at least 1 otherwise, so this is random() < 1/d exactly
-        lines = [l for l in lines if rng.random() * d < 1]
+    rng = random.Random(seed)
+    # one draw per (c, e) in order, and only kept lines are built; random()
+    # is k / 2^53: the product is exact when k * d < 2^53 and rounds to at
+    # least 1 otherwise, so this is random() < 1/d exactly (always, for d = 1)
+    lines = [Line(c, e) for c in C for e in B if rng.random() * d < 1]
     return make_config(points, lines)
 
 

@@ -174,6 +174,53 @@ def test_field_builds_match_frozen_golden():
     assert not wrong, f"builds differ from the golden for (p, s) = {wrong}"
 
 
+def powers_oracle(p: int, s: int, mg: np.ndarray) -> np.ndarray:
+    # the doubling in exact integer matmul, one product per step: the
+    # reference the float BLAS row blocks of `_powers` must reproduce
+    n = p ** s - 1
+    dtype = np.int32 if s * (p - 1) ** 2 < 2 ** 31 else np.int64
+    digits = np.zeros((n, s), dtype=dtype)
+    digits[0, 0] = 1
+    mat = mg.astype(dtype)
+    k = 1
+    while k < n:
+        m = min(k, n - k)
+        block = digits[k:k + m]
+        np.matmul(digits[:m], mat, out=block)
+        block %= p
+        mat = mat @ mat % p
+        k += m
+    return digits @ p ** np.arange(s, dtype=dtype)
+
+
+# 2887 and 2897 are the last float32 and the first float64 prime fields
+# (s * p^2 < 2^23); the golden has no s = 1 field between 1000 and 65521
+POWER_FIELDS = [(2887, 1), (2897, 1), (4093, 1), (65521, 1), (2, 16), (3, 10),
+                (5, 6), (7, 5), (251, 2)]
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+@pytest.mark.parametrize("p,s", POWER_FIELDS)
+def test_powers_match_int_matmul_oracle(monkeypatch, p, s, rows):
+    x = chshq.field._x_matrix(smallest_irreducible(p, s), p)
+    _, mg = chshq.field._primitive_root(p, s, x)
+    if rows is not None:   # partial last blocks, and many blocks per step
+        monkeypatch.setattr(chshq.field, "POWER_ROWS", rows)
+    got = chshq.field._powers(p, s, mg)
+    assert got.dtype == np.uint16
+    assert np.array_equal(got, powers_oracle(p, s, mg))
+
+
+def test_irreducible_search_matches_unskipped_scan():
+    # every candidate in order, constant term 0 included
+    pairs = [(p, s) for s in range(2, 17) for p in DEGREE_PRIMES[s]]
+    assert len(pairs) == 93
+    for p, s in pairs:
+        first = next(tuple(_digits(n, p, s) + [1]) for n in range(p ** s)
+                     if chshq.field._is_irreducible(_digits(n, p, s) + [1], p))
+        assert smallest_irreducible(p, s) == first
+
+
 # ---------------------------------------------------------------------------
 # arithmetic laws
 # ---------------------------------------------------------------------------

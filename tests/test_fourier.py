@@ -12,7 +12,7 @@ from chshq.game import tsirelson_bound
 from chshq.fourier import (
     VectorFamily, random_family, character_bilinear_sum, verify_bound,
     cauchy_schwarz_chain, fourier_matrix, tight_family, maximize_sum,
-    implied_bias_ceiling, _character_transform, _renorm_into,
+    implied_bias_ceiling, _character_transform, _renorm_into, STOP_RTOL,
 )
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
@@ -52,7 +52,7 @@ def maximize_oracle(field: Field, n: int, seed: int, rounds: int = 50):
         t = K.conj().T @ u
         v, _ = _renorm_into(t, v)
         history.append(float(np.linalg.norm(t, axis=1).sum()))
-        if len(history) >= 4 and history[-1] - history[-3] < 1e-12:
+        if len(history) >= 4 and history[-1] - history[-3] <= STOP_RTOL * history[-1]:
             break
     return history, bilinear_sum_oracle(field, VectorFamily(u=u, v=v))
 
@@ -232,7 +232,7 @@ def test_maximize_history_is_the_renormalized_norms(p, s, n, seed):
         t = K(u.conj()).conj()
         v, _ = _renorm_into(t, v)
         history.append(float(np.linalg.norm(t, axis=1).sum()))
-        if len(history) >= 4 and history[-1] - history[-3] < 1e-12:
+        if len(history) >= 4 and history[-1] - history[-3] <= STOP_RTOL * history[-1]:
             break
     r = maximize_sum(field, n, seed)
     assert r.history == tuple(history)

@@ -247,7 +247,7 @@ def fraction_thinned_lines(field, seed: int) -> list[Line]:
                                  (2, 9), (3, 9)])
 def test_subspace_thinning_matches_fraction_rule(p, s):
     field = Field(p, s)
-    for seed in range(3):
+    for seed in range(5):
         expect = fraction_thinned_lines(field, seed)
         assert subspace_construction(field, seed=seed).lines == tuple(sorted(expect))
 
