@@ -69,22 +69,26 @@ def _json_int(v) -> int:
     return v
 
 
+def _json_pair(v) -> tuple[int, int]:
+    x, y = map(_json_int, v)
+    return x, y
+
+
 def config_from_json(d: dict) -> tuple[Field, geometry.Config]:
+    """The field and the normalized config of a config payload.  Every
+    coordinate is range-checked before the config is normalized, so any
+    integer, however large, is refused as InvalidInput."""
     try:
         q = _json_int(d["q"])
-        cfg = geometry.make_config(
-            [tuple(map(_json_int, p)) for p in d["points"]],
-            [tuple(map(_json_int, l)) for l in d["lines"]])
+        points = [_json_pair(p) for p in d["points"]]
+        lines = [_json_pair(l) for l in d["lines"]]
     except (KeyError, TypeError, ValueError) as e:
         raise InvalidInput(f"malformed config json: {e}")
     field = field_from_q(q)
-    for x, y in cfg.points:
-        if not (0 <= x < field.q and 0 <= y < field.q):
-            raise InvalidInput("point coordinates outside the field")
-    for a, b in cfg.lines:
-        if not (0 <= a < field.q and 0 <= b < field.q):
-            raise InvalidInput("line parameters outside the field")
-    return field, cfg
+    for pairs, what in ((points, "point coordinates"), (lines, "line parameters")):
+        if not all(0 <= u < field.q and 0 <= v < field.q for u, v in pairs):
+            raise InvalidInput(f"{what} outside the field")
+    return field, geometry.make_config(points, lines)
 
 
 def _write(text: str, out) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -39,10 +40,33 @@ class Config:
 
 
 def make_config(points, lines) -> Config:
-    """Normalize to sorted duplicate-free tuples."""
-    pts = tuple(sorted({(int(x), int(y)) for x, y in points}))
-    lns = tuple(sorted({Line(int(a), int(b)) for a, b in lines}))
-    return Config(points=pts, lines=lns)
+    """Normalize to sorted duplicate-free tuples of plain ints.  `points`
+    and `lines` are iterables of pairs or (n, 2) integer arrays."""
+    return Config(points=tuple(map(tuple, _distinct_pairs(points))),
+                  lines=tuple(map(Line._make, _distinct_pairs(lines))))
+
+
+def _distinct_pairs(pairs) -> list[list[int]]:
+    """The distinct pairs in lex order: lexsort, then drop adjacent repeats."""
+    if isinstance(pairs, np.ndarray):
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise InvalidInput("points and lines must be pairs")
+        arr = pairs.astype(np.intp, copy=False)
+    else:
+        pairs = list(pairs)
+        if any(n != 2 for n in map(len, pairs)):
+            raise InvalidInput("points and lines must be pairs")
+        arr = _pair_array(pairs)
+    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+    fresh = np.ones(len(arr), dtype=bool)
+    fresh[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+    return arr[fresh].tolist()
+
+
+def _pair_array(pairs) -> np.ndarray:
+    """A sequence of n integer pairs as an (n, 2) intp array."""
+    flat = chain.from_iterable(pairs)
+    return np.fromiter(flat, dtype=np.intp, count=2 * len(pairs)).reshape(-1, 2)
 
 
 def is_legal(field: Field, c: Config) -> bool:
@@ -60,21 +84,37 @@ SWEEP_Q_CAP = 9   # the exhaustive PGL_3 sweep refuses larger fields
 
 
 def incidences(field: Field, c: Config) -> int:
-    """Exact |{(p, l): p on l}|.  For every line and every distinct point
-    x-coordinate, (x, a*x - b) is looked up among the points encoded as
-    x*q + y, over blocks of lines of at most INCIDENCE_BLOCK cells."""
+    """Exact |{(p, l): p on l}| by membership rows, with no sort.
+
+    The distinct point x-coordinates are taken in blocks of
+    w = INCIDENCE_BLOCK // q of them (at least one).  Row j of one reused
+    flat boolean table of w*q cells marks Y_x = {y : (x, y) is a point} for
+    the j-th x of the block; every line l_{a,b} then gathers the cell
+    j*q + (a*x - b) through `field.vec`, in blocks of at most
+    INCIDENCE_BLOCK (line, x) cells, and the hits are counted.  On a raw
+    Config a repeated line counts twice and a repeated point once."""
     if not c.points or not c.lines:
         return 0
     q, vec = field.q, field.vec
-    codes = np.unique(np.array(c.points, dtype=np.intp) @ np.array([q, 1]))
-    xs = np.unique(codes // q)
-    a, b = np.array(c.lines, dtype=np.intp).T[:, :, None]     # (lines, 1) each
-    rows = max(1, INCIDENCE_BLOCK // len(xs))
+    x, y = _pair_array(c.points).T
+    a, b = _pair_array(c.lines).T[:, :, None]     # (lines, 1) each
+    seen = np.zeros(q, dtype=bool)
+    seen[x] = True
+    xs = np.flatnonzero(seen)
+    cells = (np.cumsum(seen)[x] - 1) * q + y    # (rank of x) * q + y per point
+    width = max(1, min(len(xs), INCIDENCE_BLOCK // q))
+    rows = max(1, INCIDENCE_BLOCK // width)
+    table = np.zeros(width * q, dtype=bool)
     count = 0
-    for i in range(0, len(a), rows):
-        hit = xs * q + vec.sub(vec.mul(a[i:i + rows], xs), b[i:i + rows])
-        at = np.minimum(np.searchsorted(codes, hit), len(codes) - 1)
-        count += int((codes[at] == hit).sum())
+    for j in range(0, len(xs), width):
+        block = xs[j:j + width]
+        start = np.arange(len(block)) * q
+        marked = cells[(cells >= j * q) & (cells < (j + width) * q)] - j * q
+        table[marked] = True
+        for i in range(0, len(a), rows):
+            hit = start + vec.sub(vec.mul(a[i:i + rows], block), b[i:i + rows])
+            count += int(np.count_nonzero(table[hit]))
+        table[marked] = False
     return count
 
 
@@ -112,6 +152,12 @@ def config_to_strategy(field: Field, c: Config) -> Strategy:
 # explicit high-incidence constructions
 # ---------------------------------------------------------------------------
 
+def _product(u, v) -> np.ndarray:
+    """Every pair (u_i, v_j), in row-major order, as an (n, 2) array."""
+    u, v = np.broadcast_arrays(np.asarray(u)[:, None], np.asarray(v)[None, :])
+    return np.stack([u.ravel(), v.ravel()], axis=1)
+
+
 def subfield_construction(field: Field) -> Config:
     """Points K x K and lines with slope and shift in K, for K the index-2 subfield.
 
@@ -121,9 +167,8 @@ def subfield_construction(field: Field) -> Config:
     if field.s % 2 != 0:
         raise InvalidInput("subfield construction needs even s")
     K = field.subfield_elements(field.s // 2)
-    points = [(x, y) for x in K for y in K]
-    lines = [Line(c, d) for c in K for d in K]
-    return make_config(points, lines)
+    pairs = _product(K, K)
+    return make_config(pairs, pairs)
 
 
 def grid_construction(field: Field) -> Config:
@@ -137,10 +182,9 @@ def grid_construction(field: Field) -> Config:
     q = field.q
     n1 = _ifloor_pow(q, 1, 3)
     n2 = _ifloor_pow(q, 2, 3)
-    points = [(x, y) for x in range(1, n1 + 1) for y in range(1, n2 + 1)]
+    points = _product(np.arange(1, n1 + 1), np.arange(1, n2 + 1))
     # y = c*x + d over the integers; as l_{a,b} that is a = c, b = -d mod q
-    lines = [Line(c, (-d) % q)
-             for c in range(1, n1 // 2 + 1) for d in range(1, n2 // 2 + 1)]
+    lines = _product(np.arange(1, n1 // 2 + 1), -np.arange(1, n2 // 2 + 1) % q)
     return make_config(points, lines)
 
 
@@ -190,13 +234,12 @@ def subspace_construction(field: Field, seed: int = 0) -> Config:
     A = _span(field, a)
     B = _span(field, b)
     C = _span(field, b - a + 1)
-    points = [(x, y) for x in A for y in B]
     rng = random.Random(seed)
-    # one draw per (c, e) in order, and only kept lines are built; random()
-    # is k / 2^53: the product is exact when k * d < 2^53 and rounds to at
-    # least 1 otherwise, so this is random() < 1/d exactly (always, for d = 1)
-    lines = [Line(c, e) for c in C for e in B if rng.random() * d < 1]
-    return make_config(points, lines)
+    # one draw per (c, e) in row-major order; random() is k / 2^53: the
+    # product is exact when k * d < 2^53 and rounds to at least 1 otherwise,
+    # so this is random() < 1/d exactly (always, for d = 1)
+    draws = np.array([rng.random() for _ in range(len(C) * len(B))])
+    return make_config(_product(A, B), _product(C, B)[draws * d < 1])
 
 
 def subspace_cardinalities(field: Field) -> tuple[int, int, int]:
@@ -355,21 +398,12 @@ class ProjTransform:
     """
 
     def __init__(self, field: Field, rows):
-        self.field = field
         self.rows = tuple(tuple(int(c) for c in row) for row in rows)
         if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
             raise InvalidInput("transform needs a 3x3 matrix")
         det, self.adj = _det_adjugate(field, self.rows)
         if det == 0:
             raise InvalidInput("transform matrix is singular")
-
-    def apply_point(self, v):
-        f = self.field
-        return proj_canonical(f, tuple(proj_dot(f, row, v) for row in self.rows))
-
-    def apply_line(self, u):
-        f = self.field
-        return proj_canonical(f, tuple(proj_dot(f, u, col) for col in zip(*self.adj)))
 
     @classmethod
     def from_chart(cls, field: Field, l_inf, v_inf) -> "ProjTransform":
@@ -396,35 +430,6 @@ def _det_adjugate(field: Field, m):
     cols = (_cross(field, m[1], m[2]), _cross(field, m[2], m[0]),
             _cross(field, m[0], m[1]))
     return proj_dot(field, m[0], cols[0]), tuple(zip(*cols))
-
-
-def all_transforms(field: Field):
-    """Every element of PGL_3(q), one matrix per projective class.
-
-    The columns c1, c2, c3 of the matrix: c1 runs over canonical points,
-    which fixes the overall scalar, and c2, c3 over all nonzero vectors
-    with det = (c1 x c2) . c3 != 0, that is c2 outside span(c1) and c3
-    outside span(c1, c2).  Yields (q^2+q+1)(q^3-q)(q^3-q^2) transforms.
-    """
-    q = field.q
-    vectors = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)][1:]
-    for c1 in all_proj_points(field):
-        for c2 in vectors:
-            c12 = _cross(field, c1, c2)
-            for c3 in vectors:
-                if proj_dot(field, c12, c3):
-                    yield ProjTransform(field, tuple(zip(c1, c2, c3)))
-
-
-def random_transform(field: Field, rng: random.Random) -> ProjTransform:
-    """Uniform invertible matrix by rejection (not uniform over PGL classes,
-    but every class is reachable; good enough for sampling checks)."""
-    q = field.q
-    while True:
-        rows = tuple(tuple(rng.randrange(q) for _ in range(3)) for _ in range(3))
-        det, _ = _det_adjugate(field, rows)
-        if det != 0:
-            return ProjTransform(field, rows)
 
 
 def _code_tables(field: Field):
@@ -454,11 +459,13 @@ def verify_incidence_preservation_exhaustive(field: Field, c: Config) -> int:
     """Assert that every element of PGL_3(q) preserves the projective
     incidence count of the lifted configuration; returns the group order.
 
-    Enumerates the matrices M with columns c1, c2, c3 as all_transforms
-    does: for each c1, every (c2, c3) with det(M) = (c1 x c2) . c3 != 0, in
-    blocks of at most INCIDENCE_BLOCK (line, point, transform) cells.  All
-    arithmetic is gathers from the `_code_tables` of F_q^3.  The images are
-    linear in the columns: points go to M v = (v0*c1 + v1*c2) + v2*c3 and
+    Enumerates the matrices M with columns c1, c2, c3, one per projective
+    class: c1 runs over the canonical points, which fixes the scalar, and
+    with it every pair of nonzero vectors (c2, c3) with
+    det(M) = (c1 x c2) . c3 != 0, in lex order and in blocks of at most
+    INCIDENCE_BLOCK (line, point, transform) cells.  All arithmetic is
+    gathers from the `_code_tables` of F_q^3.  The images are linear in
+    the columns: points go to M v = (v0*c1 + v1*c2) + v2*c3 and
     lines to u adj(M) = u0*(c2 x c3) + u1*(c3 x c1) + u2*(c1 x c2), so each
     term that does not need both c2 and c3 is tabulated once per c1 (once
     per call for v2*c3).  The base count is the scalar projective count.
@@ -535,12 +542,12 @@ def random_projective_regularize(field: Field, c: Config, seed: int
     rng = random.Random(seed)
     in_inc = incidences(field, c)
 
-    points, lines = list(c.points), list(c.lines)
+    points, lines = c.points, c.lines
     cap = q // 2
     if len(points) > cap:
-        points = sorted(rng.sample(points, cap))
+        points = rng.sample(points, cap)
     if len(lines) > cap:
-        lines = sorted(rng.sample(lines, cap))
+        lines = rng.sample(lines, cap)
     sampled = make_config(points, lines)
     s_inc = incidences(field, sampled)
 
@@ -558,18 +565,19 @@ def random_projective_regularize(field: Field, c: Config, seed: int
         keep = order[first]
         return live[keep], code[keep]
 
-    P = np.array(sampled.points, dtype=np.intp).reshape(-1, 2)
+    P = _pair_array(sampled.points)
     X, Y, Z = (proj_dot(vec, row, (P[:, 0], P[:, 1], 1)) for row in T.rows)
     kp, pcodes = first_per_key(X, Y, Z)
-    A = np.array(sampled.lines, dtype=np.intp).reshape(-1, 2)
+    A = _pair_array(sampled.lines)
     U = (A[:, 0], field.neg(1), vec.neg(A[:, 1]))
     L, M, N = (proj_dot(vec, U, col) for col in zip(*T.adj))
     kl, lcodes = first_per_key(vec.neg(L), N, M)   # l x + m y + n = 0: y = a x - b
 
-    out = make_config(zip(*np.divmod(pcodes, q)), zip(*np.divmod(lcodes, q)))
+    out = make_config(np.column_stack(np.divmod(pcodes, q)),
+                      np.column_stack(np.divmod(lcodes, q)))
     if not is_legal(field, out):
         raise InvariantViolation("regularized config is not legal")
-    preimages = make_config(P[kp].tolist(), A[kl].tolist())
+    preimages = make_config(P[kp], A[kl])
     stats = RegularizationStats(
         input_points=len(c.points), input_lines=len(c.lines),
         input_incidences=in_inc,

@@ -183,6 +183,23 @@ def test_exit_code_bad_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["incidences", "regularize"])
+@pytest.mark.parametrize("value", [10 ** 30, -1, -(10 ** 30), 2 ** 63])
+@pytest.mark.parametrize("slot, message", [
+    ("points", "point coordinates outside the field"),
+    ("lines", "line parameters outside the field"),
+])
+def test_exit_code_coordinate_out_of_range(tmp_path, capsys, command, value, slot, message):
+    # refused by the range check before the config is normalized in numpy,
+    # so no coordinate can overflow an integer array
+    d = {"q": 5, "points": [[1, 2]], "lines": [[0, 3]]}
+    d[slot] = [[3, 4], [0, value]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert run([command, "--in", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["incidences", "regularize"])
 @pytest.mark.parametrize("content, message", [
     (b"{bad", "not valid JSON"),
     (b"\xff\xfe{", "not valid JSON"),

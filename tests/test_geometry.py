@@ -23,7 +23,7 @@ from chshq.geometry import (
     proj_canonical, all_proj_points, all_proj_lines, proj_point, proj_dot,
     proj_cross, point_on_line, points_on_line,
     projective_plane_census, lift_config, projective_incidences,
-    ProjTransform, all_transforms, random_transform,
+    ProjTransform,
     verify_incidence_preservation_exhaustive, SWEEP_Q_CAP,
     RegularizationStats, random_projective_regularize, slope_collision_probability,
     _cross, _det_adjugate, _code_tables, _span,
@@ -47,6 +47,31 @@ def loop_incidences(field, c: Config) -> int:
             if field.sub(field.mul(a, x), b) in ys:
                 count += 1
     return count
+
+
+def searchsorted_incidences(field, c: Config) -> int:
+    # the sorted-code counter that the membership rows replaced: for every
+    # line and distinct x, (x, a*x - b) is looked up among the sorted codes
+    if not c.points or not c.lines:
+        return 0
+    q, vec = field.q, field.vec
+    codes = np.unique(np.array(c.points, dtype=np.intp) @ np.array([q, 1]))
+    xs = np.unique(codes // q)
+    a, b = np.array(c.lines, dtype=np.intp).T[:, :, None]
+    rows = max(1, geometry.INCIDENCE_BLOCK // len(xs))
+    count = 0
+    for i in range(0, len(a), rows):
+        hit = xs * q + vec.sub(vec.mul(a[i:i + rows], xs), b[i:i + rows])
+        at = np.minimum(np.searchsorted(codes, hit), len(codes) - 1)
+        count += int((codes[at] == hit).sum())
+    return count
+
+
+def set_make_config(points, lines) -> Config:
+    # the sorted-set normaliser that the lexsort in make_config replaced
+    pts = tuple(sorted({(int(x), int(y)) for x, y in points}))
+    lns = tuple(sorted({Line(int(a), int(b)) for a, b in lines}))
+    return Config(points=pts, lines=lns)
 
 
 def random_config(field, rng: random.Random, npts: int, nlns: int) -> Config:
@@ -112,6 +137,52 @@ def test_incidences_on_raw_configs_with_duplicates(monkeypatch, block):
     assert incidences(field, Config(points=(), lines=lns)) == 0
     assert incidences(field, Config(points=pts, lines=())) == 0
     assert incidences(field, make_config([], [])) == 0
+
+
+@st.composite
+def raw_configs(draw):
+    """A field and an unnormalized Config: unsorted, with repeated points,
+    repeated lines and repeated x-coordinates."""
+    q = draw(st.sampled_from([2, 3, 4, 7, 8, 9, 16, 25, 27]))
+    pair = st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))
+    pts = draw(st.lists(pair, max_size=3 * q))
+    lns = draw(st.lists(pair, max_size=3 * q))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=q)) if pts else []
+    lns += draw(st.lists(st.sampled_from(lns), max_size=q)) if lns else []
+    return field_from_q(q), Config(points=tuple(draw(st.permutations(pts))),
+                                   lines=tuple(map(Line._make, draw(st.permutations(lns)))))
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+@settings(max_examples=40, deadline=None)
+@given(case=raw_configs())
+def test_incidences_and_make_config_match_oracles(block, case):
+    field, c = case
+    old = geometry.INCIDENCE_BLOCK
+    if block is not None:
+        geometry.INCIDENCE_BLOCK = block
+    try:
+        got = incidences(field, c)
+        assert got == searchsorted_incidences(field, c) == loop_incidences(field, c)
+    finally:
+        geometry.INCIDENCE_BLOCK = old
+    norm = make_config(c.points, c.lines)
+    assert norm == set_make_config(c.points, c.lines)
+    assert all(type(v) is int for pair in norm.points + norm.lines for v in pair)
+    assert all(type(p) is tuple for p in norm.points)
+    assert all(type(l) is Line for l in norm.lines)
+    # the same from (n, 2) arrays, and counted on the normalized config
+    arrays = [np.array(v, dtype=np.int64).reshape(-1, 2) for v in (c.points, c.lines)]
+    assert make_config(*arrays) == norm
+    assert incidences(field, norm) == loop_incidences(field, norm)
+
+
+def test_make_config_refuses_non_pairs():
+    for bad in ([(1, 2, 3)], [(1,)], np.zeros((2, 3), dtype=int), np.zeros(4, dtype=int)):
+        with pytest.raises(InvalidInput, match="must be pairs"):
+            make_config(bad, [])
+        with pytest.raises(InvalidInput, match="must be pairs"):
+            make_config([], bad)
 
 
 @pytest.mark.parametrize("p,s", [(2, 3), (2, 5), (3, 3), (3, 5), (3, 7), (5, 3), (7, 3)])
@@ -349,6 +420,45 @@ def test_lift_preserves_incidences():
 # projective transforms
 # ---------------------------------------------------------------------------
 
+def all_transforms(field):
+    """Every element of PGL_3(q), one ProjTransform per projective class.
+
+    The columns c1, c2, c3 of the matrix: c1 runs over canonical points,
+    which fixes the overall scalar, and c2, c3 over all nonzero vectors
+    with det = (c1 x c2) . c3 != 0, that is c2 outside span(c1) and c3
+    outside span(c1, c2).  Yields (q^2+q+1)(q^3-q)(q^3-q^2) transforms.
+    """
+    q = field.q
+    vectors = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)][1:]
+    for c1 in all_proj_points(field):
+        for c2 in vectors:
+            c12 = _cross(field, c1, c2)
+            for c3 in vectors:
+                if proj_dot(field, c12, c3):
+                    yield ProjTransform(field, tuple(zip(c1, c2, c3)))
+
+
+def random_transform(field, rng: random.Random) -> ProjTransform:
+    """Uniform invertible matrix by rejection (not uniform over PGL classes,
+    but every class is reachable; good enough for sampling checks)."""
+    q = field.q
+    while True:
+        rows = tuple(tuple(rng.randrange(q) for _ in range(3)) for _ in range(3))
+        det, _ = _det_adjugate(field, rows)
+        if det != 0:
+            return ProjTransform(field, rows)
+
+
+def apply_point(field, t: ProjTransform, v):
+    # v -> M v, canonical
+    return proj_canonical(field, tuple(proj_dot(field, row, v) for row in t.rows))
+
+
+def apply_line(field, t: ProjTransform, u):
+    # u -> u adj(M), canonical
+    return proj_canonical(field, tuple(proj_dot(field, u, col) for col in zip(*t.adj)))
+
+
 def all_transforms_span_sets(field):
     # the span-set enumeration that the det != 0 test replaced: c2 outside
     # span(c1), c3 outside span(c1, c2), each span built as a set
@@ -436,8 +546,8 @@ def test_all_transforms_preserve_incidence_api_level(q):
     pts, lns = lift_config(field, c)
     base = projective_incidences(field, pts, lns)
     for t in all_transforms(field):
-        tp = [t.apply_point(v) for v in pts]
-        tl = [t.apply_line(u) for u in lns]
+        tp = [apply_point(field, t, v) for v in pts]
+        tl = [apply_line(field, t, u) for u in lns]
         assert projective_incidences(field, tp, tl) == base
 
 
@@ -451,13 +561,13 @@ def test_sampled_transforms_preserve_incidence(q):
     all_points = all_proj_points(field)
     for _ in range(500):
         t = random_transform(field, rng)
-        tp = [t.apply_point(v) for v in pts]
-        tl = [t.apply_line(u) for u in lns]
+        tp = [apply_point(field, t, v) for v in pts]
+        tl = [apply_line(field, t, u) for u in lns]
         assert projective_incidences(field, tp, tl) == base
         # join of transformed points is the transform of the join
         u, v = rng.sample(all_points, 2)
-        lhs = proj_cross(field, t.apply_point(u), t.apply_point(v))
-        assert lhs == t.apply_line(proj_cross(field, u, v))
+        lhs = proj_cross(field, apply_point(field, t, u), apply_point(field, t, v))
+        assert lhs == apply_line(field, t, proj_cross(field, u, v))
 
 
 @st.composite
@@ -475,8 +585,8 @@ def test_random_transform_preserves_incidences_property(case):
     field, c, seed = case
     t = random_transform(field, random.Random(seed))
     pts, lns = lift_config(field, c)
-    moved = projective_incidences(field, [t.apply_point(v) for v in pts],
-                                  [t.apply_line(u) for u in lns])
+    moved = projective_incidences(field, [apply_point(field, t, v) for v in pts],
+                                  [apply_line(field, t, u) for u in lns])
     assert moved == incidences(field, c)
 
 
@@ -621,8 +731,8 @@ def test_from_chart_sends_targets_to_infinity(q):
         l_inf = rng.choice(pts)     # lines share the canonical triples
         v_inf = rng.choice(points_on_line(field, l_inf))
         t = ProjTransform.from_chart(field, l_inf, v_inf)
-        assert t.apply_line(l_inf) == (0, 0, 1)
-        assert t.apply_point(v_inf) == (0, 1, 0)
+        assert apply_line(field, t, l_inf) == (0, 0, 1)
+        assert apply_point(field, t, v_inf) == (0, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -694,14 +804,14 @@ def regularize_loop_oracle(field, c: Config, seed: int):
     for p in pts:
         if proj_dot(field, l_inf, p) == 0:
             continue                      # sent to infinity
-        X, Y, Z = T.apply_point(p)
+        X, Y, Z = apply_point(field, T, p)
         zi = field.inv(Z)
         new_pts.append((field.mul(X, zi), field.mul(Y, zi)))
     new_lns = []
     for l in lns:
         if l == l_inf:
             continue                      # became the line at infinity
-        L, M, N = T.apply_line(l)
+        L, M, N = apply_line(field, T, l)
         if M == 0:
             continue                      # vertical in the new chart
         mi = field.inv(field.neg(M))      # l x + m y + n = 0  ->  y = a x - b
