@@ -45,10 +45,16 @@ from .errors import InvalidInput, InvariantViolation, CapExceeded
 
 Q_CAP = 1 << 16        # refuse fields larger than this
 OP_TABLE_Q_CAP = 1 << 12   # refuse q x q op tables above this q
-POWER_ROWS = 4096      # rows per BLAS product when listing the powers of g
+BLOCK_CELLS = 1 << 16  # cells of one block in every blocked numpy loop
 
 # op table item types: field elements are < q <= 2**16, logarithms lie in [-2q, 2q]
 _ELT, _LOG = np.uint16, np.int32
+
+
+def block_rows(cells_per_row: int) -> int:
+    """Rows of `cells_per_row` cells in one block of BLOCK_CELLS, at least
+    one.  Read at call time, so setting BLOCK_CELLS moves every blocked loop."""
+    return max(1, BLOCK_CELLS // max(1, cells_per_row))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +211,7 @@ def _powers(p: int, s: int, mg: np.ndarray) -> np.ndarray:
     by doubling: powers k .. 2k-1 are the digit vectors of powers 0 .. k-1
     times M_(g^k), which squares to M_(g^2k).
 
-    Each step is a float BLAS product taken `POWER_ROWS` rows at a time and
+    Each step is a float BLAS product over blocks of `block_rows(s)` rows,
     reduced mod p in place as x - floor(x / p) * p through one scratch
     block; the encodings, digits times p^i, go block by block into the
     result.  All of it is exact.  Digits lie in [0, p), so a sum x = kp + r
@@ -219,13 +225,14 @@ def _powers(p: int, s: int, mg: np.ndarray) -> np.ndarray:
     dtype = np.float32 if s * p * p < 2 ** 23 else np.float64
     digits = np.zeros((n, s), dtype=dtype)
     digits[0, 0] = 1
-    scratch = np.empty((min(POWER_ROWS, n), s), dtype=dtype)
+    rows = block_rows(s)
+    scratch = np.empty((min(rows, n), s), dtype=dtype)
     mat = mg.astype(dtype)
     k = 1
     while k < n:
         m = min(k, n - k)
-        for i in range(0, m, POWER_ROWS):
-            j = min(i + POWER_ROWS, m)
+        for i in range(0, m, rows):
+            j = min(i + rows, m)
             block, t = digits[k + i:k + j], scratch[:j - i]
             np.matmul(digits[i:j], mat, out=block)
             np.divide(block, p, out=t)
@@ -237,8 +244,8 @@ def _powers(p: int, s: int, mg: np.ndarray) -> np.ndarray:
             mat = mat @ mat % p
     out = np.empty(n, dtype=_ELT)
     weights = p ** np.arange(s, dtype=dtype)
-    for i in range(0, n, POWER_ROWS):
-        out[i:i + POWER_ROWS] = digits[i:i + POWER_ROWS] @ weights
+    for i in range(0, n, rows):
+        out[i:i + rows] = digits[i:i + rows] @ weights
     return out
 
 

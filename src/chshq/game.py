@@ -21,11 +21,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput, CapExceeded
-from .field import Field
+from .field import Field, block_rows
 
 EXACT_Q_CAP = 9        # exhaustive classical value is q^(q-2)/(q-1) * q^2 work
 PAIRS_Q_CAP = 4        # full double enumeration is q^(2q) * q^2 work
-BATCH_CELLS = 1 << 16  # cells of one exact-search chunk's (tables, y, value) counts
 
 
 class Strategy(NamedTuple):
@@ -124,15 +123,15 @@ def exact_classical_value(field: Field) -> tuple[GameValue, Strategy]:
 
     The zero table comes first, then the tables with leading 1 at position
     k = q-1 down to 2, each block with its free suffix in lex order: lex
-    order over the reduced set.  A block runs in chunks of BATCH_CELLS // q^2
-    tables; argmax keeps the first maximum of a chunk and only a strictly
-    larger win count replaces the best so far, so the chunking never changes
-    the result.
+    order over the reduced set.  A block runs in chunks of `block_rows(q^2)`
+    tables, one (table, y, value) count per cell; argmax keeps the first
+    maximum of a chunk and only a strictly larger win count replaces the
+    best so far, so the chunking never changes the result.
     """
     q = field.q
     if q > EXACT_Q_CAP:
         raise CapExceeded(f"exact classical value capped at q <= {EXACT_Q_CAP}")
-    chunk = BATCH_CELLS // (q * q)
+    chunk = block_rows(q * q)
     best = None
     for F in _gauge_tables(q, chunk):
         g, wins = _best_g_batch(field, F)

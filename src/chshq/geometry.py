@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapExceeded, InvalidInput, InvariantViolation
-from .field import Field
+from .field import Field, block_rows
 from .game import Strategy
 
 
@@ -77,22 +77,19 @@ def is_legal(field: Field, c: Config) -> bool:
             and len(set(xs)) == len(xs) and len(set(slopes)) == len(slopes))
 
 
-# cells per block: (line, x) pairs in `incidences`, (line, point, transform)
-# triples in the PGL_3 sweep
-INCIDENCE_BLOCK = 1 << 16
 SWEEP_Q_CAP = 9   # the exhaustive PGL_3 sweep refuses larger fields
 
 
 def incidences(field: Field, c: Config) -> int:
     """Exact |{(p, l): p on l}| by membership rows, with no sort.
 
-    The distinct point x-coordinates are taken in blocks of
-    w = INCIDENCE_BLOCK // q of them (at least one).  Row j of one reused
-    flat boolean table of w*q cells marks Y_x = {y : (x, y) is a point} for
-    the j-th x of the block; every line l_{a,b} then gathers the cell
-    j*q + (a*x - b) through `field.vec`, in blocks of at most
-    INCIDENCE_BLOCK (line, x) cells, and the hits are counted.  On a raw
-    Config a repeated line counts twice and a repeated point once."""
+    The distinct point x-coordinates are taken in blocks of at most
+    w = `block_rows(q)` of them.  Row j of one reused flat boolean table of
+    w*q cells marks Y_x = {y : (x, y) is a point} for the j-th x of the
+    block; every line l_{a,b} then gathers the cell j*q + (a*x - b) through
+    `field.vec`, in blocks of `block_rows(w)` lines, and the hits are
+    counted.  On a raw Config a repeated line counts twice and a repeated
+    point once."""
     if not c.points or not c.lines:
         return 0
     q, vec = field.q, field.vec
@@ -102,8 +99,8 @@ def incidences(field: Field, c: Config) -> int:
     seen[x] = True
     xs = np.flatnonzero(seen)
     cells = (np.cumsum(seen)[x] - 1) * q + y    # (rank of x) * q + y per point
-    width = max(1, min(len(xs), INCIDENCE_BLOCK // q))
-    rows = max(1, INCIDENCE_BLOCK // width)
+    width = min(len(xs), block_rows(q))
+    rows = block_rows(width)
     table = np.zeros(width * q, dtype=bool)
     count = 0
     for j in range(0, len(xs), width):
@@ -288,17 +285,15 @@ def proj_canonical(field: Field, v: tuple[int, int, int]) -> tuple[int, int, int
 
 def all_proj_points(field: Field) -> list[tuple[int, int, int]]:
     q = field.q
-    pts = [(1, y, z) for y in range(q) for z in range(q)]
-    pts += [(0, 1, z) for z in range(q)]
-    pts.append((0, 0, 1))
-    return pts
+    return [proj_point(field, i) for i in range(q * q + q + 1)]
 
 
 all_proj_lines = all_proj_points   # duality: same canonical triples
 
 
 def proj_point(field: Field, i: int) -> tuple[int, int, int]:
-    """The i-th canonical triple of all_proj_points, without listing them."""
+    """The i-th canonical triple of PG(2,q): (1, y, z) in lex order, then
+    (0, 1, z), then (0, 0, 1)."""
     q = field.q
     if not 0 <= i <= q * q + q:
         raise InvalidInput(f"index {i} outside PG(2,{q})")
@@ -462,8 +457,8 @@ def verify_incidence_preservation_exhaustive(field: Field, c: Config) -> int:
     Enumerates the matrices M with columns c1, c2, c3, one per projective
     class: c1 runs over the canonical points, which fixes the scalar, and
     with it every pair of nonzero vectors (c2, c3) with
-    det(M) = (c1 x c2) . c3 != 0, in lex order and in blocks of at most
-    INCIDENCE_BLOCK (line, point, transform) cells.  All arithmetic is
+    det(M) = (c1 x c2) . c3 != 0, in lex order and in blocks of
+    `block_rows(lines * points)` transforms.  All arithmetic is
     gathers from the `_code_tables` of F_q^3.  The images are linear in
     the columns: points go to M v = (v0*c1 + v1*c2) + v2*c3 and
     lines to u adj(M) = u0*(c2 x c3) + u1*(c3 x c1) + u2*(c1 x c2), so each
@@ -481,7 +476,7 @@ def verify_incidence_preservation_exhaustive(field: Field, c: Config) -> int:
     U = np.array(lns, dtype=np.intp).reshape(-1, 3).T[:, :, None]   # (3, nl, 1)
     vectors = np.arange(1, n)                  # nonzero codes, in lex order
     v2c3 = scale[P[2], vectors]                                    # (np, n - 1)
-    rows = max(1, INCIDENCE_BLOCK // max(1, len(lns) * len(pts)))
+    rows = block_rows(len(lns) * len(pts))
     checked = 0
     for c1 in all_proj_points(field):
         k1 = (c1[0] * q + c1[1]) * q + c1[2]
@@ -600,8 +595,7 @@ def slope_collision_probability(field: Field, l1: Line, l2: Line) -> Fraction:
     """
     if l1 == l2:
         raise InvalidInput("lines must be distinct")
-    lifted1 = proj_canonical(field, (l1.a, field.neg(1), field.neg(l1.b)))
-    lifted2 = proj_canonical(field, (l2.a, field.neg(1), field.neg(l2.b)))
+    lifted1, lifted2 = lift_config(field, Config((), (l1, l2)))[1]
     meet = proj_cross(field, lifted1, lifted2)
     # by duality the lines through meet are the triples of points_on_line(meet)
     hits = sum(cand != lifted1 for cand in points_on_line(field, meet))

@@ -16,11 +16,10 @@ from math import log2
 import numpy as np
 
 from .errors import InvalidInput, InvariantViolation, CapExceeded
-from .field import OP_TABLE_Q_CAP, Field
+from .field import OP_TABLE_Q_CAP, Field, block_rows
 from .boxes import RegularBox, ErrorDist, compose_m
 
 QM_CAP = 1 << 20   # largest enumerable input space q^m
-PAIR_BLOCK_CELLS = 1 << 22   # cells of one row block of the pair histograms
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +115,8 @@ def pairwise_independence_check(task: HadamardTask) -> bool:
     pairs of distinct index vectors give jointly uniform codeword pairs.
 
     With H the q^m x kq one-hot matrix of the k codewords, block (i, j) of
-    H^T H is the joint histogram of codewords i and j.  It is formed in row
-    blocks of at most PAIR_BLOCK_CELLS cells, upper triangle only; the
+    H^T H is the joint histogram of codewords i and j.  It is formed in
+    blocks of `block_rows(k q^2)` codewords, upper triangle only; the
     counts are at most q^m <= QM_CAP, so float64 holds them exactly.  The
     k x q^m codeword table is refused above QM_CAP entries before it is built.
     """
@@ -133,7 +132,7 @@ def pairwise_independence_check(task: HadamardTask) -> bool:
             return False
     k = len(values)
     H = (values.T[:, :, None] == np.arange(q)).reshape(n, k * q).astype(np.float64)
-    rows = max(1, PAIR_BLOCK_CELLS // (k * q * q))
+    rows = block_rows(k * q * q)
     for start in range(0, k, rows):
         stop = min(start + rows, k)
         joint = (H[:, start * q:stop * q].T @ H[:, start * q:]).reshape(

@@ -205,7 +205,7 @@ def test_powers_match_int_matmul_oracle(monkeypatch, p, s, rows):
     x = chshq.field._x_matrix(smallest_irreducible(p, s), p)
     _, mg = chshq.field._primitive_root(p, s, x)
     if rows is not None:   # partial last blocks, and many blocks per step
-        monkeypatch.setattr(chshq.field, "POWER_ROWS", rows)
+        monkeypatch.setattr(chshq.field, "BLOCK_CELLS", rows * s)
     got = chshq.field._powers(p, s, mg)
     assert got.dtype == np.uint16
     assert np.array_equal(got, powers_oracle(p, s, mg))

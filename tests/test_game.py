@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chshq.field
 from chshq import game
 from chshq.errors import InvalidInput, CapExceeded
 from chshq.field import field_from_q
@@ -182,7 +183,7 @@ def slice_exact_value(field):
     gauge.  Returns (wins, f, g) for the lexicographically smallest optimal f."""
     q = field.q
     total = q ** (q - 2)
-    chunk = game.BATCH_CELLS // (q * q)
+    chunk = chshq.field.block_rows(q * q)
     radix = q ** np.arange(q - 3, -1, -1)    # f(2) is the leading digit
     best = None
     for start in range(0, total, chunk):
@@ -224,7 +225,7 @@ def test_search_is_partition_invariant(monkeypatch, tables_per_chunk):
     # 7 does not divide the 5^3 tables of the q = 5 slice
     field = field_from_q(5)
     expected = exact_classical_value(field)
-    monkeypatch.setattr(game, "BATCH_CELLS", tables_per_chunk * field.q ** 2)
+    monkeypatch.setattr(chshq.field, "BLOCK_CELLS", tables_per_chunk * field.q ** 2)
     assert exact_classical_value(field) == expected
 
 

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chshq.field
 from chshq import geometry
 from chshq.errors import CapExceeded, InvalidInput, InvariantViolation
 from chshq.field import Field, field_from_q
 from chshq.game import Strategy, win_count
+from chshq.infotheory import build_U_m
 from chshq.geometry import (
     Line, Config, make_config, is_legal, incidences,
     strategy_to_config, config_to_strategy,
@@ -58,7 +60,7 @@ def searchsorted_incidences(field, c: Config) -> int:
     codes = np.unique(np.array(c.points, dtype=np.intp) @ np.array([q, 1]))
     xs = np.unique(codes // q)
     a, b = np.array(c.lines, dtype=np.intp).T[:, :, None]
-    rows = max(1, geometry.INCIDENCE_BLOCK // len(xs))
+    rows = chshq.field.block_rows(len(xs))
     count = 0
     for i in range(0, len(a), rows):
         hit = xs * q + vec.sub(vec.mul(a[i:i + rows], xs), b[i:i + rows])
@@ -115,7 +117,7 @@ def rich_config(field, rng: random.Random) -> Config:
 @pytest.mark.parametrize("block", [None, 1, 5, 64])
 def test_incidences_match_loop_oracle(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(geometry, "INCIDENCE_BLOCK", block)
+        monkeypatch.setattr(chshq.field, "BLOCK_CELLS", block)
     rng = random.Random(block)
     for q in (2, 3, 4, 5, 7, 8, 9, 25, 27, 32, 101):
         field = field_from_q(q)
@@ -127,7 +129,7 @@ def test_incidences_match_loop_oracle(monkeypatch, block):
 @pytest.mark.parametrize("block", [None, 1])
 def test_incidences_on_raw_configs_with_duplicates(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(geometry, "INCIDENCE_BLOCK", block)
+        monkeypatch.setattr(chshq.field, "BLOCK_CELLS", block)
     field = field_from_q(7)
     pts = ((1, 2), (1, 2), (3, 4), (1, 5))
     lns = (Line(1, 6), Line(1, 6), Line(2, 2), Line(0, 5))
@@ -158,14 +160,14 @@ def raw_configs(draw):
 @given(case=raw_configs())
 def test_incidences_and_make_config_match_oracles(block, case):
     field, c = case
-    old = geometry.INCIDENCE_BLOCK
+    old = chshq.field.BLOCK_CELLS
     if block is not None:
-        geometry.INCIDENCE_BLOCK = block
+        chshq.field.BLOCK_CELLS = block
     try:
         got = incidences(field, c)
         assert got == searchsorted_incidences(field, c) == loop_incidences(field, c)
     finally:
-        geometry.INCIDENCE_BLOCK = old
+        chshq.field.BLOCK_CELLS = old
     norm = make_config(c.points, c.lines)
     assert norm == set_make_config(c.points, c.lines)
     assert all(type(v) is int for pair in norm.points + norm.lines for v in pair)
@@ -344,6 +346,13 @@ def test_projective_census(q):
 
 def test_census_formula_beyond_enumeration_range():
     assert projective_plane_census(field_from_q(25)) == (651, 651, 26)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_proj_points_are_the_hadamard_index_vectors(q):
+    # PG(2,q) and U_3 list the same canonical triples in the same order
+    field = field_from_q(q)
+    assert build_U_m(field, 3).vectors == tuple(all_proj_points(field))
 
 
 def test_canonical_representatives_unique():
@@ -708,7 +717,7 @@ def test_sweep_result_does_not_depend_on_block(monkeypatch, q, block):
     per_block = max(1, block // (len(c.points) * len(c.lines)))
     pairs = (q ** 3 - q) * (q ** 3 - q * q)     # (c2, c3) per c1
     assert block == 1 or pairs % per_block      # a short last block per c1
-    monkeypatch.setattr(geometry, "INCIDENCE_BLOCK", block)
+    monkeypatch.setattr(chshq.field, "BLOCK_CELLS", block)
     assert verify_incidence_preservation_exhaustive(field, c) == group_order(q)
 
 

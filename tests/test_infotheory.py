@@ -10,6 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import chshq.field
 from chshq.errors import InvalidInput, InvariantViolation, CapExceeded
 from chshq.field import field_from_q
 from chshq.boxes import RegularBox
@@ -164,7 +165,7 @@ def test_pairwise_check_matches_pair_scan(q, m):
 ], ids=["scaled-pair", "scaled-pair-last", "constant-codeword"])
 def test_pairwise_check_finds_dependent_vectors(monkeypatch, block_cells, vectors):
     # rows of one vector per block reach the failing pair in a later block
-    monkeypatch.setattr(infotheory, "PAIR_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(chshq.field, "BLOCK_CELLS", block_cells)
     task = HadamardTask(field_from_q(3), 2, vectors)
     assert pairwise_independence_check(task) is pairwise_scan(task) is False
 
