@@ -457,13 +457,20 @@ def verify_incidence_preservation_exhaustive(field: Field, c: Config) -> int:
     Enumerates the matrices M with columns c1, c2, c3, one per projective
     class: c1 runs over the canonical points, which fixes the scalar, and
     with it every pair of nonzero vectors (c2, c3) with
-    det(M) = (c1 x c2) . c3 != 0, in lex order and in blocks of
-    `block_rows(lines * points)` transforms.  All arithmetic is
-    gathers from the `_code_tables` of F_q^3.  The images are linear in
-    the columns: points go to M v = (v0*c1 + v1*c2) + v2*c3 and
+    det(M) = (c1 x c2) . c3 != 0.  For each c1 the full (n-1) x (n-1) grid
+    of nonzero (c2, c3), n = q^3, is walked in tiles of at most
+    t = `block_rows(lines * points)` transforms, by broadcasting a c2
+    column against a c3 row: t // (n-1) whole c2 rows when t >= n-1,
+    otherwise t cells of one c2 row.  The singular cells of a tile, with
+    on[(c1 x c2)*n + c3] set, are left out of the check, and `checked`
+    counts the regular cells.  All arithmetic is gathers from the
+    `_code_tables` of F_q^3, kept with their values premultiplied by n
+    where a result is the left operand of the next gather.  The images are
+    linear in the columns: points go to M v = (v0*c1 + v1*c2) + v2*c3 and
     lines to u adj(M) = u0*(c2 x c3) + u1*(c3 x c1) + u2*(c1 x c2), so each
     term that does not need both c2 and c3 is tabulated once per c1 (once
-    per call for v2*c3).  The base count is the scalar projective count.
+    per call for v2*c3), and c2 x c3 is a slice of the (n-1)^2 block of
+    vcross.  The base count is the scalar projective count.
     """
     q = field.q
     if q > SWEEP_Q_CAP:
@@ -472,30 +479,37 @@ def verify_incidence_preservation_exhaustive(field: Field, c: Config) -> int:
     base = projective_incidences(field, pts, lns)
     vadd, vcross, scale, on = _code_tables(field)
     n = q ** 3
+    vadd_n, scale_n = vadd * n, scale * n
     P = np.array(pts, dtype=np.intp).reshape(-1, 3).T[:, :, None]   # (3, np, 1)
     U = np.array(lns, dtype=np.intp).reshape(-1, 3).T[:, :, None]   # (3, nl, 1)
     vectors = np.arange(1, n)                  # nonzero codes, in lex order
-    v2c3 = scale[P[2], vectors]                                    # (np, n - 1)
-    rows = block_rows(len(lns) * len(pts))
+    v2c3 = scale[P[2], vectors][:, None, :]                     # (np, 1, n - 1)
+    cross23 = vcross.reshape(n, n)[1:, 1:]     # c2 x c3 for nonzero c2, c3
+    u0s = scale_n[U[0, :, 0]]                  # n * u0*w for every code w
+    per_tile = block_rows(len(lns) * len(pts))       # transforms
+    tile_rows, tile_cols = max(1, per_tile // (n - 1)), min(n - 1, per_tile)
     checked = 0
     for c1 in all_proj_points(field):
         k1 = (c1[0] * q + c1[1]) * q + c1[2]
         c12 = vcross[k1 * n + vectors]         # c1 x c2 for every c2
-        v01 = vadd[scale[P[0], k1] * n + scale[P[1], vectors]]   # v0*c1 + v1*c2
-        u1 = scale[U[1], vcross[vectors * n + k1]]               # u1*(c3 x c1)
-        u2 = scale[U[2], c12]                                    # u2*(c1 x c2)
-        # (c2, c3) with det != 0 in lex order, as indices into vectors
-        i2, i3 = np.nonzero(~on[c12[:, None] * n + vectors])
-        for s in range(0, len(i2), rows):
-            j2, j3 = i2[s:s + rows], i3[s:s + rows]
-            img_p = vadd[v01[:, j2] * n + v2c3[:, j3]]                   # (np, m)
-            u0 = scale[U[0], vcross[(j2 + 1) * n + j3 + 1]]        # u0*(c2 x c3)
-            img_l = vadd[vadd[u0 * n + u1[:, j3]] * n + u2[:, j2]]       # (nl, m)
-            hits = on[img_l[:, None] * n + img_p].reshape(-1, len(j2))
-            counts = hits.sum(axis=0, dtype=np.int32)       # per transform
-            if not np.all(counts == base):
-                raise InvariantViolation("incidence count changed under a transform")
-            checked += len(j2)
+        c12_n = (c12 * n)[:, None]             # row offsets of the det test
+        # n(v0*c1 + v1*c2) as (np, n - 1, 1)
+        v01 = vadd_n[scale_n[P[0], k1] + scale[P[1], vectors]][:, :, None]
+        u1 = scale[U[1], vcross[vectors * n + k1]][:, None, :]   # u1*(c3 x c1)
+        u2 = scale[U[2], c12][:, :, None]                        # u2*(c1 x c2)
+        for r in range(0, n - 1, tile_rows):
+            rs = slice(r, r + tile_rows)
+            for s in range(0, n - 1, tile_cols):
+                cs = slice(s, s + tile_cols)
+                singular = on.take(c12_n[rs] + vectors[cs])             # (r, s)
+                img_p = vadd.take(v01[:, rs] + v2c3[:, :, cs])     # (np, r, s)
+                u0 = u0s.take(cross23[rs, cs], axis=1)            # n u0*(c2 x c3)
+                img_l = vadd_n.take(vadd_n.take(u0 + u1[:, :, cs]) + u2[:, rs])
+                hits = on.take(img_l[:, None] + img_p)         # (nl, np, r, s)
+                counts = hits.reshape(-1, singular.size).sum(axis=0, dtype=np.int32)
+                if not np.all((counts == base) | singular.ravel()):
+                    raise InvariantViolation("incidence count changed under a transform")
+                checked += singular.size - np.count_nonzero(singular)
     order = (q * q + q + 1) * (q ** 3 - q) * (q ** 3 - q * q)
     if checked != order:
         raise InvariantViolation("transform enumeration incomplete")

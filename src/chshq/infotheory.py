@@ -85,21 +85,30 @@ def build_U_m(field: Field, m: int) -> HadamardTask:
 
 def _codeword_values(field: Field, m: int, vectors) -> np.ndarray:
     """Had_xi over all q^m inputs Y for each xi in vectors, as a
-    (len(vectors), q^m) array, vectorized via op tables."""
+    (len(vectors), q^m) array: the transpose of a (q^m, len(vectors)) table.
+
+    The table is built one coordinate at a time.  After i coordinates it
+    holds <xi, Y> over the q^i prefixes (Y_0, ..., Y_(i-1)), Y_0 most
+    significant; coordinate i broadcasts it against the q x k products
+    y * xi_i, y in F_q, into q^(i+1) rows.  Both steps are flat gathers from
+    the op tables, with the products read premultiplied by q so that
+    `add[t*q + v]` = t + v needs no extra pass."""
     q = field.q
     if q ** m > QM_CAP:
         raise CapExceeded(f"q^m exceeds enumeration cap {QM_CAP}")
     if any(len(xi) != m for xi in vectors):
         raise InvalidInput(f"index vectors must have m = {m} coordinates")
-    add, mul = field.op_table("add"), field.op_table("mul")
-    xis = np.asarray(vectors, dtype=np.intp).reshape(-1, m)
-    vals = np.zeros((len(xis), q ** m), dtype=np.int64)
-    for i in range(m):
-        # coordinate Y_i cycles with period q^(m-1-i)
-        block = q ** (m - 1 - i)
-        coord = (np.arange(q ** m) // block) % q
-        vals = add[vals, mul[xis[:, i:i + 1], coord]]
-    return vals
+    xis = np.asarray(vectors).reshape(-1, m)
+    if xis.size and (xis.dtype.kind not in "iu" or xis.min() < 0 or xis.max() >= q):
+        raise InvalidInput(f"index vector entries must be integers in [0, {q})")
+    add = field.op_table("add").ravel()
+    mul_q = field.op_table("mul").ravel().astype(np.intp) * q
+    ys = np.arange(q)[:, None] * q
+    vals = np.zeros((1, len(xis)), dtype=add.dtype)
+    for xi in xis.T.astype(np.intp):                  # float when xis is empty
+        terms = mul_q.take(ys + xi)                    # q * (y * xi_i), (q, k)
+        vals = add.take(vals[:, None, :] + terms).reshape(q * len(vals), len(xis))
+    return vals.T
 
 
 def coordinates_pair_uniform(field: Field, m: int, xi1, xi2) -> bool:
@@ -114,32 +123,43 @@ def pairwise_independence_check(task: HadamardTask) -> bool:
     """Exhaustive check that all single coordinates are uniform and all
     pairs of distinct index vectors give jointly uniform codeword pairs.
 
-    With H the q^m x kq one-hot matrix of the k codewords, block (i, j) of
-    H^T H is the joint histogram of codewords i and j.  It is formed in
-    blocks of `block_rows(k q^2)` codewords, upper triangle only; the
-    counts are at most q^m <= QM_CAP, so float64 holds them exactly.  The
-    k x q^m codeword table is refused above QM_CAP entries before it is built.
+    H is the q^m x k(q-1) one-hot matrix of the k codewords at the values
+    1..q-1 only: q^m - 1 columns for U_m.  Its column sums are the
+    marginals at those values, and block (i, j) of H^T H is the joint
+    histogram of codewords i and j at the nonzero value pairs.  The product
+    is formed in blocks of `block_rows(k (q-1)^2)` codewords, upper triangle
+    only, and its cells j <= i are masked out by codeword index.  Counts are
+    at most q^m <= QM_CAP < 2^24, so float32 holds every partial sum exactly.
+
+    The value-0 cells follow.  With n = q^m, let codeword i take each value
+    1..q-1 exactly n/q times; it then takes 0 the remaining n - (q-1)n/q =
+    n/q times.  If also every joint cell (a, b) with a, b != 0 of the pair
+    (i, j) holds t = n/q^2, then (0, b) holds n/q - (q-1)t = t for b != 0,
+    and likewise (a, 0), and (0, 0) holds n/q - (q-1)t = t.  For m = 1 the
+    target n // q^2 is 0 and no pair passes either test: two codewords with
+    uniform marginals have nonzero index entries, so both are nonzero at
+    Y = 1.  The k x q^m codeword table is refused above QM_CAP entries
+    before it is built.
     """
     field, m = task.field, task.m
     q = field.q
-    if len(task.vectors) * q ** m > QM_CAP:
-        raise CapExceeded(f"{len(task.vectors)} codewords of length q^m = {q ** m} "
+    k = len(task.vectors)
+    if k * q ** m > QM_CAP:
+        raise CapExceeded(f"{k} codewords of length q^m = {q ** m} "
                           f"exceed the enumeration cap of {QM_CAP} entries")
-    values = _codeword_values(field, m, task.vectors)
-    n = q ** m
-    for v in values:
-        if not (np.bincount(v, minlength=q) == n // q).all():
-            return False
-    k = len(values)
-    H = (values.T[:, :, None] == np.arange(q)).reshape(n, k * q).astype(np.float64)
-    rows = block_rows(k * q * q)
+    values = _codeword_values(field, m, task.vectors).T        # (q^m, k)
+    n, w = q ** m, q - 1
+    onehot = np.eye(q, dtype=np.float32)[:, 1:]       # row v: v at values 1..q-1
+    H = onehot.take(values, axis=0).reshape(n, k * w)
+    if not (H.sum(axis=0) == n // q).all():
+        return False
+    rows = block_rows(k * w * w)
     for start in range(0, k, rows):
         stop = min(start + rows, k)
-        joint = (H[:, start * q:stop * q].T @ H[:, start * q:]).reshape(
-            stop - start, q, k - start, q)
-        uniform = (joint == n // (q * q)).all(axis=(1, 3))
-        later = np.arange(k - start)[None, :] > np.arange(stop - start)[:, None]
-        if not uniform[later].all():
+        joint = (H[:, start * w:stop * w].T @ H[:, start * w:]).reshape(
+            stop - start, w, k - start, w)
+        earlier = np.arange(start, k) <= np.arange(start, stop)[:, None]
+        if not ((joint == n // (q * q)) | earlier[:, None, :, None]).all():
             return False
     return True
 

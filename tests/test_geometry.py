@@ -648,22 +648,94 @@ def sweep_per_column_pair(field, c: Config) -> int:
     return checked
 
 
+def sweep_code_pairs(field, c: Config) -> int:
+    # the code-table sweep that the (c2, c3) tiles replaced: the regular
+    # (c2, c3) listed with np.nonzero per c1, then blocks of that list
+    # gathered through j2/j3 fancy indexing
+    q = field.q
+    pts, lns = lift_config(field, c)
+    base = projective_incidences(field, pts, lns)
+    vadd, vcross, scale, on = geometry._code_tables(field)
+    n = q ** 3
+    P = np.array(pts, dtype=np.intp).reshape(-1, 3).T[:, :, None]
+    U = np.array(lns, dtype=np.intp).reshape(-1, 3).T[:, :, None]
+    vectors = np.arange(1, n)
+    v2c3 = scale[P[2], vectors]
+    rows = chshq.field.block_rows(len(lns) * len(pts))
+    checked = 0
+    for c1 in all_proj_points(field):
+        k1 = (c1[0] * q + c1[1]) * q + c1[2]
+        c12 = vcross[k1 * n + vectors]
+        v01 = vadd[scale[P[0], k1] * n + scale[P[1], vectors]]
+        u1 = scale[U[1], vcross[vectors * n + k1]]
+        u2 = scale[U[2], c12]
+        i2, i3 = np.nonzero(~on[c12[:, None] * n + vectors])
+        for s in range(0, len(i2), rows):
+            j2, j3 = i2[s:s + rows], i3[s:s + rows]
+            img_p = vadd[v01[:, j2] * n + v2c3[:, j3]]
+            u0 = scale[U[0], vcross[(j2 + 1) * n + j3 + 1]]
+            img_l = vadd[vadd[u0 * n + u1[:, j3]] * n + u2[:, j2]]
+            hits = on[img_l[:, None] * n + img_p].reshape(-1, len(j2))
+            if not np.all(hits.sum(axis=0, dtype=np.int32) == base):
+                raise InvariantViolation("incidence count changed under a transform")
+            checked += len(j2)
+    return checked
+
+
 def group_order(q: int) -> int:
     return (q * q + q + 1) * (q ** 3 - q) * (q ** 3 - q * q)
+
+
+def sweep_configs(field, rng, q, extra):
+    # a full random config and one with no lines; with `extra`, a lopsided
+    # one and ones with no points or nothing at all
+    full = random_config(field, rng, q, q)
+    configs = [full, make_config(full.points, [])]
+    if extra:
+        configs += [random_config(field, rng, q + 1, q - 1),
+                    make_config([], full.lines), make_config([], [])]
+    return configs
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_sweep_matches_per_column_pair_oracle(q):
     field = field_from_q(q)
-    rng = random.Random(q)
-    full = random_config(field, rng, q, q)
-    configs = [full, make_config(full.points, [])]
-    if q < 5:   # the oracle takes about 0.4 s per config at q = 5
-        configs += [random_config(field, rng, q + 1, q - 1),
-                    make_config([], full.lines), make_config([], [])]
-    for c in configs:
+    # the oracle takes about 0.4 s per config at q = 5
+    for c in sweep_configs(field, random.Random(q), q, extra=q < 5):
         assert (verify_incidence_preservation_exhaustive(field, c)
                 == sweep_per_column_pair(field, c) == group_order(q))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_sweep_tiles_match_code_pair_oracle(q):
+    field = field_from_q(q)
+    rng = random.Random(100 + q)
+    configs = sweep_configs(field, rng, q, extra=True) + [
+        random_config(field, rng, 2 * q, 1), random_config(field, rng, 1, 2 * q)]
+    for c in configs:
+        assert (verify_incidence_preservation_exhaustive(field, c)
+                == sweep_code_pairs(field, c) == group_order(q))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_sweep_catches_one_corrupted_incidence_entry(monkeypatch, q):
+    # flip on[l, p] for the first lifted line and point: the identity
+    # transform reads that entry, and the base count does not use the table
+    field = field_from_q(q)
+    c = random_config(field, random.Random(q), q, q)
+    pts, lns = lift_config(field, c)
+    n = q ** 3
+
+    def code(t):
+        return (t[0] * q + t[1]) * q + t[2]
+    vadd, vcross, scale, on = _code_tables(field)
+    bad = on.copy()
+    bad[code(lns[0]) * n + code(pts[0])] ^= True
+    monkeypatch.setattr(geometry, "_code_tables", lambda f: (vadd, vcross, scale, bad))
+    with pytest.raises(InvariantViolation):
+        verify_incidence_preservation_exhaustive(field, c)
+    with pytest.raises(InvariantViolation):
+        sweep_code_pairs(field, c)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -710,15 +782,21 @@ def test_code_tables_match_field_ops(q):
         assert scale[t, b] == np.ravel_multi_index([field.mul(t, x) for x in tb], cube)
 
 
-@pytest.mark.parametrize("q,block", [(3, 1), (3, 1000), (4, 1000)])
+@pytest.mark.parametrize("q,block", [(3, 1), (3, 100), (3, 1000), (4, 1000)])
 def test_sweep_result_does_not_depend_on_block(monkeypatch, q, block):
     field = field_from_q(q)
-    c = random_config(field, random.Random(7), q, q)
-    per_block = max(1, block // (len(c.points) * len(c.lines)))
-    pairs = (q ** 3 - q) * (q ** 3 - q * q)     # (c2, c3) per c1
-    assert block == 1 or pairs % per_block      # a short last block per c1
+    rng = random.Random(7)      # q points with distinct x, q distinct slopes
+    c = make_config([(x, rng.randrange(q)) for x in range(q)],
+                    [(a, rng.randrange(q)) for a in range(q)])
+    per_tile = max(1, block // (len(c.points) * len(c.lines)))   # transforms
+    width = q ** 3 - 1                          # nonzero c3 per c2 row
+    if per_tile < width:                        # sub-row tiles, short last one
+        assert block == 1 or width % per_tile
+    else:                                       # whole rows, short last tile
+        assert width % (per_tile // width)
     monkeypatch.setattr(chshq.field, "BLOCK_CELLS", block)
     assert verify_incidence_preservation_exhaustive(field, c) == group_order(q)
+    assert sweep_code_pairs(field, c) == group_order(q)
 
 
 def test_sweep_refuses_q_above_cap_before_building_tables(monkeypatch):

@@ -9,6 +9,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chshq.field
 from chshq.errors import InvalidInput, InvariantViolation, CapExceeded
@@ -124,6 +125,19 @@ def had(field, y, xi) -> int:
     return acc
 
 
+def codeword_values_op_tables(field, m, vectors) -> np.ndarray:
+    # the per-coordinate kernel that the broadcast build replaced: m full
+    # (k, q^m) two-dimensional gathers from the q x q op tables
+    q = field.q
+    add, mul = field.op_table("add"), field.op_table("mul")
+    xis = np.asarray(vectors, dtype=np.intp).reshape(-1, m)
+    vals = np.zeros((len(xis), q ** m), dtype=np.int64)
+    for i in range(m):
+        coord = (np.arange(q ** m) // q ** (m - 1 - i)) % q
+        vals = add[vals, mul[xis[:, i:i + 1], coord]]
+    return vals
+
+
 @pytest.mark.parametrize("q, m", [(2, 3), (3, 2), (4, 2), (5, 2)])
 def test_codeword_values_match_scalar_had(q, m):
     field = field_from_q(q)
@@ -135,11 +149,35 @@ def test_codeword_values_match_scalar_had(q, m):
         assert row.tolist() == [had(field, y, xi) for y in ys]
 
 
+@pytest.mark.parametrize("q, m", [(2, 1), (2, 10), (3, 6), (4, 4), (7, 3), (8, 2), (9, 3), (16, 2)])
+def test_codeword_values_match_op_table_oracle(q, m):
+    field = field_from_q(q)
+    vectors = build_U_m(field, m).vectors
+    rng = random.Random(q * m)
+    vectors += tuple(tuple(rng.randrange(q) for _ in range(m)) for _ in range(5))
+    assert np.array_equal(infotheory._codeword_values(field, m, vectors),
+                          codeword_values_op_tables(field, m, vectors))
+
+
+@pytest.mark.parametrize("bad", [(-1, 1), (4, 1), (5, 1), (1.5, 1), (1, 2.0)],
+                         ids=["negative", "q", "past-q", "fraction", "float"])
+def test_index_entries_outside_the_field_are_refused(bad):
+    # on GF(4): -1 used to wrap around, 5 raised a bare IndexError and 1.5
+    # was truncated to 1
+    field = field_from_q(4)
+    with pytest.raises(InvalidInput, match=r"integers in \[0, 4\)"):
+        infotheory._codeword_values(field, 2, [(1, 0), bad])
+    with pytest.raises(InvalidInput):
+        pairwise_independence_check(HadamardTask(field, 2, ((1, 0), bad)))
+    with pytest.raises(InvalidInput):
+        coordinates_pair_uniform(field, 2, (1, 0), bad)
+
+
 def pairwise_scan(task) -> bool:
     # the per-pair bincount loop that the one-hot product replaced
     field, m = task.field, task.m
     q, n = field.q, field.q ** m
-    values = infotheory._codeword_values(field, m, task.vectors)
+    values = codeword_values_op_tables(field, m, task.vectors)
     for v in values:
         if not (np.bincount(v, minlength=q) == n // q).all():
             return False
@@ -149,6 +187,59 @@ def pairwise_scan(task) -> bool:
             if not (hist == n // (q * q)).all():
                 return False
     return True
+
+
+def pairwise_onehot_q(task) -> bool:
+    # the float64 product that the (q-1)-column float32 one replaced: all q
+    # values one-hot, every joint cell compared, marginals by bincount
+    field, m = task.field, task.m
+    q, n = field.q, field.q ** m
+    values = codeword_values_op_tables(field, m, task.vectors)
+    for v in values:
+        if not (np.bincount(v, minlength=q) == n // q).all():
+            return False
+    k = len(values)
+    H = (values.T[:, :, None] == np.arange(q)).reshape(n, k * q).astype(np.float64)
+    joint = (H.T @ H).reshape(k, q, k, q)
+    uniform = (joint == n // (q * q)).all(axis=(1, 3))
+    return bool(uniform[np.triu_indices(k, 1)].all())
+
+
+@st.composite
+def hadamard_tasks(draw):
+    # index vectors from U_m and arbitrary ones, then zero, repeated and
+    # scaled copies, shuffled
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    field = field_from_q(q)
+    m = draw(st.integers(1, 3 if q <= 5 else 2))
+    any_vector = st.tuples(*[st.integers(0, q - 1)] * m)
+    vector = st.one_of(st.sampled_from(build_U_m(field, m).vectors), any_vector)
+    vectors = draw(st.lists(vector, max_size=8))
+    if vectors:
+        copies = draw(st.lists(st.tuples(st.sampled_from(vectors), st.integers(0, q - 1)),
+                               max_size=3))
+        vectors += [tuple(field.mul(c, x) for x in xi) for xi, c in copies]
+    return HadamardTask(field, m, tuple(draw(st.permutations(vectors))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hadamard_tasks())
+def test_pairwise_check_matches_scan_on_arbitrary_tasks(task):
+    expected = pairwise_scan(task)
+    assert pairwise_onehot_q(task) is expected
+    assert pairwise_independence_check(task) is expected
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_pairwise_check_matches_oracles_at_each_q(q):
+    # U_2 passes; with a multiple of its vector (1, 1) added, or at m = 1, it fails
+    field = field_from_q(q)
+    u2 = build_U_m(field, 2).vectors
+    for task, expected in ((HadamardTask(field, 2, u2), True),
+                           (HadamardTask(field, 2, u2 + ((q - 1, q - 1),)), False),
+                           (HadamardTask(field, 1, ((1,), (1,))), False)):
+        assert pairwise_scan(task) is pairwise_onehot_q(task) is expected
+        assert pairwise_independence_check(task) is expected
 
 
 @pytest.mark.parametrize("q, m", [(2, 8), (3, 4), (4, 3), (5, 3)])
