@@ -53,11 +53,16 @@ def p_win_from_bias(q: int, bias: Fraction) -> Fraction:
     return Fraction(1, q) + Fraction(q - 1, q) * bias
 
 
-def _check_strategy(field: Field, strategy: Strategy):
+def _check_table(field: Field, table):
     q = field.q
+    if len(table) != q or any(not isinstance(v, (int, np.integer)) or not 0 <= v < q
+                              for v in table):
+        raise InvalidInput("strategy tables must map all of GF(q) into GF(q) by integers")
+
+
+def _check_strategy(field: Field, strategy: Strategy):
     for table in strategy:
-        if len(table) != q or any(not 0 <= v < q for v in table):
-            raise InvalidInput("strategy tables must map all of GF(q) into GF(q)")
+        _check_table(field, table)
 
 
 def win_count(field: Field, strategy: Strategy) -> GameValue:
@@ -68,31 +73,54 @@ def win_count(field: Field, strategy: Strategy) -> GameValue:
     return GameValue.from_wins(field.q, int(wins.sum()))
 
 
-def _best_g_batch(field: Field, F) -> tuple[np.ndarray, np.ndarray]:
-    """Best responses to a (B, q) batch of tables f: g as (B, q), wins as (B,).
+def _value_counts(field: Field, F, keys=None) -> np.ndarray:
+    """Value-major tally for a (B, q) batch of tables f, as a (q, q*B) array:
+    counts[v, y*B + b] is the number of x with sub[mul[x, y], F[b, x]] = v,
+    the answers g(y) = v that win on (x, y) against table b.
 
-    vals[b, y, x] = sub[mul[x, y], F[b, x]] is the answer g(y) that wins on
-    (x, y); one bincount tallies every (b, y) row, and argmax takes the first
-    maximum, so ties pick the smallest encoding.
+    The keys v*q*B + y*B + b are laid out (y, x, b), tables innermost, in
+    `keys`, a flat intp buffer of at least B*q^2 entries (allocated when not
+    given): one broadcast add writes x*y*q + F[b, x], one flat take from the
+    sub table premultiplied by q*B maps it to v*q*B in place, and one more
+    in-place add and one bincount tally the cells.  Max and argmax then
+    reduce over the leading (value) axis, along whole rows.
     """
     q = field.q
+    mul, sub = field.op_table("mul"), field.op_table("sub")   # refused above the cap
     F = np.asarray(F, dtype=np.intp)
-    vals = field.op_table("sub")[field.op_table("mul").T[None], F[:, None, :]]
-    rows = np.arange(len(F) * q).reshape(len(F), q, 1) * q
-    counts = np.bincount((rows + vals).ravel(),
-                         minlength=len(F) * q * q).reshape(len(F), q, q)
-    return counts.argmax(axis=2), counts.max(axis=2).sum(axis=1)
+    n = q * len(F)
+    if keys is None:
+        keys = np.empty(n * q, dtype=np.intp)
+    keys = keys[:n * q].reshape(q, q, len(F))
+    np.add(mul.T[:, :, None] * q, F.T[None], out=keys)
+    sub_n = sub.ravel() * np.intp(n)
+    sub_n.take(keys, out=keys, mode="clip")    # every index is < q^2
+    keys += np.arange(n).reshape(q, 1, len(F))
+    return np.bincount(keys.ravel(), minlength=q * n).reshape(q, n)
+
+
+def _batch_wins(field: Field, F, keys) -> np.ndarray:
+    """Wins of each table's best response, for a (B, q) batch of tables f."""
+    return _value_counts(field, F, keys).max(axis=0).reshape(field.q, -1).sum(axis=0)
 
 
 def best_response_g(field: Field, f) -> tuple[tuple[int, ...], int]:
     """Optimal g against a fixed f, with wins; ties pick the smallest encoding."""
-    g, wins = _best_g_batch(field, [f])
-    return tuple(g[0].tolist()), int(wins[0])
+    _check_table(field, f)
+    return _best_response(field, f)
 
 
 def best_response_f(field: Field, g) -> tuple[tuple[int, ...], int]:
     """Optimal f against a fixed g; x*y = y*x makes it g's best response."""
     return best_response_g(field, g)
+
+
+def _best_response(field: Field, f) -> tuple[tuple[int, ...], int]:
+    # unchecked: the flat take reads a wrong cell, not out of bounds, for
+    # most entries outside [0, q), so outside tables go through _check_table;
+    # argmax over the value axis takes the first maximum, the smallest encoding
+    counts = _value_counts(field, [f])
+    return tuple(counts.argmax(axis=0).tolist()), int(counts.max(axis=0).sum())
 
 
 def _better(cand, best):
@@ -124,22 +152,25 @@ def exact_classical_value(field: Field) -> tuple[GameValue, Strategy]:
     The zero table comes first, then the tables with leading 1 at position
     k = q-1 down to 2, each block with its free suffix in lex order: lex
     order over the reduced set.  A block runs in chunks of `block_rows(q^2)`
-    tables, one (table, y, value) count per cell; argmax keeps the first
-    maximum of a chunk and only a strictly larger win count replaces the
-    best so far, so the chunking never changes the result.
+    tables through the value-major tally (`_value_counts`), one reused key
+    buffer for all chunks, and only their win counts are reduced; argmax
+    keeps the first maximum of a chunk and only a strictly larger win count
+    replaces the best so far, so the chunking never changes the result.  The
+    best response g is then taken once, for the winning table.
     """
     q = field.q
     if q > EXACT_Q_CAP:
         raise CapExceeded(f"exact classical value capped at q <= {EXACT_Q_CAP}")
     chunk = block_rows(q * q)
+    keys = np.empty(chunk * q * q, dtype=np.intp)   # one buffer for every chunk
     best = None
     for F in _gauge_tables(q, chunk):
-        g, wins = _best_g_batch(field, F)
+        wins = _batch_wins(field, F, keys)
         i = int(wins.argmax())
         if best is None or wins[i] > best[0]:
-            best = (int(wins[i]), tuple(F[i].tolist()), tuple(g[i].tolist()))
-    wins, f, g = best
-    return GameValue.from_wins(q, wins), Strategy(f, g)
+            best = (int(wins[i]), tuple(F[i].tolist()))
+    wins, f = best
+    return GameValue.from_wins(q, wins), Strategy(f, _best_response(field, f)[0])
 
 
 def _gauge_tables(q: int, chunk: int):
@@ -219,9 +250,9 @@ def local_search(field: Field, seed: int, max_rounds: int = 100) -> SearchResult
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
-        g_new, wg = best_response_g(field, f)
+        g_new, wg = _best_response(field, f)
         history.append(wg)
-        f_new, wf = best_response_f(field, g_new)
+        f_new, wf = _best_response(field, g_new)   # x*y = y*x: f's best response
         history.append(wf)
         if f_new == f and g_new == g:
             break

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chshq.errors import InvalidInput
+from chshq import boxes
+from chshq.errors import CapExceeded, InvalidInput, InvariantViolation
 from chshq.field import factorize, field_from_q
 from chshq.game import Strategy, win_count, p_win_from_bias
 from chshq.boxes import (
-    ErrorDist, RegularBox, StrategyBox,
+    REGULARIZE_Q_CAP, ErrorDist, RegularBox, StrategyBox,
     per_input_error_dists, regularize, convolve, compose_m,
     compose_closed_form, distribute, monte_carlo_win,
 )
@@ -134,11 +135,90 @@ def test_error_dists_match_scalar_loop(q):
         assert per_input_error_dists(field, box) == per_input_error_dists_scalar(field, box)
 
 
+def error_counts_six_axes(field, strategy: Strategy) -> np.ndarray:
+    # the six-axis broadcast that the x-slab tally replaced: every draw
+    # (x, y, alpha, beta, gamma, delta) gathered from the 2-D op tables
+    q = field.q
+    f, g = (np.asarray(t, dtype=np.intp) for t in strategy)
+    add, sub, mul = (field.op_table(op) for op in ("add", "sub", "mul"))
+    inv = field.vec.inv(np.arange(q))
+    el, un = np.arange(q), np.arange(1, q)
+    x, y, alpha, beta, gamma, delta = np.ix_(el, el, un, un, el, el)
+    ax, by = mul[alpha, x], mul[beta, y]
+    inv_ab = inv[mul[alpha, beta]]
+    a_num = sub[f[add[ax, gamma]], add[mul[delta, ax], mul[gamma, delta]]]
+    b_num = sub[g[add[by, delta]], mul[gamma, by]]
+    e = sub[add[mul[a_num, inv_ab], mul[b_num, inv_ab]], mul[x, y]]
+    counts = np.bincount(((x * q + y) * q + e).ravel(), minlength=q ** 3)
+    return counts.reshape(q * q, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_error_counts_match_six_axis_oracle(q):
+    field = field_from_q(q)
+    rng = random.Random(200 + q)
+    for s in [random_strategy(q, rng) for _ in range(3)] + [
+            Strategy((0,) * q, (0,) * q), Strategy(tuple(range(q)), tuple(range(q))[::-1])]:
+        counts = boxes._error_counts(field, s)
+        assert counts.shape == (q * q, q)
+        assert np.array_equal(counts, error_counts_six_axes(field, s))
+        assert regularize(field, StrategyBox(s)).p_win() == win_count(field, s).p_win
+
+
 def test_error_dists_reject_malformed_strategy():
     field = field_from_q(3)
-    for s in (Strategy((0, 1), (0, 1, 2)), Strategy((0, 1, 3), (0, 1, 2))):
+    for s in (Strategy((0, 1), (0, 1, 2)), Strategy((0, 1, 3), (0, 1, 2)),
+              Strategy((0, 1.5, 2), (0, 1, 2)), Strategy((0, 1, 2), (0, 2.0, 1))):
         with pytest.raises(InvalidInput):
             per_input_error_dists(field, StrategyBox(s))
+        with pytest.raises(InvalidInput):
+            regularize(field, StrategyBox(s))
+
+
+def test_regularize_refuses_fields_above_cap(monkeypatch):
+    q = 17
+    assert q > REGULARIZE_Q_CAP
+    field = field_from_q(q)
+
+    def no_table(op):
+        raise AssertionError("an op table was built before the refusal")
+
+    monkeypatch.setattr(field, "op_table", no_table)
+    s = Strategy((0,) * q, (0,) * q)
+    for call in (regularize, per_input_error_dists):
+        with pytest.raises(CapExceeded, match=str(REGULARIZE_Q_CAP)):
+            call(field, StrategyBox(s))
+
+
+def corrupt_counts(monkeypatch, corrupt):
+    tally = boxes._error_counts
+
+    def corrupted(field, strategy):
+        counts = tally(field, strategy).copy()
+        corrupt(counts)
+        return counts
+
+    monkeypatch.setattr(boxes, "_error_counts", corrupted)
+
+
+def move_one(counts, row, src, dst):
+    counts[row, src] -= 1
+    counts[row, dst] += 1
+
+
+@pytest.mark.parametrize("corrupt,match", [
+    (lambda c: move_one(c, 5, 0, 1), "depends on the input pair"),
+    (lambda c: [move_one(c, r, 1, 2) for r in range(len(c))], "not uniform off zero"),
+    (lambda c: [move_one(c, r, 1, 0) or move_one(c, r, 2, 0) or move_one(c, r, 3, 0)
+                for r in range(len(c))], "changed the winning probability"),
+], ids=["input-dependent-row", "off-zero-not-uniform", "zero-entry-shifted"])
+def test_regularize_reports_each_broken_invariant(monkeypatch, corrupt, match):
+    # rows keep their total of (q-1)^2 q^2 draws, so only the named check can fire
+    field = field_from_q(4)
+    s = random_strategy(4, random.Random(11))
+    corrupt_counts(monkeypatch, corrupt)
+    with pytest.raises(InvariantViolation, match=match):
+        regularize(field, StrategyBox(s))
 
 
 def test_regularize_returns_matching_box():

@@ -75,9 +75,67 @@ def test_win_count_rejects_malformed():
         win_count(f2, Strategy((0, 2), (0, 0)))
 
 
+@pytest.mark.parametrize("table", [(0, 1.5, 2), (0, 2.0, 1), (0, "1", 2), (0, None, 2),
+                                   (0, Fraction(1), 2), (0, np.float64(1), 2)])
+def test_non_integer_strategy_entries_are_refused(table):
+    # 1.5 used to be truncated to 1 by the intp conversion, and 2.0 accepted
+    field = field_from_q(3)
+    for s in (Strategy(table, (0, 1, 2)), Strategy((0, 1, 2), table)):
+        with pytest.raises(InvalidInput, match="integers"):
+            win_count(field, s)
+    with pytest.raises(InvalidInput, match="integers"):
+        best_response_g(field, table)
+
+
+def test_numpy_integer_strategy_entries_are_accepted():
+    field = field_from_q(5)
+    f = tuple(np.arange(5, dtype=np.int64)[::-1])
+    g = tuple(np.arange(5, dtype=np.uint8))
+    assert win_count(field, Strategy(f, g)) == win_count(
+        field, Strategy(tuple(map(int, f)), tuple(map(int, g))))
+
+
+@pytest.mark.parametrize("f", [(0, 1, 3), (0, -1, 2), (0, 1), (0, 1, 2, 0)])
+def test_best_response_refuses_tables_outside_the_field(f):
+    # the flat take reads a wrong cell, not out of bounds, for such entries
+    with pytest.raises(InvalidInput):
+        best_response_g(field_from_q(3), f)
+    with pytest.raises(InvalidInput):
+        best_response_f(field_from_q(3), f)
+
+
 # ---------------------------------------------------------------------------
 # best responses
 # ---------------------------------------------------------------------------
+
+def best_g_batch_2d(field, F):
+    """The 2-D kernel the value-major tally replaced: vals[b, y, x] =
+    sub[mul[x, y], F[b, x]] is the answer g(y) that wins on (x, y); one
+    bincount tallies every (b, y) row, and argmax over the last axis takes
+    the first maximum, so ties pick the smallest encoding."""
+    q = field.q
+    F = np.asarray(F, dtype=np.intp)
+    vals = field.op_table("sub")[field.op_table("mul").T[None], F[:, None, :]]
+    rows = np.arange(len(F) * q).reshape(len(F), q, 1) * q
+    counts = np.bincount((rows + vals).ravel(),
+                         minlength=len(F) * q * q).reshape(len(F), q, q)
+    return counts.argmax(axis=2), counts.max(axis=2).sum(axis=1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
+def test_value_major_kernel_matches_2d_oracle(q):
+    field = field_from_q(q)
+    rng = np.random.default_rng(q)
+    # random tables, constant tables (every y ties across values) and one row
+    for F in (rng.integers(0, q, (37, q)), np.repeat(np.arange(q)[:, None], q, axis=1),
+              rng.integers(0, q, (1, q))):
+        g2, wins2 = best_g_batch_2d(field, F)
+        for f, g, wins in zip(F.tolist(), g2.tolist(), wins2.tolist()):
+            assert best_response_g(field, f) == (tuple(g), wins)
+        keys = np.full(len(F) * q * q + 5, -1, dtype=np.intp)   # a reused, larger buffer
+        assert np.array_equal(game._batch_wins(field, F, keys), wins2)
+        assert np.array_equal(game._batch_wins(field, F[::-1], keys), wins2[::-1])
+
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_best_response_is_optimal(q):
@@ -179,7 +237,7 @@ def test_exact_golden_q9():
 
 def slice_exact_value(field):
     """Oracle: every one of the q^(q-2) tables of the f(0) = f(1) = 0 slice,
-    in lex order and in chunks through the batched kernel, with no output-scale
+    in lex order and in chunks through the 2-D kernel, with no output-scale
     gauge.  Returns (wins, f, g) for the lexicographically smallest optimal f."""
     q = field.q
     total = q ** (q - 2)
@@ -190,7 +248,7 @@ def slice_exact_value(field):
         idx = np.arange(start, min(start + chunk, total))
         F = np.zeros((len(idx), q), dtype=np.intp)
         F[:, 2:] = idx[:, None] // radix % q
-        g, wins = game._best_g_batch(field, F)
+        g, wins = best_g_batch_2d(field, F)
         i = int(wins.argmax())
         if best is None or wins[i] > best[0]:
             best = (int(wins[i]), tuple(F[i].tolist()), tuple(g[i].tolist()))
@@ -209,13 +267,13 @@ def test_kernel_sees_one_table_per_gauge_class(monkeypatch, q):
     # the zero table plus (q^(q-2) - 1)/(q - 1) tables with leading entry 1
     field = field_from_q(q)
     rows = []
-    kernel = game._best_g_batch
+    kernel = game._batch_wins
 
-    def counted(field, F):
+    def counted(field, F, keys):
         rows.append(len(F))
-        return kernel(field, F)
+        return kernel(field, F, keys)
 
-    monkeypatch.setattr(game, "_best_g_batch", counted)
+    monkeypatch.setattr(game, "_batch_wins", counted)
     exact_classical_value(field)
     assert sum(rows) == (q ** (q - 2) - 1) // (q - 1) + 1
 
