@@ -15,7 +15,7 @@ multiplication by a, has the digits of x^i * a as row i, so the digits of
 b * a are d(b) @ M_a.  One matrix power by squaring runs Rabin's
 irreducibility test on M_x and the primitive-element search on M_g.  The
 powers of g are listed by doubling, each step a float32 (float64 for primes
-p > 2896) BLAS product over blocks of rows, reduced mod p in place; every
+p > 2896) BLAS product over blocks of columns, reduced mod p in place; every
 value is an integer of at most s(p - 1)^2, small enough that the products
 and the floor of each quotient by p are exact (`_powers` gives the bound).
 
@@ -211,30 +211,37 @@ def _powers(p: int, s: int, mg: np.ndarray) -> np.ndarray:
     by doubling: powers k .. 2k-1 are the digit vectors of powers 0 .. k-1
     times M_(g^k), which squares to M_(g^2k).
 
-    Each step is a float BLAS product over blocks of `block_rows(s)` rows,
+    The digits of g^j are column j of an (s, q - 1) array.  Each step is a
+    float BLAS product M^T d over blocks of `block_rows(s)` columns,
     reduced mod p in place as x - floor(x / p) * p through one scratch
-    block; the encodings, digits times p^i, go block by block into the
-    result.  All of it is exact.  Digits lie in [0, p), so a sum x = kp + r
+    block.  All of it is exact.  Digits lie in [0, p), so a sum x = kp + r
     is an integer of at most s(p - 1)^2, and k + 1 < sp.  For r > 0, x / p
     lies at least 1/p below k + 1, and a float with an m-bit significand
     rounds it up to k + 1 only if 1/p <= (k + 1) 2^-m; so floor(x / p) = k
     whenever s p^2 <= 2^m.  float32 (m = 24) serves s p^2 < 2^23, GF(2^16)
     and GF(3^10) among them, and float64 the rest: prime fields with
-    p > 2896, where s p^2 < 2^32."""
+    p > 2896, where s p^2 < 2^32.
+
+    The encodings, digits times p^i, are a Horner pass over the digit rows
+    in the uint16 element type: integer arithmetic in which no value
+    reaches q, so nothing wraps, and no float matvec runs whose status
+    flags numpy would report.
+    """
     n = p ** s - 1
     dtype = np.float32 if s * p * p < 2 ** 23 else np.float64
-    digits = np.zeros((n, s), dtype=dtype)
+    digits = np.empty((s, n), dtype=dtype)     # every column past 0 is written first
+    digits[:, 0] = 0
     digits[0, 0] = 1
-    rows = block_rows(s)
-    scratch = np.empty((min(rows, n), s), dtype=dtype)
-    mat = mg.astype(dtype)
+    cols = block_rows(s)
+    scratch = np.empty(s * min(cols, n), dtype=dtype)
+    mat = mg.T.astype(dtype)
     k = 1
     while k < n:
         m = min(k, n - k)
-        for i in range(0, m, rows):
-            j = min(i + rows, m)
-            block, t = digits[k + i:k + j], scratch[:j - i]
-            np.matmul(digits[i:j], mat, out=block)
+        for i in range(0, m, cols):
+            j = min(i + cols, m)
+            block, t = digits[:, k + i:k + j], scratch[:s * (j - i)].reshape(s, -1)
+            np.matmul(mat, digits[:, i:j], out=block)
             np.divide(block, p, out=t)
             np.floor(t, out=t)
             t *= p
@@ -242,10 +249,10 @@ def _powers(p: int, s: int, mg: np.ndarray) -> np.ndarray:
         k += m
         if k < n:
             mat = mat @ mat % p
-    out = np.empty(n, dtype=_ELT)
-    weights = p ** np.arange(s, dtype=dtype)
-    for i in range(0, n, rows):
-        out[i:i + rows] = digits[i:i + rows] @ weights
+    out = digits[-1].astype(_ELT)
+    for row in digits[-2::-1]:
+        out *= p
+        out += row.astype(_ELT)
     return out
 
 

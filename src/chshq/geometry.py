@@ -433,7 +433,8 @@ def _code_tables(field: Field):
     `proj_dot` over every pair of codes (at most q^6 entries each):
 
     vadd[u*q^3 + v] = u + v, vcross[u*q^3 + v] = u x v, scale[s, v] = s*v
-    for s in F_q, and on[u*q^3 + v] = (u . v == 0).
+    for s in F_q, and dot[u, v] = u . v, a (q^3, q^3) uint8 table (its
+    entries are field elements, below q <= `SWEEP_Q_CAP`).
     """
     q, vec = field.q, field.vec
     k = np.arange(q ** 3)
@@ -446,8 +447,67 @@ def _code_tables(field: Field):
     vadd = code(vec.add(u, v)).ravel()
     vcross = code(_cross(vec, u, v)).ravel()
     scale = code(vec.mul(np.arange(q)[:, None], v))           # (q, q^3)
-    on = (proj_dot(vec, u, v) == 0).ravel()
-    return vadd, vcross, scale, on
+    dot = proj_dot(vec, u, v).astype(np.uint8)
+    return vadd, vcross, scale, dot
+
+
+def _sweep_tiles(field: Field, pts, lns):
+    """Per-cell incidence counts of the lifted points `pts` and lines `lns`
+    under the matrices M = (c1 | c2 | c3), yielded tile by tile as
+    (counts, singular), two (rows, cols) arrays over a block of c2 rows and
+    a window of c3 columns; singular marks det(M) = (c1 x c2) . c3 = 0.
+
+    c1 runs over the canonical points and (c2, c3) over the nonzero codes
+    in lex order, in tiles of at most t = `block_rows(lines * points)`
+    transforms: t // (n-1) whole c2 rows when t >= n-1, n = q^3, otherwise
+    windows of t columns of one c2 row.
+
+    No image is formed.  With c1 and c2 fixed, a point v goes to
+    M v = A + v2*c3 with A = v0*c1 + v1*c2, and a line u to
+    u adj(M) = u0*(c2 x c3) + u1*(c3 x c1) + u2*(c1 x c2) = B + W x c3 with
+    B = u2*(c1 x c2) and W = u0*c2 - u1*c1.  Their product is
+    alpha + beta . c3 with alpha = B . A and beta = v2*B + A x W, because
+    (W x c3) . c3 = 0 and (W x c3) . A = (A x W) . c3; and alpha = 0,
+    because c1 x c2 is orthogonal to c1 and to c2.  So the pair meets after
+    the transform iff dot[beta, c3] = 0: beta is gathered once per block of
+    c2 rows, and a tile is one uint8 gather of the rows beta of the window's
+    zero mask of `dot`.  A singular cell counts lines * points, since
+    adj(M) M = det(M) I = 0 there.
+    """
+    q = field.q
+    vadd, vcross, scale, dot = _code_tables(field)
+    n = q ** 3
+    scale_n = scale * n
+    P = np.array(pts, dtype=np.intp).reshape(-1, 3).T[:, :, None]   # (3, np, 1)
+    U = np.array(lns, dtype=np.intp).reshape(-1, 3).T[:, :, None]   # (3, nl, 1)
+    vectors = np.arange(1, n)                  # nonzero c2 codes, lex order
+    cells = len(lns) * len(pts)
+    tally = np.min_scalar_type(cells)          # holds every count
+    per_tile = block_rows(cells)               # transforms
+    tile_rows, tile_cols = max(1, per_tile // (n - 1)), min(n - 1, per_tile)
+    span = tile_rows * max(1, per_tile // tile_rows)    # c2 rows per beta block
+    windows = [(dot[:, 1 + s:1 + s + tile_cols] == 0).view(np.uint8)
+               for s in range(0, n - 1, tile_cols)]
+    v1c2, u0c2 = scale[P[1], vectors], scale_n[U[0], vectors]   # v1*c2, n u0*c2
+    neg_u1 = field.vec.neg(U[1])
+    for c1 in all_proj_points(field):
+        k1 = (c1[0] * q + c1[1]) * q + c1[2]
+        c12 = vcross[k1 * n + vectors]                          # c1 x c2
+        A = vadd[scale_n[P[0], k1] + v1c2]                      # (np, n - 1)
+        B = scale[U[2], c12]                                    # (nl, n - 1)
+        W = vadd[u0c2 + scale[neg_u1, k1]]                      # u0*c2 - u1*c1
+        for b in range(0, n - 1, span):
+            bs = slice(b, b + span)
+            Ab, Bb, Wb = A[None, :, bs], B[:, None, bs], W[:, None, bs]
+            width = Ab.shape[2]
+            # v2*B + A x W per (line, point), as (cells, width)
+            beta = vadd[scale_n[P[2], Bb] + vcross[Ab * n + Wb]].reshape(cells, width)
+            for r in range(0, width, tile_rows):
+                rs = slice(r, r + tile_rows)
+                c12r = c12[b + r:b + r + tile_rows]
+                for zero in windows:
+                    yield (zero.take(beta[:, rs], axis=0).sum(axis=0, dtype=tally),  # (r, s)
+                           zero.take(c12r, axis=0).view(bool))
 
 
 def verify_incidence_preservation_exhaustive(field: Field, c: Config) -> int:
@@ -457,59 +517,24 @@ def verify_incidence_preservation_exhaustive(field: Field, c: Config) -> int:
     Enumerates the matrices M with columns c1, c2, c3, one per projective
     class: c1 runs over the canonical points, which fixes the scalar, and
     with it every pair of nonzero vectors (c2, c3) with
-    det(M) = (c1 x c2) . c3 != 0.  For each c1 the full (n-1) x (n-1) grid
-    of nonzero (c2, c3), n = q^3, is walked in tiles of at most
-    t = `block_rows(lines * points)` transforms, by broadcasting a c2
-    column against a c3 row: t // (n-1) whole c2 rows when t >= n-1,
-    otherwise t cells of one c2 row.  The singular cells of a tile, with
-    on[(c1 x c2)*n + c3] set, are left out of the check, and `checked`
-    counts the regular cells.  All arithmetic is gathers from the
-    `_code_tables` of F_q^3, kept with their values premultiplied by n
-    where a result is the left operand of the next gather.  The images are
-    linear in the columns: points go to M v = (v0*c1 + v1*c2) + v2*c3 and
-    lines to u adj(M) = u0*(c2 x c3) + u1*(c3 x c1) + u2*(c1 x c2), so each
-    term that does not need both c2 and c3 is tabulated once per c1 (once
-    per call for v2*c3), and c2 x c3 is a slice of the (n-1)^2 block of
-    vcross.  The base count is the scalar projective count.
+    det(M) = (c1 x c2) . c3 != 0.  `_sweep_tiles` counts each transform's
+    incidences from the `dot` table of F_q^3 without forming an image
+    point or line: with c1 and c2 fixed, a (line, point) pair meets after
+    the transform iff beta . c3 = 0 for a beta in F_q^3 that does not
+    depend on c3.  Every regular cell must count the scalar projective
+    incidences of the lift, and `checked`, the number of regular cells,
+    must equal the group order.
     """
     q = field.q
     if q > SWEEP_Q_CAP:
         raise CapExceeded(f"exhaustive transform sweep capped at q <= {SWEEP_Q_CAP}")
     pts, lns = lift_config(field, c)
     base = projective_incidences(field, pts, lns)
-    vadd, vcross, scale, on = _code_tables(field)
-    n = q ** 3
-    vadd_n, scale_n = vadd * n, scale * n
-    P = np.array(pts, dtype=np.intp).reshape(-1, 3).T[:, :, None]   # (3, np, 1)
-    U = np.array(lns, dtype=np.intp).reshape(-1, 3).T[:, :, None]   # (3, nl, 1)
-    vectors = np.arange(1, n)                  # nonzero codes, in lex order
-    v2c3 = scale[P[2], vectors][:, None, :]                     # (np, 1, n - 1)
-    cross23 = vcross.reshape(n, n)[1:, 1:]     # c2 x c3 for nonzero c2, c3
-    u0s = scale_n[U[0, :, 0]]                  # n * u0*w for every code w
-    per_tile = block_rows(len(lns) * len(pts))       # transforms
-    tile_rows, tile_cols = max(1, per_tile // (n - 1)), min(n - 1, per_tile)
     checked = 0
-    for c1 in all_proj_points(field):
-        k1 = (c1[0] * q + c1[1]) * q + c1[2]
-        c12 = vcross[k1 * n + vectors]         # c1 x c2 for every c2
-        c12_n = (c12 * n)[:, None]             # row offsets of the det test
-        # n(v0*c1 + v1*c2) as (np, n - 1, 1)
-        v01 = vadd_n[scale_n[P[0], k1] + scale[P[1], vectors]][:, :, None]
-        u1 = scale[U[1], vcross[vectors * n + k1]][:, None, :]   # u1*(c3 x c1)
-        u2 = scale[U[2], c12][:, :, None]                        # u2*(c1 x c2)
-        for r in range(0, n - 1, tile_rows):
-            rs = slice(r, r + tile_rows)
-            for s in range(0, n - 1, tile_cols):
-                cs = slice(s, s + tile_cols)
-                singular = on.take(c12_n[rs] + vectors[cs])             # (r, s)
-                img_p = vadd.take(v01[:, rs] + v2c3[:, :, cs])     # (np, r, s)
-                u0 = u0s.take(cross23[rs, cs], axis=1)            # n u0*(c2 x c3)
-                img_l = vadd_n.take(vadd_n.take(u0 + u1[:, :, cs]) + u2[:, rs])
-                hits = on.take(img_l[:, None] + img_p)         # (nl, np, r, s)
-                counts = hits.reshape(-1, singular.size).sum(axis=0, dtype=np.int32)
-                if not np.all((counts == base) | singular.ravel()):
-                    raise InvariantViolation("incidence count changed under a transform")
-                checked += singular.size - np.count_nonzero(singular)
+    for counts, singular in _sweep_tiles(field, pts, lns):
+        if not ((counts == base) | singular).all():
+            raise InvariantViolation("incidence count changed under a transform")
+        checked += singular.size - np.count_nonzero(singular)
     order = (q * q + q + 1) * (q ** 3 - q) * (q ** 3 - q * q)
     if checked != order:
         raise InvariantViolation("transform enumeration incomplete")

@@ -174,6 +174,15 @@ def test_field_builds_match_frozen_golden():
     assert not wrong, f"builds differ from the golden for (p, s) = {wrong}"
 
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_golden_field_builds_raise_no_runtime_warning():
+    # a float matvec that encoded the digits in `_powers` once raised a
+    # spurious "invalid value encountered in matmul"; every golden build runs
+    # here with RuntimeWarning an error
+    for p, s, *_ in FIELD_BUILDS:
+        field_new(p, s)
+
 def powers_oracle(p: int, s: int, mg: np.ndarray) -> np.ndarray:
     # the doubling in exact integer matmul, one product per step: the
     # reference the float BLAS row blocks of `_powers` must reproduce

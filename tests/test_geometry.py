@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -617,6 +618,18 @@ def test_exhaustive_checker_detects_changed_count(monkeypatch):
         verify_incidence_preservation_exhaustive(field, c)
 
 
+def test_exhaustive_checker_detects_a_count_above_base(monkeypatch):
+    # every transform then counts one incidence more than the base
+    field = field_from_q(3)
+    c = strategy_to_config(field, Strategy((0, 0, 1), (0, 1, 0)))
+    real = geometry.projective_incidences
+    assert real(field, *lift_config(field, c)) > 0
+    monkeypatch.setattr(geometry, "projective_incidences",
+                        lambda f, pts, lns: real(f, pts, lns) - 1)
+    with pytest.raises(InvariantViolation, match="incidence count changed"):
+        verify_incidence_preservation_exhaustive(field, c)
+
+
 def sweep_per_column_pair(field, c: Config) -> int:
     # the sweep that the code-table sweep replaced: one batch per (c1, c2)
     # of every c3 with det != 0, all arithmetic through field.vec
@@ -655,7 +668,8 @@ def sweep_code_pairs(field, c: Config) -> int:
     q = field.q
     pts, lns = lift_config(field, c)
     base = projective_incidences(field, pts, lns)
-    vadd, vcross, scale, on = geometry._code_tables(field)
+    vadd, vcross, scale, dot = geometry._code_tables(field)
+    on = (dot == 0).ravel()
     n = q ** 3
     P = np.array(pts, dtype=np.intp).reshape(-1, 3).T[:, :, None]
     U = np.array(lns, dtype=np.intp).reshape(-1, 3).T[:, :, None]
@@ -680,6 +694,44 @@ def sweep_code_pairs(field, c: Config) -> int:
                 raise InvariantViolation("incidence count changed under a transform")
             checked += len(j2)
     return checked
+
+
+def sweep_image_tiles(field, pts, lns):
+    # the tile kernel that the beta . c3 tiles replaced, yielding the same
+    # tiles as geometry._sweep_tiles: every image point and image line is
+    # gathered as a code, and each (line, point) pair reads the incidence
+    # table on = (dot == 0) at (image line, image point)
+    q = field.q
+    vadd, vcross, scale, dot = geometry._code_tables(field)
+    on = (dot == 0).ravel()
+    n = q ** 3
+    vadd_n, scale_n = vadd * n, scale * n
+    P = np.array(pts, dtype=np.intp).reshape(-1, 3).T[:, :, None]   # (3, np, 1)
+    U = np.array(lns, dtype=np.intp).reshape(-1, 3).T[:, :, None]   # (3, nl, 1)
+    vectors = np.arange(1, n)
+    v2c3 = scale[P[2], vectors][:, None, :]                     # (np, 1, n - 1)
+    cross23 = vcross.reshape(n, n)[1:, 1:]     # c2 x c3 for nonzero c2, c3
+    u0s = scale_n[U[0, :, 0]]                  # n * u0*w for every code w
+    per_tile = chshq.field.block_rows(len(lns) * len(pts))      # transforms
+    tile_rows, tile_cols = max(1, per_tile // (n - 1)), min(n - 1, per_tile)
+    for c1 in all_proj_points(field):
+        k1 = (c1[0] * q + c1[1]) * q + c1[2]
+        c12 = vcross[k1 * n + vectors]         # c1 x c2 for every c2
+        c12_n = (c12 * n)[:, None]
+        v01 = vadd_n[scale_n[P[0], k1] + scale[P[1], vectors]][:, :, None]
+        u1 = scale[U[1], vcross[vectors * n + k1]][:, None, :]   # u1*(c3 x c1)
+        u2 = scale[U[2], c12][:, :, None]                        # u2*(c1 x c2)
+        for r in range(0, n - 1, tile_rows):
+            rs = slice(r, r + tile_rows)
+            for s in range(0, n - 1, tile_cols):
+                cs = slice(s, s + tile_cols)
+                singular = on.take(c12_n[rs] + vectors[cs])             # (r, s)
+                img_p = vadd.take(v01[:, rs] + v2c3[:, :, cs])     # (np, r, s)
+                u0 = u0s.take(cross23[rs, cs], axis=1)            # n u0*(c2 x c3)
+                img_l = vadd_n.take(vadd_n.take(u0 + u1[:, :, cs]) + u2[:, rs])
+                hits = on.take(img_l[:, None] + img_p)         # (nl, np, r, s)
+                counts = hits.reshape(-1, singular.size).sum(axis=0, dtype=np.int32)
+                yield counts.reshape(singular.shape), singular
 
 
 def group_order(q: int) -> int:
@@ -717,25 +769,62 @@ def test_sweep_tiles_match_code_pair_oracle(q):
                 == sweep_code_pairs(field, c) == group_order(q))
 
 
+@pytest.mark.parametrize("q,block", [(2, 1), (2, 100), (3, 100),
+                                     (2, None), (3, None), (4, None), (5, None)])
+def test_sweep_tile_counts_match_image_tile_oracle(monkeypatch, q, block):
+    # cell by cell, singular cells included (both count lines * points there)
+    field = field_from_q(q)
+    rng = random.Random(200 + q)
+    configs = sweep_configs(field, rng, q, extra=True) + [
+        random_config(field, rng, 2 * q, 1), random_config(field, rng, 1, 2 * q)]
+    if block is not None:
+        monkeypatch.setattr(chshq.field, "BLOCK_CELLS", block)
+    elif q <= 4:        # the whole affine plane: q^4 cells, 256 at q = 4
+        plane = [(x, y) for x in range(q) for y in range(q)]
+        configs.append(make_config(plane, plane))
+    for c in configs:
+        pts, lns = lift_config(field, c)
+        tiles = 0
+        for got, want in zip_longest(geometry._sweep_tiles(field, pts, lns),
+                                     sweep_image_tiles(field, pts, lns)):
+            assert got is not None and want is not None      # same number of tiles
+            assert got[0].shape == want[0].shape
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[0], want[0])
+            tiles += 1
+        assert tiles >= q * q + q + 1
+
+
 @pytest.mark.parametrize("q", [3, 4])
 def test_sweep_catches_one_corrupted_incidence_entry(monkeypatch, q):
-    # flip on[l, p] for the first lifted line and point: the identity
-    # transform reads that entry, and the base count does not use the table
+    # for the first lifted line u and point v, make one dot entry that the
+    # identity transform reads zero if it was nonzero and nonzero if it was
+    # zero.  Under the identity the sweep has alpha = 0 and beta = (u . v) e3,
+    # so it reads dot[(u . v) e3, e3]; the image kernels read dot[u, v].  The
+    # base count does not use the table.
     field = field_from_q(q)
     c = random_config(field, random.Random(q), q, q)
     pts, lns = lift_config(field, c)
-    n = q ** 3
 
     def code(t):
         return (t[0] * q + t[1]) * q + t[2]
-    vadd, vcross, scale, on = _code_tables(field)
-    bad = on.copy()
-    bad[code(lns[0]) * n + code(pts[0])] ^= True
-    monkeypatch.setattr(geometry, "_code_tables", lambda f: (vadd, vcross, scale, bad))
+    tables = _code_tables(field)
+
+    def corrupted(u, v):
+        dot = tables[3].copy()
+        dot[u, v] = 0 if dot[u, v] else 1
+        return lambda f: tables[:3] + (dot,)
+    e3 = code((0, 0, 1))
+    monkeypatch.setattr(geometry, "_code_tables",
+                        corrupted(code((0, 0, proj_dot(field, lns[0], pts[0]))), e3))
     with pytest.raises(InvariantViolation):
         verify_incidence_preservation_exhaustive(field, c)
+    monkeypatch.setattr(geometry, "_code_tables", corrupted(code(lns[0]), code(pts[0])))
     with pytest.raises(InvariantViolation):
         sweep_code_pairs(field, c)
+    monkeypatch.setattr(geometry, "_sweep_tiles", sweep_image_tiles)
+    with pytest.raises(InvariantViolation):
+        verify_incidence_preservation_exhaustive(field, c)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -761,13 +850,14 @@ def test_sweep_and_oracle_catch_a_wrong_vec_mul(monkeypatch, q):
 def test_code_tables_match_field_ops(q):
     field = field_from_q(q)
     vec, n = field.vec, q ** 3
-    vadd, vcross, scale, on = _code_tables(field)
+    vadd, vcross, scale, dot = _code_tables(field)
     cube = (q, q, q)
     u, v = (np.array(np.unravel_index(k, cube))
             for k in np.unravel_index(np.arange(n * n), (n, n)))
     assert np.array_equal(vadd, np.ravel_multi_index(vec.add(u, v), cube))
     assert np.array_equal(vcross, np.ravel_multi_index(_cross(vec, u, v), cube))
-    assert np.array_equal(on, proj_dot(vec, u, v) == 0)
+    assert dot.shape == (n, n) and dot.dtype == np.uint8
+    assert np.array_equal(dot.ravel(), proj_dot(vec, u, v))
     s, w = np.unravel_index(np.arange(q * n), (q, n))
     w = np.array(np.unravel_index(w, cube))
     assert np.array_equal(scale.ravel(), np.ravel_multi_index(vec.mul(s, w), cube))
@@ -778,8 +868,11 @@ def test_code_tables_match_field_ops(q):
         ta, tb = (tuple(map(int, np.unravel_index(k, cube))) for k in (a, b))
         assert vadd[a * n + b] == np.ravel_multi_index(tuple(map(field.add, ta, tb)), cube)
         assert vcross[a * n + b] == np.ravel_multi_index(_cross(field, ta, tb), cube)
-        assert on[a * n + b] == (proj_dot(field, ta, tb) == 0)
+        assert dot[a, b] == proj_dot(field, ta, tb)
         assert scale[t, b] == np.ravel_multi_index([field.mul(t, x) for x in tb], cube)
+    if q <= 4:      # every dot entry against the scalar proj_dot
+        vs = [tuple(map(int, np.unravel_index(k, cube))) for k in range(n)]
+        assert dot.tolist() == [[proj_dot(field, a, b) for b in vs] for a in vs]
 
 
 @pytest.mark.parametrize("q,block", [(3, 1), (3, 100), (3, 1000), (4, 1000)])
