@@ -121,6 +121,8 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
         except ValueError as e:   # JSONDecodeError and UnicodeDecodeError
             raise InvalidInput(f"{path} is not valid JSON: {e}")
+        except RecursionError:    # the decoder recurses once per nesting level
+            raise InvalidInput(f"{path} nests JSON too deeply to read")
 
 
 def _field_from_args(args) -> Field:

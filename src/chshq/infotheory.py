@@ -16,10 +16,10 @@ from math import log2
 import numpy as np
 
 from .errors import InvalidInput, InvariantViolation, CapExceeded
-from .field import OP_TABLE_Q_CAP, Field, block_rows
+from .field import OP_TABLE_Q_CAP, Field
 from .boxes import RegularBox, ErrorDist, compose_m
 
-QM_CAP = 1 << 20   # largest enumerable input space q^m
+QM_CAP = 1 << 20   # largest input space q^m whose U_m is listed
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,9 @@ def build_U_m(field: Field, m: int) -> HadamardTask:
     if m < 1:
         raise InvalidInput("m must be >= 1")
     q = field.q
-    if q ** m > QM_CAP:
+    # q >= 2 puts every m past log2(QM_CAP) over the cap, so the power is
+    # taken at most that far: q ** m for a huge m would not finish
+    if q ** min(m, QM_CAP.bit_length()) > QM_CAP:
         raise CapExceeded(f"q^m exceeds enumeration cap {QM_CAP}")
     vectors = []
     for lead in range(m):
@@ -83,85 +85,39 @@ def build_U_m(field: Field, m: int) -> HadamardTask:
     return HadamardTask(field, m, tuple(vectors))
 
 
-def _codeword_values(field: Field, m: int, vectors) -> np.ndarray:
-    """Had_xi over all q^m inputs Y for each xi in vectors, as a
-    (len(vectors), q^m) array: the transpose of a (q^m, len(vectors)) table.
-
-    The table is built one coordinate at a time.  After i coordinates it
-    holds <xi, Y> over the q^i prefixes (Y_0, ..., Y_(i-1)), Y_0 most
-    significant; coordinate i broadcasts it against the q x k products
-    y * xi_i, y in F_q, into q^(i+1) rows.  Both steps are flat gathers from
-    the op tables, with the products read premultiplied by q so that
-    `add[t*q + v]` = t + v needs no extra pass."""
-    q = field.q
-    if q ** m > QM_CAP:
-        raise CapExceeded(f"q^m exceeds enumeration cap {QM_CAP}")
-    if any(len(xi) != m for xi in vectors):
-        raise InvalidInput(f"index vectors must have m = {m} coordinates")
-    xis = np.asarray(vectors).reshape(-1, m)
-    if xis.size and (xis.dtype.kind not in "iu" or xis.min() < 0 or xis.max() >= q):
-        raise InvalidInput(f"index vector entries must be integers in [0, {q})")
-    add = field.op_table("add").ravel()
-    mul_q = field.op_table("mul").ravel().astype(np.intp) * q
-    ys = np.arange(q)[:, None] * q
-    vals = np.zeros((1, len(xis)), dtype=add.dtype)
-    for xi in xis.T.astype(np.intp):                  # float when xis is empty
-        terms = mul_q.take(ys + xi)                    # q * (y * xi_i), (q, k)
-        vals = add.take(vals[:, None, :] + terms).reshape(q * len(vals), len(xis))
-    return vals.T
-
-
-def coordinates_pair_uniform(field: Field, m: int, xi1, xi2) -> bool:
-    """True iff (Had_xi1(Y), Had_xi2(Y)) is exactly uniform on F_q^2."""
-    q = field.q
-    v1, v2 = _codeword_values(field, m, [xi1, xi2])
-    hist = np.bincount(v1 * q + v2, minlength=q * q)
-    return bool((hist == q ** m // (q * q)).all())
-
-
 def pairwise_independence_check(task: HadamardTask) -> bool:
-    """Exhaustive check that all single coordinates are uniform and all
-    pairs of distinct index vectors give jointly uniform codeword pairs.
+    """True iff every codeword <xi, Y> is uniform and every pair of
+    codewords is jointly uniform on F_q^2, for Y uniform on F_q^m.
 
-    H is the q^m x k(q-1) one-hot matrix of the k codewords at the values
-    1..q-1 only: q^m - 1 columns for U_m.  Its column sums are the
-    marginals at those values, and block (i, j) of H^T H is the joint
-    histogram of codewords i and j at the nonzero value pairs.  The product
-    is formed in blocks of `block_rows(k (q-1)^2)` codewords, upper triangle
-    only, and its cells j <= i are masked out by codeword index.  Counts are
-    at most q^m <= QM_CAP < 2^24, so float32 holds every partial sum exactly.
-
-    The value-0 cells follow.  With n = q^m, let codeword i take each value
-    1..q-1 exactly n/q times; it then takes 0 the remaining n - (q-1)n/q =
-    n/q times.  If also every joint cell (a, b) with a, b != 0 of the pair
-    (i, j) holds t = n/q^2, then (0, b) holds n/q - (q-1)t = t for b != 0,
-    and likewise (a, 0), and (0, 0) holds n/q - (q-1)t = t.  For m = 1 the
-    target n // q^2 is 0 and no pair passes either test: two codewords with
-    uniform marginals have nonzero index entries, so both are nonzero at
-    Y = 1.  The k x q^m codeword table is refused above QM_CAP entries
-    before it is built.
+    The check is a rank test, with no q^m-sized object.  The map
+    Y -> <xi, Y> is F_q-linear, so it is onto F_q, and each fibre holds
+    q^(m-1) points, iff xi != 0.  For two vectors, Y -> (<xi1, Y>, <xi2, Y>)
+    is onto F_q^2 iff xi1 and xi2 are linearly independent; every fibre is
+    then a coset of the kernel and holds q^(m-2) points, so the pair is
+    uniform.  If they are dependent, xi2 = c xi1 and the pair lies on the
+    line {(a, c a)}, which is not all of F_q^2 (for m = 1 every pair is
+    dependent).  So the task passes iff no vector is zero and no two are
+    scalar multiples: each vector is scaled by the inverse of its first
+    nonzero entry, and the scaled rows must be pairwise distinct.
     """
     field, m = task.field, task.m
     q = field.q
-    k = len(task.vectors)
-    if k * q ** m > QM_CAP:
-        raise CapExceeded(f"{k} codewords of length q^m = {q ** m} "
-                          f"exceed the enumeration cap of {QM_CAP} entries")
-    values = _codeword_values(field, m, task.vectors).T        # (q^m, k)
-    n, w = q ** m, q - 1
-    onehot = np.eye(q, dtype=np.float32)[:, 1:]       # row v: v at values 1..q-1
-    H = onehot.take(values, axis=0).reshape(n, k * w)
-    if not (H.sum(axis=0) == n // q).all():
+    if m < 1:
+        raise InvalidInput("m must be >= 1")
+    if any(len(xi) != m for xi in task.vectors):
+        raise InvalidInput(f"index vectors must have m = {m} coordinates")
+    xis = np.asarray(task.vectors).reshape(-1, m)
+    if not xis.size:
+        return True
+    if xis.dtype.kind not in "iu" or xis.min() < 0 or xis.max() >= q:
+        raise InvalidInput(f"index vector entries must be integers in [0, {q})")
+    nonzero = xis != 0
+    if not nonzero.any(axis=1).all():
         return False
-    rows = block_rows(k * w * w)
-    for start in range(0, k, rows):
-        stop = min(start + rows, k)
-        joint = (H[:, start * w:stop * w].T @ H[:, start * w:]).reshape(
-            stop - start, w, k - start, w)
-        earlier = np.arange(start, k) <= np.arange(start, stop)[:, None]
-        if not ((joint == n // (q * q)) | earlier[:, None, :, None]).all():
-            return False
-    return True
+    lead = xis[np.arange(len(xis)), nonzero.argmax(axis=1)]
+    rows = field.vec.mul(field.vec.inv(lead)[:, None], xis)
+    rows = rows[np.lexsort(rows.T)]
+    return not (rows[1:] == rows[:-1]).all(axis=1).any()
 
 
 # ---------------------------------------------------------------------------
@@ -209,24 +165,6 @@ def ic_sum(field: Field, m: int, E) -> IcSumResult:
     mi = mutual_information(joint_from_error(field, err))
     n = (field.q ** m - 1) // (field.q - 1)
     return IcSumResult(m=m, n_indices=n, per_index_mi=mi, total=n * mi)
-
-
-def per_index_mi_closed_form(q: int, E, m: int) -> float:
-    """Analytic MI of the composed channel, for cross-checking ic_sum:
-
-        I = p0 log2(q p0) + (q-1) p1 log2(q p1)
-
-    with p0 = 1/q + (q-1)E^m/q and p1 = (1 - E^m)/q.  Equivalently
-    p0 log2(1 + (q-1)E^m) + ((q-1)(1-E^m)/q) log2(1-E^m)."""
-    Em = float(Fraction(E) ** m)
-    p0 = 1 / q + (q - 1) * Em / q
-    p1 = (1 - Em) / q
-    out = 0.0
-    if p0 > 0:
-        out += p0 * log2(q * p0)
-    if p1 > 0:
-        out += (q - 1) * p1 * log2(q * p1)
-    return out
 
 
 @dataclass(frozen=True)
@@ -356,18 +294,6 @@ class CstarStats:
     mi_cond: float            # MI of cond_joint
     mi_original: float        # MI of the protocol's true (X, Z)
     mi_tolerance: float       # 3-sigma allowance for |mi_cond - mi_original|
-
-
-def cstar_exact(protocol: ChannelProtocol):
-    """Analytic facts about the guessing reduction: match probability is
-    exactly 1/|Sigma|; given a match the joint of (X, Z~) is the original
-    channel joint; given a miss, Z~ is uniform and independent of X."""
-    sigma = protocol.n_messages
-    p1 = Fraction(1, sigma)
-    cond1 = protocol.joint_xz()
-    x = np.array(protocol.x_dist)
-    cond0 = np.repeat(x[:, None] / protocol.n_outputs, protocol.n_outputs, axis=1)
-    return p1, cond1, cond0
 
 
 def simulate_cstar(protocol: ChannelProtocol, samples: int = 10 ** 5,

@@ -212,9 +212,10 @@ def test_exit_code_coordinate_out_of_range(tmp_path, capsys, command, value, slo
     (b'{"q": 5, "points": [[1, 2, 3]], "lines": []}', "malformed config json"),
     (b'{"q": 5, "points": [1], "lines": []}', "malformed config json"),
     (b"[]", "malformed config json"),
+    (b"[" * 100000 + b"]" * 100000, "nests JSON too deeply"),
 ], ids=["syntax", "not-utf8", "empty", "q-overflow", "q-fraction", "q-bool",
         "point-fraction", "line-bool", "point-triple", "point-scalar",
-        "not-object"])
+        "not-object", "nested-too-deep"])
 def test_exit_code_malformed_json(tmp_path, capsys, command, content, message):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)

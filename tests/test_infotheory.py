@@ -15,13 +15,12 @@ import chshq.field
 from chshq.errors import InvalidInput, InvariantViolation, CapExceeded
 from chshq.field import field_from_q
 from chshq.boxes import RegularBox
-from chshq import infotheory
 from chshq.infotheory import (
     HadamardTask, check_joint, entropy, mutual_information,
-    build_U_m, coordinates_pair_uniform, pairwise_independence_check,
-    joint_from_error, ic_sum, per_index_mi_closed_form,
+    build_U_m, pairwise_independence_check,
+    joint_from_error, ic_sum,
     ic_dichotomy_experiment, binary_reduction_select,
-    ChannelProtocol, copy_protocol, cstar_exact, simulate_cstar,
+    ChannelProtocol, copy_protocol, simulate_cstar,
 )
 
 
@@ -113,12 +112,13 @@ def test_scaled_index_pair_is_not_uniform():
     field = field_from_q(3)
     xi = (1, 0)
     double = (2, 0)
-    assert not coordinates_pair_uniform(field, 2, xi, double)
-    assert coordinates_pair_uniform(field, 2, xi, (1, 1))
+    for pair, expected in (((xi, double), False), ((xi, (1, 1)), True)):
+        task = HadamardTask(field, 2, pair)
+        assert pairwise_independence_check(task) is pairwise_scan(task) is expected
 
 
 def had(field, y, xi) -> int:
-    # the scalar Hadamard codeword <xi, y> that the op-table kernel replaced
+    # the scalar Hadamard codeword <xi, y>, the reference for the op-table oracle
     acc = 0
     for yi, xii in zip(y, xi):
         acc = field.add(acc, field.mul(xii, yi))
@@ -126,8 +126,8 @@ def had(field, y, xi) -> int:
 
 
 def codeword_values_op_tables(field, m, vectors) -> np.ndarray:
-    # the per-coordinate kernel that the broadcast build replaced: m full
-    # (k, q^m) two-dimensional gathers from the q x q op tables
+    # Had_xi over all q^m inputs Y, Y_0 most significant, for each xi in
+    # vectors: m full (k, q^m) two-dimensional gathers from the q x q op tables
     q = field.q
     add, mul = field.op_table("add"), field.op_table("mul")
     xis = np.asarray(vectors, dtype=np.intp).reshape(-1, m)
@@ -141,22 +141,12 @@ def codeword_values_op_tables(field, m, vectors) -> np.ndarray:
 @pytest.mark.parametrize("q, m", [(2, 3), (3, 2), (4, 2), (5, 2)])
 def test_codeword_values_match_scalar_had(q, m):
     field = field_from_q(q)
-    ys = list(product(range(q), repeat=m))   # column order of the kernel
+    ys = list(product(range(q), repeat=m))   # column order of the oracle
     xis = list(product(range(q), repeat=m))
-    values = infotheory._codeword_values(field, m, xis)
+    values = codeword_values_op_tables(field, m, xis)
     assert values.shape == (len(xis), q ** m)
     for xi, row in zip(xis, values):
         assert row.tolist() == [had(field, y, xi) for y in ys]
-
-
-@pytest.mark.parametrize("q, m", [(2, 1), (2, 10), (3, 6), (4, 4), (7, 3), (8, 2), (9, 3), (16, 2)])
-def test_codeword_values_match_op_table_oracle(q, m):
-    field = field_from_q(q)
-    vectors = build_U_m(field, m).vectors
-    rng = random.Random(q * m)
-    vectors += tuple(tuple(rng.randrange(q) for _ in range(m)) for _ in range(5))
-    assert np.array_equal(infotheory._codeword_values(field, m, vectors),
-                          codeword_values_op_tables(field, m, vectors))
 
 
 @pytest.mark.parametrize("bad", [(-1, 1), (4, 1), (5, 1), (1.5, 1), (1, 2.0)],
@@ -166,15 +156,12 @@ def test_index_entries_outside_the_field_are_refused(bad):
     # was truncated to 1
     field = field_from_q(4)
     with pytest.raises(InvalidInput, match=r"integers in \[0, 4\)"):
-        infotheory._codeword_values(field, 2, [(1, 0), bad])
-    with pytest.raises(InvalidInput):
         pairwise_independence_check(HadamardTask(field, 2, ((1, 0), bad)))
-    with pytest.raises(InvalidInput):
-        coordinates_pair_uniform(field, 2, (1, 0), bad)
 
 
 def pairwise_scan(task) -> bool:
-    # the per-pair bincount loop that the one-hot product replaced
+    # exhaustive reference: every marginal and every pair's joint histogram
+    # over all q^m inputs, one bincount each
     field, m = task.field, task.m
     q, n = field.q, field.q ** m
     values = codeword_values_op_tables(field, m, task.vectors)
@@ -190,8 +177,8 @@ def pairwise_scan(task) -> bool:
 
 
 def pairwise_onehot_q(task) -> bool:
-    # the float64 product that the (q-1)-column float32 one replaced: all q
-    # values one-hot, every joint cell compared, marginals by bincount
+    # exhaustive reference by one float64 product: all q values one-hot,
+    # every joint cell compared, marginals by bincount
     field, m = task.field, task.m
     q, n = field.q, field.q ** m
     values = codeword_values_op_tables(field, m, task.vectors)
@@ -255,7 +242,7 @@ def test_pairwise_check_matches_pair_scan(q, m):
     ((1, 0), (0, 0)),
 ], ids=["scaled-pair", "scaled-pair-last", "constant-codeword"])
 def test_pairwise_check_finds_dependent_vectors(monkeypatch, block_cells, vectors):
-    # rows of one vector per block reach the failing pair in a later block
+    # the rank test reads no batch size, so no BLOCK_CELLS may move its answer
     monkeypatch.setattr(chshq.field, "BLOCK_CELLS", block_cells)
     task = HadamardTask(field_from_q(3), 2, vectors)
     assert pairwise_independence_check(task) is pairwise_scan(task) is False
@@ -271,18 +258,34 @@ def test_u_m_cap():
     field = field_from_q(4)
     with pytest.raises(CapExceeded):
         build_U_m(field, 11)    # 4^11 > 2^20 entries
+    # 32^4 = 2^20 is exactly at the cap
+    assert len(build_U_m(field_from_q(32), 4).vectors) == (32 ** 4 - 1) // 31
 
 
-def test_pairwise_check_caps_the_codeword_table(monkeypatch):
-    # q = 3, m = 6 has a 364 x 729 codeword table, well within QM_CAP
-    assert pairwise_independence_check(build_U_m(field_from_q(3), 6))
-    # 2^11 inputs are within QM_CAP, but the 2047 x 2048 codeword table is not
-    def unreachable(*args):
-        raise AssertionError("codeword table built past the cap")
-    task = build_U_m(field_from_q(2), 11)
-    monkeypatch.setattr(infotheory, "_codeword_values", unreachable)
-    with pytest.raises(CapExceeded, match="2047 codewords"):
-        pairwise_independence_check(task)
+@pytest.mark.parametrize("q, m", [(2, 21), (3, 10 ** 9)])
+def test_u_m_cap_refuses_huge_m_at_once(q, m):
+    # refused before q ** m is formed, which for m = 10^9 would not finish
+    with pytest.raises(CapExceeded):
+        build_U_m(field_from_q(q), m)
+
+
+@pytest.mark.parametrize("q, m", [(2, 11), (101, 2), (101, 3)])
+def test_pairwise_check_needs_no_codeword_table(q, m):
+    # U_11 over GF(2) has 2047 vectors, so its codeword table would hold
+    # 2047 * 2^11 entries, past QM_CAP; U_2 over GF(101) would take 101^2
+    # inputs times 102 codewords, and U_3 over GF(101) 101^3 times 10303
+    assert pairwise_independence_check(build_U_m(field_from_q(q), m)) is True
+
+
+@pytest.mark.parametrize("m, vectors", [(0, ()), (0, ((),)), (-1, ())],
+                         ids=["m0-empty", "m0-empty-vector", "m-negative"])
+def test_pairwise_check_refuses_m_below_one(m, vectors):
+    with pytest.raises(InvalidInput, match="m must be >= 1"):
+        pairwise_independence_check(HadamardTask(field_from_q(3), m, vectors))
+
+
+def test_pairwise_check_passes_an_empty_task():
+    assert pairwise_independence_check(HadamardTask(field_from_q(3), 2, ())) is True
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +322,24 @@ def test_joint_from_error_refused_above_cap():
     err = RegularBox(8192, Fraction(1, 2)).error_dist()
     with pytest.raises(CapExceeded, match="capped at q <= 4096"):
         joint_from_error(field, err)
+
+
+def per_index_mi_closed_form(q: int, E, m: int) -> float:
+    """Analytic MI of the composed channel, for cross-checking ic_sum:
+
+        I = p0 log2(q p0) + (q-1) p1 log2(q p1)
+
+    with p0 = 1/q + (q-1)E^m/q and p1 = (1 - E^m)/q.  Equivalently
+    p0 log2(1 + (q-1)E^m) + ((q-1)(1-E^m)/q) log2(1-E^m)."""
+    Em = float(Fraction(E) ** m)
+    p0 = 1 / q + (q - 1) * Em / q
+    p1 = (1 - Em) / q
+    out = 0.0
+    if p0 > 0:
+        out += p0 * math.log2(q * p0)
+    if p1 > 0:
+        out += (q - 1) * p1 * math.log2(q * p1)
+    return out
 
 
 def test_ic_sum_matches_closed_form():
@@ -396,6 +417,18 @@ def test_channel_protocol_validation():
     with pytest.raises(InvalidInput):
         ChannelProtocol(x_dist=(0.7, 0.7), msg=((1.0,), (1.0,)),
                         dec=((1.0,),))
+
+
+def cstar_exact(protocol: ChannelProtocol):
+    """Analytic facts about the guessing reduction: match probability is
+    exactly 1/|Sigma|; given a match the joint of (X, Z~) is the original
+    channel joint; given a miss, Z~ is uniform and independent of X."""
+    sigma = protocol.n_messages
+    p1 = Fraction(1, sigma)
+    cond1 = protocol.joint_xz()
+    x = np.array(protocol.x_dist)
+    cond0 = np.repeat(x[:, None] / protocol.n_outputs, protocol.n_outputs, axis=1)
+    return p1, cond1, cond0
 
 
 def test_cstar_exact_facts():
