@@ -57,8 +57,8 @@ def config_to_json(q: int, c: geometry.Config) -> dict:
     return {
         "schema": SCHEMA,
         "q": q,
-        "points": [list(p) for p in c.points],
-        "lines": [list(l) for l in c.lines],
+        "points": c.points.tolist(),
+        "lines": c.lines.tolist(),
     }
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -33,48 +32,54 @@ class Line(NamedTuple):
     b: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Config:
-    points: tuple[tuple[int, int], ...]
-    lines: tuple[Line, ...]
+    """The points (x, y) and lines l_{a,b} as intp (n, 2) arrays of rows.
+    `make_config` returns them read-only, sorted and duplicate-free; a
+    Config built directly holds the arrays it is given.  Configs compare
+    equal when their arrays do."""
+    points: np.ndarray
+    lines: np.ndarray
+
+    def __eq__(self, other):
+        return (isinstance(other, Config) and np.array_equal(self.points, other.points)
+                and np.array_equal(self.lines, other.lines))
 
 
 def make_config(points, lines) -> Config:
-    """Normalize to sorted duplicate-free tuples of plain ints.  `points`
-    and `lines` are iterables of pairs or (n, 2) integer arrays."""
-    return Config(points=tuple(map(tuple, _distinct_pairs(points))),
-                  lines=tuple(map(Line._make, _distinct_pairs(lines))))
+    """`points` and `lines`, iterables of pairs or (n, 2) integer arrays, as
+    a Config."""
+    return Config(_distinct_rows(points), _distinct_rows(lines))
 
 
-def _distinct_pairs(pairs) -> list[list[int]]:
-    """The distinct pairs in lex order: lexsort, then drop adjacent repeats."""
-    if isinstance(pairs, np.ndarray):
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise InvalidInput("points and lines must be pairs")
-        arr = pairs.astype(np.intp, copy=False)
-    else:
+def _distinct_rows(pairs) -> np.ndarray:
+    """The distinct pairs in lex order as a read-only intp (n, 2) array:
+    lexsort, then drop adjacent repeats."""
+    if not isinstance(pairs, np.ndarray):
         pairs = list(pairs)
         if any(n != 2 for n in map(len, pairs)):
             raise InvalidInput("points and lines must be pairs")
-        arr = _pair_array(pairs)
-    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+        pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InvalidInput("points and lines must be pairs")
+    arr = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].astype(np.intp, copy=False)
     fresh = np.ones(len(arr), dtype=bool)
     fresh[1:] = (arr[1:] != arr[:-1]).any(axis=1)
-    return arr[fresh].tolist()
+    arr = arr[fresh]
+    arr.flags.writeable = False
+    return arr
 
 
-def _pair_array(pairs) -> np.ndarray:
-    """A sequence of n integer pairs as an (n, 2) intp array."""
-    flat = chain.from_iterable(pairs)
-    return np.fromiter(flat, dtype=np.intp, count=2 * len(pairs)).reshape(-1, 2)
+def _check_in_field(field: Field, c: Config) -> None:
+    """Refuse a coordinate outside [0, q) as InvalidInput."""
+    for rows, what in ((c.points, "point coordinates"), (c.lines, "line parameters")):
+        if rows.size and (rows.min() < 0 or rows.max() >= field.q):
+            raise InvalidInput(f"{what} outside the field")
 
 
 def is_legal(field: Field, c: Config) -> bool:
-    q = field.q
-    xs = [p[0] for p in c.points]
-    slopes = [l.a for l in c.lines]
-    return (len(c.points) <= q and len(c.lines) <= q
-            and len(set(xs)) == len(xs) and len(set(slopes)) == len(slopes))
+    _check_in_field(field, c)   # so no more than q distinct x or slopes
+    return all(np.bincount(rows[:, 0]).max(initial=0) <= 1 for rows in (c.points, c.lines))
 
 
 SWEEP_Q_CAP = 9   # the exhaustive PGL_3 sweep refuses larger fields
@@ -90,11 +95,12 @@ def incidences(field: Field, c: Config) -> int:
     `field.vec`, in blocks of `block_rows(w)` lines, and the hits are
     counted.  On a raw Config a repeated line counts twice and a repeated
     point once."""
-    if not c.points or not c.lines:
+    _check_in_field(field, c)
+    if not len(c.points) or not len(c.lines):
         return 0
     q, vec = field.q, field.vec
-    x, y = _pair_array(c.points).T
-    a, b = _pair_array(c.lines).T[:, :, None]     # (lines, 1) each
+    x, y = c.points.T
+    a, b = c.lines.T[:, :, None]     # (lines, 1) each
     seen = np.zeros(q, dtype=bool)
     seen[x] = True
     xs = np.flatnonzero(seen)
@@ -122,9 +128,8 @@ def incidences(field: Field, c: Config) -> int:
 def strategy_to_config(field: Field, s: Strategy) -> Config:
     """Points (x, f(x)) and lines l_{y, g(y)}; incidences equal game wins."""
     f, g = s
-    points = [(x, f[x]) for x in field.elements()]
-    lines = [Line(y, g[y]) for y in field.elements()]
-    return make_config(points, lines)
+    x = np.arange(field.q)
+    return make_config(np.column_stack((x, f)), np.column_stack((x, g)))
 
 
 def config_to_strategy(field: Field, c: Config) -> Strategy:
@@ -135,14 +140,10 @@ def config_to_strategy(field: Field, c: Config) -> Strategy:
     """
     if not is_legal(field, c):
         raise InvalidInput("config is not legal (sizes or duplicate x/slope)")
-    q = field.q
-    f = [0] * q
-    g = [0] * q
-    for x, y in c.points:
-        f[x] = y
-    for a, b in c.lines:
-        g[a] = b
-    return Strategy(tuple(f), tuple(g))
+    f, g = np.zeros((2, field.q), dtype=np.intp)
+    f[c.points[:, 0]] = c.points[:, 1]
+    g[c.lines[:, 0]] = c.lines[:, 1]
+    return Strategy(tuple(f.tolist()), tuple(g.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -355,27 +356,12 @@ def points_on_line(field: Field, line: tuple[int, int, int]) -> list[tuple[int, 
     return [point_on_line(field, line, i) for i in range(field.q + 1)]
 
 
-def projective_plane_census(field: Field) -> tuple[int, int, int]:
-    """(#points, #lines, points per line); enumerated and checked for q <= 16."""
-    q = field.q
-    n = q * q + q + 1
-    if q <= 16:
-        pts = all_proj_points(field)
-        lns = all_proj_lines(field)
-        if len(pts) != n or len(lns) != n:
-            raise InvariantViolation("projective census mismatch")
-        if len({p for p in pts}) != n:
-            raise InvariantViolation("canonical points not distinct")
-        for line in lns:
-            if sum(proj_dot(field, line, p) == 0 for p in pts) != q + 1:
-                raise InvariantViolation("line with wrong point count")
-    return n, n, q + 1
-
-
 def lift_config(field: Field, c: Config):
     """Affine -> projective: (x, y) -> (x:y:1); l_{a,b} -> coefficients (a:-1:-b)."""
-    pts = [proj_canonical(field, (x, y, 1)) for x, y in c.points]
-    lns = [proj_canonical(field, (a, field.neg(1), field.neg(b))) for a, b in c.lines]
+    _check_in_field(field, c)
+    pts = [proj_canonical(field, (x, y, 1)) for x, y in c.points.tolist()]
+    lns = [proj_canonical(field, (a, field.neg(1), field.neg(b)))
+           for a, b in c.lines.tolist()]
     return pts, lns
 
 
@@ -576,13 +562,10 @@ def random_projective_regularize(field: Field, c: Config, seed: int
     rng = random.Random(seed)
     in_inc = incidences(field, c)
 
-    points, lines = c.points, c.lines
+    def sample(rows):   # random.sample picks positions from the length alone
+        return rows[rng.sample(range(len(rows)), cap)] if len(rows) > cap else rows
     cap = q // 2
-    if len(points) > cap:
-        points = rng.sample(points, cap)
-    if len(lines) > cap:
-        lines = rng.sample(lines, cap)
-    sampled = make_config(points, lines)
+    sampled = make_config(sample(c.points), sample(c.lines))
     s_inc = incidences(field, sampled)
 
     l_inf = proj_point(field, rng.randrange(q * q + q + 1))   # lines share the triples
@@ -599,10 +582,9 @@ def random_projective_regularize(field: Field, c: Config, seed: int
         keep = order[first]
         return live[keep], code[keep]
 
-    P = _pair_array(sampled.points)
+    P, A = sampled.points, sampled.lines
     X, Y, Z = (proj_dot(vec, row, (P[:, 0], P[:, 1], 1)) for row in T.rows)
     kp, pcodes = first_per_key(X, Y, Z)
-    A = _pair_array(sampled.lines)
     U = (A[:, 0], field.neg(1), vec.neg(A[:, 1]))
     L, M, N = (proj_dot(vec, U, col) for col in zip(*T.adj))
     kl, lcodes = first_per_key(vec.neg(L), N, M)   # l x + m y + n = 0: y = a x - b
@@ -611,7 +593,7 @@ def random_projective_regularize(field: Field, c: Config, seed: int
                       np.column_stack(np.divmod(lcodes, q)))
     if not is_legal(field, out):
         raise InvariantViolation("regularized config is not legal")
-    preimages = make_config(P[kp], A[kl])
+    preimages = Config(P[kp], A[kl])
     stats = RegularizationStats(
         input_points=len(c.points), input_lines=len(c.lines),
         input_incidences=in_inc,
@@ -634,7 +616,7 @@ def slope_collision_probability(field: Field, l1: Line, l2: Line) -> Fraction:
     """
     if l1 == l2:
         raise InvalidInput("lines must be distinct")
-    lifted1, lifted2 = lift_config(field, Config((), (l1, l2)))[1]
+    lifted1, lifted2 = lift_config(field, make_config((), (l1, l2)))[1]
     meet = proj_cross(field, lifted1, lifted2)
     # by duality the lines through meet are the triples of points_on_line(meet)
     hits = sum(cand != lifted1 for cand in points_on_line(field, meet))

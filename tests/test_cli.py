@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -99,6 +100,32 @@ def test_regularize_roundtrip(tmp_path, capsys):
     assert d["legal"] is True
     stats = json.loads(reg.read_text())["stats"]
     assert d["incidences"] == stats["kept_incidences"]
+
+
+# sha256 of the stdout of each config payload, frozen while Config held
+# tuples of plain ints; IN is the subfield config of GF(256) as JSON
+CONFIG_PAYLOAD_SHA256 = {
+    ("construct", "--kind", "subfield", "--p", "2", "--s", "8"):
+        "30aff96b128e155af064cdc0ed62248fc42e9ed80435e361c199858cdd35c1b1",
+    ("construct", "--kind", "subfield", "--p", "2", "--s", "8", "--format", "csv"):
+        "46e012b7e6d1f4afcbcb63de63b202bb317977ab4e7abf4e11576b6812fc0874",
+    ("construct", "--kind", "grid", "--p", "1009", "--format", "csv"):
+        "771c35ff8547e2e81454d1e41b0ae85a9cc07f312a1aad6b428bfa477d95b412",
+    ("incidences", "--in", "IN", "--format", "csv"):
+        "a491dc463fb302a36235abbbe71f1083994f6c24e043ace5b8888f74e055f642",
+    ("regularize", "--in", "IN", "--seed", "3"):
+        "f7d77b87a15c93062e572b7d306dbcdb1f0a650e56b917dc6714789c299fa2cb",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CONFIG_PAYLOAD_SHA256), ids=" ".join)
+def test_config_payload_bytes(tmp_path, capsys, argv):
+    cfg = tmp_path / "sub256.json"
+    assert run(["construct", "--kind", "subfield", "--p", "2", "--s", "8",
+                "--out", str(cfg)]) == 0
+    assert run([str(cfg) if a == "IN" else a for a in argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CONFIG_PAYLOAD_SHA256[argv]
 
 
 def test_box_compose(capsys):

@@ -25,7 +25,7 @@ from chshq.geometry import (
     subspace_construction, subspace_cardinalities, trivial_incidence_bound,
     proj_canonical, all_proj_points, all_proj_lines, proj_point, proj_dot,
     proj_cross, point_on_line, points_on_line,
-    projective_plane_census, lift_config, projective_incidences,
+    lift_config, projective_incidences,
     ProjTransform,
     verify_incidence_preservation_exhaustive, SWEEP_Q_CAP,
     RegularizationStats, random_projective_regularize, slope_collision_probability,
@@ -33,19 +33,24 @@ from chshq.geometry import (
 )
 
 
+def raw_config(points, lines) -> Config:
+    # a Config of the pairs as given: unsorted, repeats kept
+    return Config(*(np.array(v, dtype=np.intp).reshape(-1, 2) for v in (points, lines)))
+
+
 def naive_incidences(field, c: Config) -> int:
     # direct definition: point (x, y) lies on line (a, b) iff y = a x - b
-    return sum(1 for (x, y) in c.points for (a, b) in c.lines
+    return sum(1 for (x, y) in c.points.tolist() for (a, b) in c.lines.tolist()
                if y == field.sub(field.mul(a, x), b))
 
 
 def loop_incidences(field, c: Config) -> int:
     # the per-(line, distinct x) scalar loop that incidences replaced
     by_x: dict[int, set[int]] = {}
-    for x, y in c.points:
+    for x, y in c.points.tolist():
         by_x.setdefault(x, set()).add(y)
     count = 0
-    for a, b in c.lines:
+    for a, b in c.lines.tolist():
         for x, ys in by_x.items():
             if field.sub(field.mul(a, x), b) in ys:
                 count += 1
@@ -55,7 +60,7 @@ def loop_incidences(field, c: Config) -> int:
 def searchsorted_incidences(field, c: Config) -> int:
     # the sorted-code counter that the membership rows replaced: for every
     # line and distinct x, (x, a*x - b) is looked up among the sorted codes
-    if not c.points or not c.lines:
+    if not len(c.points) or not len(c.lines):
         return 0
     q, vec = field.q, field.vec
     codes = np.unique(np.array(c.points, dtype=np.intp) @ np.array([q, 1]))
@@ -72,9 +77,8 @@ def searchsorted_incidences(field, c: Config) -> int:
 
 def set_make_config(points, lines) -> Config:
     # the sorted-set normaliser that the lexsort in make_config replaced
-    pts = tuple(sorted({(int(x), int(y)) for x, y in points}))
-    lns = tuple(sorted({Line(int(a), int(b)) for a, b in lines}))
-    return Config(points=pts, lines=lns)
+    return raw_config(sorted({(int(x), int(y)) for x, y in points}),
+                      sorted({(int(a), int(b)) for a, b in lines}))
 
 
 def random_config(field, rng: random.Random, npts: int, nlns: int) -> Config:
@@ -90,8 +94,9 @@ def random_config(field, rng: random.Random, npts: int, nlns: int) -> Config:
 
 def test_make_config_dedups_and_sorts():
     c = make_config([(1, 1), (0, 0), (1, 1)], [(0, 0), (0, 0)])
-    assert c.points == ((0, 0), (1, 1))
-    assert c.lines == ((0, 0),)
+    assert c.points.tolist() == [[0, 0], [1, 1]]
+    assert c.lines.tolist() == [[0, 0]]
+    assert c == raw_config([(0, 0), (1, 1)], [(0, 0)])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
@@ -135,10 +140,10 @@ def test_incidences_on_raw_configs_with_duplicates(monkeypatch, block):
     pts = ((1, 2), (1, 2), (3, 4), (1, 5))
     lns = (Line(1, 6), Line(1, 6), Line(2, 2), Line(0, 5))
     # not normalized: a repeated line counts twice, a repeated point once
-    c = Config(points=pts, lines=lns)
+    c = raw_config(pts, lns)
     assert incidences(field, c) == loop_incidences(field, c) == 6
-    assert incidences(field, Config(points=(), lines=lns)) == 0
-    assert incidences(field, Config(points=pts, lines=())) == 0
+    assert incidences(field, raw_config((), lns)) == 0
+    assert incidences(field, raw_config(pts, ())) == 0
     assert incidences(field, make_config([], [])) == 0
 
 
@@ -152,8 +157,8 @@ def raw_configs(draw):
     lns = draw(st.lists(pair, max_size=3 * q))
     pts += draw(st.lists(st.sampled_from(pts), max_size=q)) if pts else []
     lns += draw(st.lists(st.sampled_from(lns), max_size=q)) if lns else []
-    return field_from_q(q), Config(points=tuple(draw(st.permutations(pts))),
-                                   lines=tuple(map(Line._make, draw(st.permutations(lns)))))
+    return field_from_q(q), raw_config(draw(st.permutations(pts)),
+                                       draw(st.permutations(lns)))
 
 
 @pytest.mark.parametrize("block", [1, 7, None])
@@ -169,14 +174,15 @@ def test_incidences_and_make_config_match_oracles(block, case):
         assert got == searchsorted_incidences(field, c) == loop_incidences(field, c)
     finally:
         chshq.field.BLOCK_CELLS = old
-    norm = make_config(c.points, c.lines)
-    assert norm == set_make_config(c.points, c.lines)
-    assert all(type(v) is int for pair in norm.points + norm.lines for v in pair)
-    assert all(type(p) is tuple for p in norm.points)
-    assert all(type(l) is Line for l in norm.lines)
+    pts, lns = c.points.tolist(), c.lines.tolist()
+    norm = make_config(pts, [Line(a, b) for a, b in lns])
+    assert norm == set_make_config(pts, lns)
+    for rows in (norm.points, norm.lines):
+        assert rows.dtype == np.intp and rows.ndim == 2 and rows.shape[1] == 2
+        assert not rows.flags.writeable
     # the same from (n, 2) arrays, and counted on the normalized config
-    arrays = [np.array(v, dtype=np.int64).reshape(-1, 2) for v in (c.points, c.lines)]
-    assert make_config(*arrays) == norm
+    arrays = [np.array(v, dtype=np.int64).reshape(-1, 2) for v in (pts, lns)]
+    assert make_config(*arrays) == norm == make_config(c.points, c.lines)
     assert incidences(field, norm) == loop_incidences(field, norm)
 
 
@@ -186,6 +192,40 @@ def test_make_config_refuses_non_pairs():
             make_config(bad, [])
         with pytest.raises(InvalidInput, match="must be pairs"):
             make_config([], bad)
+
+
+def test_config_rows_are_read_only_intp_and_compare_by_value():
+    pairs = [(3, 1), (0, 2), (3, 1)]
+    c = make_config(pairs, [Line(a, b) for a, b in pairs])
+    for rows in (c.points, c.lines):
+        assert rows.dtype == np.intp and rows.shape == (2, 2)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+    assert c.points.tolist() == c.lines.tolist() == [[0, 2], [3, 1]]
+    as_int64 = np.array(pairs, dtype=np.int64)
+    assert c == make_config(pairs, pairs) == make_config(as_int64, as_int64)
+    assert c != make_config(pairs, pairs[:1]) and c != make_config([], [])
+    assert c != (c.points, c.lines)
+    empty = make_config([], [])
+    assert empty == make_config(np.zeros((0, 2), dtype=np.int64), ())
+    assert empty.points.shape == empty.lines.shape == (0, 2)
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 10 ** 6])
+@pytest.mark.parametrize("slot", range(4))
+def test_out_of_field_coordinates_are_refused(bad, slot):
+    # one bad coordinate in GF(5); -1 must not wrap to 4
+    field = Field(5, 1)
+    cell = [0, 0, 0, 0]
+    cell[slot] = bad
+    c = make_config([cell[:2]], [cell[2:]])
+    message = "point coordinates" if slot < 2 else "line parameters"
+    calls = (incidences, is_legal, config_to_strategy, lift_config,
+             verify_incidence_preservation_exhaustive,
+             lambda f, c: random_projective_regularize(f, c, seed=0))
+    for call in calls:
+        with pytest.raises(InvalidInput, match=f"{message} outside the field"):
+            call(field, c)
 
 
 @pytest.mark.parametrize("p,s", [(2, 3), (2, 5), (3, 3), (3, 5), (3, 7), (5, 3), (7, 3)])
@@ -323,7 +363,8 @@ def test_subspace_thinning_matches_fraction_rule(p, s):
     field = Field(p, s)
     for seed in range(5):
         expect = fraction_thinned_lines(field, seed)
-        assert subspace_construction(field, seed=seed).lines == tuple(sorted(expect))
+        assert (subspace_construction(field, seed=seed).lines.tolist()
+                == [list(l) for l in sorted(expect)])
 
 
 def test_subspace_needs_odd_degree_at_least_three():
@@ -336,6 +377,23 @@ def test_subspace_needs_odd_degree_at_least_three():
 # ---------------------------------------------------------------------------
 # PG(2, q) basics
 # ---------------------------------------------------------------------------
+
+def projective_plane_census(field) -> tuple[int, int, int]:
+    """(#points, #lines, points per line); enumerated and checked for q <= 16."""
+    q = field.q
+    n = q * q + q + 1
+    if q <= 16:
+        pts = all_proj_points(field)
+        lns = all_proj_lines(field)
+        if len(pts) != n or len(lns) != n:
+            raise InvariantViolation("projective census mismatch")
+        if len({p for p in pts}) != n:
+            raise InvariantViolation("canonical points not distinct")
+        for line in lns:
+            if sum(proj_dot(field, line, p) == 0 for p in pts) != q + 1:
+                raise InvariantViolation("line with wrong point count")
+    return n, n, q + 1
+
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_projective_census(q):
@@ -957,7 +1015,8 @@ def test_regularize_golden_q1009():
     assert stats.l_inf == (1, 368, 73)
     assert stats.v_inf == (1, 251, 960)
     assert (stats.kept_points, stats.kept_lines, stats.kept_incidences) == (413, 234, 985)
-    digest = hashlib.sha256(json.dumps([out.points, out.lines]).encode()).hexdigest()
+    pairs = [out.points.tolist(), out.lines.tolist()]
+    digest = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
     assert digest == "0ebdd3804acbe8d3db1621196af929c02e7246bc9e3286bb634f216493015cef"
 
 
@@ -967,7 +1026,7 @@ def regularize_loop_oracle(field, c: Config, seed: int):
     # dict per x and per slope, and the kept incidences recounted on the output
     q = field.q
     rng = random.Random(seed)
-    points, lines = list(c.points), list(c.lines)
+    points, lines = c.points.tolist(), c.lines.tolist()
     cap = q // 2
     if len(points) > cap:
         points = sorted(rng.sample(points, cap))

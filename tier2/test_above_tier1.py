@@ -1,0 +1,60 @@
+"""Checks above Tier-1 sizes: the exhaustive verifiers at their caps and
+the GF(65536) subfield configuration through the CLI.  Outside the Tier-1
+`testpaths`; run with
+
+    python -m pytest -q tier2
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import sys
+from pathlib import Path
+
+sys.path[:0] = [str(Path(__file__).resolve().parent.parent / "src")]
+
+from chshq import cli  # noqa: E402
+from chshq.boxes import StrategyBox, regularize  # noqa: E402
+from chshq.field import Field  # noqa: E402
+from chshq.game import Strategy, exact_classical_value, win_count  # noqa: E402
+from chshq.geometry import make_config, verify_incidence_preservation_exhaustive  # noqa: E402
+from chshq.infotheory import build_U_m, pairwise_independence_check  # noqa: E402
+
+
+def test_sweep_at_q7_and_q8():
+    c = make_config([(0, 1), (2, 3), (4, 5)], [(1, 2), (3, 4), (5, 6)])
+    order = verify_incidence_preservation_exhaustive(Field(7, 1), c)
+    assert order == 57 * (7 ** 3 - 7) * (7 ** 3 - 49), order
+    order = verify_incidence_preservation_exhaustive(Field(2, 3), c)   # q = 8
+    assert order == 16482816 == 73 * (8 ** 3 - 8) * (8 ** 3 - 64), order
+
+
+def test_pairwise_independence_of_large_hadamard_subcodes():
+    assert pairwise_independence_check(build_U_m(Field(2, 1), 10)) is True
+    assert pairwise_independence_check(build_U_m(Field(2, 2), 5)) is True
+    assert pairwise_independence_check(build_U_m(Field(2, 1), 20)) is True   # 2^20 = QM_CAP
+    assert pairwise_independence_check(build_U_m(Field(101, 1), 3)) is True
+
+
+def test_exact_value_at_q9():
+    value, _ = exact_classical_value(Field(3, 2))
+    assert value.wins == 29, value
+
+
+def test_regularize_at_q16():
+    rng = random.Random(16)
+    s = Strategy(*(tuple(rng.randrange(16) for _ in range(16)) for _ in range(2)))
+    box = regularize(Field(2, 4), StrategyBox(s))   # q = 16, REGULARIZE_Q_CAP
+    assert box.p_win() == win_count(Field(2, 4), s).p_win, box
+
+
+def test_subfield_configuration_at_gf65536_end_to_end(tmp_path, capsys):
+    sub16, inc16, reg16 = (tmp_path / f"{name}16.json" for name in ("sub", "inc", "reg"))
+    assert cli.run(["construct", "--kind", "subfield", "--p", "2", "--s", "16",
+                    "--out", str(sub16)]) == 0
+    assert cli.run(["incidences", "--in", str(sub16), "--out", str(inc16)]) == 0
+    n = json.loads(inc16.read_text())["incidences"]
+    assert n == 16777216, n
+    assert cli.run(["regularize", "--in", str(sub16), "--out", str(reg16)]) == 0
+    assert capsys.readouterr().err == ""
