@@ -62,7 +62,8 @@ def _distinct_rows(pairs) -> np.ndarray:
         pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise InvalidInput("points and lines must be pairs")
-    arr = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].astype(np.intp, copy=False)
+    arr = pairs.astype(np.intp, copy=False)   # cast first: a cast may reorder or merge rows
+    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
     fresh = np.ones(len(arr), dtype=bool)
     fresh[1:] = (arr[1:] != arr[:-1]).any(axis=1)
     arr = arr[fresh]

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import random
 from fractions import Fraction
 from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +211,17 @@ def test_config_rows_are_read_only_intp_and_compare_by_value():
     empty = make_config([], [])
     assert empty == make_config(np.zeros((0, 2), dtype=np.int64), ())
     assert empty.points.shape == empty.lines.shape == (0, 2)
+
+
+def test_make_config_casts_before_sorting():
+    # the cast to intp can merge or reorder rows, so it comes before the sort
+    floats = np.array([(1.2, 1), (1.5, 0), (1.7, 0)])
+    assert make_config(floats, floats[:0]).points.tolist() == [[1, 0], [1, 1]]
+    big = np.array([(2 ** 63 + 1, 0), (1, 0), (1, 0)], dtype=np.uint64)
+    rows = make_config(big, []).points
+    assert rows.tolist() == [[1 - 2 ** 63, 0], [1, 0]]
+    with pytest.raises(InvalidInput, match="point coordinates outside the field"):
+        incidences(Field(5, 1), make_config(big, []))
 
 
 @pytest.mark.parametrize("bad", [-1, 5, 10 ** 6])
@@ -1005,6 +1018,23 @@ def test_regularize_without_downsampling_keeps_more():
     out, stats = random_projective_regularize(field, c, seed=0)
     assert stats.sampled_points == 2 and stats.sampled_lines == 1
     assert is_legal(field, out)
+
+
+def test_benchmark_projective_check_flags_an_appended_duplicate_x():
+    # perfbench's regularization check, on a kept config with one more point
+    # over an x it already has: the config is no longer legal
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks", Path(__file__).resolve().parents[1] / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    field = Field(101, 1)
+    out, stats = random_projective_regularize(field, grid_construction(field), seed=4)
+    assert all(ok for _, ok in checks.check_projective(101, out, stats))
+    x, y = out.points[0]
+    illegal = Config(np.vstack((out.points, [(x, (y + 1) % 101)])), out.lines)
+    assert not is_legal(field, illegal)
+    verdict = dict(checks.check_projective(101, illegal, stats))
+    assert verdict["q=101 regularized config is legal"] is False
 
 
 def test_regularize_golden_q1009():
