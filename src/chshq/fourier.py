@@ -8,8 +8,10 @@ additive character chi, the quantity
 never exceeds q^(3/2); the Fourier family (standard basis against
 normalized character columns) attains it.  Inner products are
 conjugate-linear in the first slot throughout.  Sums and maximization
-apply the kernel chi(-xy) as a DFT over the trace-form digits and never
-form a q x q array.
+apply the kernel chi(-xy) as a DFT over the trace-form digits, to column
+blocks of `field.block_rows(q)` columns: they never form a q x q array, and
+every temporary of the transform holds at most one block of
+`field.BLOCK_CELLS` cells.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceeded, InvalidInput
-from .field import OP_TABLE_Q_CAP, Field, AdditiveCharacter
+from .field import OP_TABLE_Q_CAP, Field, AdditiveCharacter, block_rows
 
 NORM_TOL = 1e-10
 BOUND_TOL = 1e-9
@@ -83,8 +85,9 @@ def _digit_dft(p: int, a: int) -> np.ndarray:
 
 
 def _character_transform(field: Field):
-    """The map v -> K v, (K v)[x] = sum_y chi(-xy) v_y, on (q, n) arrays,
-    without forming the q x q kernel K.
+    """The map v -> K v, (K v)[x] = sum_y chi(-xy) v_y, on (q, m) arrays,
+    without forming the q x q kernel K.  Callers pass column blocks
+    (`_column_blocks`), so each temporary is one (q, m) block.
 
     With d(.) the base-p digits of the encoding and T[i, j] = Tr(a^i a^j) the
     trace form of the polynomial basis, Tr(xy) = d(x)^T T d(y).  So K v is the
@@ -100,8 +103,10 @@ def _character_transform(field: Field):
     hi, lo = _digit_dft(p, s - s // 2), _digit_dft(p, s // 2)
 
     def apply(v: np.ndarray) -> np.ndarray:
-        # real factors act on the real and imaginary parts alike
-        a = np.ascontiguousarray(v).view(np.float64) if p == 2 else v
+        # a column block of a wider array is strided: one block-sized copy
+        a = np.ascontiguousarray(v)
+        if p == 2:   # real factors act on the real and imaginary parts alike
+            a = a.view(np.float64)
         m = a.shape[1]
         a = (hi @ a.reshape(len(hi), len(lo) * m)).reshape(len(hi), len(lo), m)
         a = np.matmul(lo, a).reshape(q, m)
@@ -109,11 +114,21 @@ def _character_transform(field: Field):
     return apply
 
 
+def _column_blocks(field: Field, n: int) -> list[slice]:
+    """Slices of `block_rows(q)` columns covering n columns: a (q, w) block
+    holds at most BLOCK_CELLS cells, or one column."""
+    w = block_rows(field.q)
+    return [slice(c, c + w) for c in range(0, n, w)]
+
+
 def character_bilinear_sum(field: Field, fam: VectorFamily) -> float:
-    """| sum over x, y of chi(-xy) <u_x, v_y> | = | <u, K v> |."""
+    """| sum over x, y of chi(-xy) <u_x, v_y> | = | <u, K v> |, accumulated
+    over column blocks without holding K v whole."""
     if fam.q != field.q:
         raise InvalidInput("family size does not match the field")
-    return float(abs(np.vdot(fam.u, _character_transform(field)(fam.v))))
+    K = _character_transform(field)
+    return float(abs(sum(np.vdot(fam.u[:, b], K(fam.v[:, b]))
+                         for b in _column_blocks(field, fam.n))))
 
 
 def verify_bound(field: Field, fam: VectorFamily) -> bool:
@@ -166,12 +181,18 @@ def maximize_sum(field: Field, n: int, seed: int, rounds: int = 50) -> MaximizeR
         raise InvalidInput("rounds must be >= 1")
     K = _character_transform(field)
     fam = random_family(field.q, n, seed)
+    blocks = _column_blocks(field, n)
     u, v = fam.u.copy(), fam.v.copy()
+    kv = np.empty_like(u)   # each half-step's K v, written a column block at a time
     history = []
     for _ in range(rounds):
-        u, norms = _renorm_into(K(v), u)
+        for b in blocks:
+            kv[:, b] = K(v[:, b])
+        u, norms = _renorm_into(kv, u)
         history.append(float(norms.sum()))
-        v, norms = _renorm_into(K(u.conj()).conj(), v)   # K^H u, as K is symmetric
+        for b in blocks:   # K^H u = conj(K conj(u)), as K is symmetric
+            np.conjugate(K(u[:, b].conj()), out=kv[:, b])
+        v, norms = _renorm_into(kv, v)
         history.append(float(norms.sum()))
         if len(history) >= 4 and history[-1] - history[-3] <= STOP_RTOL * history[-1]:
             break

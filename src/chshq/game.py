@@ -238,7 +238,9 @@ def local_search(field: Field, seed: int, max_rounds: int = 100) -> SearchResult
     """Alternating best responses from a random start.  Deterministic per seed.
 
     The win count never decreases across half-steps; the loop stops at a
-    fixed point (neither table changes) or after max_rounds.
+    fixed point (neither table changes) or after max_rounds.  From round 2
+    on f is already the best response to g, so an unchanged g is a fixed
+    point: f's half-step would return f and its count again.
     """
     if max_rounds < 1:
         raise InvalidInput(f"max_rounds = {max_rounds} must be >= 1")
@@ -252,14 +254,16 @@ def local_search(field: Field, seed: int, max_rounds: int = 100) -> SearchResult
         rounds += 1
         g_new, wg = _best_response(field, f)
         history.append(wg)
+        if rounds > 1 and g_new == g:
+            history.append(history[-2])
+            break
         f_new, wf = _best_response(field, g_new)   # x*y = y*x: f's best response
         history.append(wf)
         if f_new == f and g_new == g:
             break
         f, g = f_new, g_new
-    value = win_count(field, Strategy(f, g))
-    return SearchResult(value=value, strategy=Strategy(f, g),
-                        rounds=rounds, history=tuple(history))
+    return SearchResult(value=GameValue.from_wins(q, history[-1]),
+                        strategy=Strategy(f, g), rounds=rounds, history=tuple(history))
 
 
 def search_with_restarts(field: Field, seed: int, restarts: int = 8,

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chshq.field
 from chshq.errors import InvalidInput
 from chshq.field import AdditiveCharacter, Field, factorize, field_from_q
 from chshq.game import tsirelson_bound
 from chshq.fourier import (
     VectorFamily, random_family, character_bilinear_sum, verify_bound,
     cauchy_schwarz_chain, fourier_matrix, tight_family, maximize_sum,
-    implied_bias_ceiling, _character_transform, _renorm_into, STOP_RTOL,
+    implied_bias_ceiling, _character_transform, _column_blocks, _renorm_into, STOP_RTOL,
 )
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
@@ -122,6 +125,38 @@ def test_transform_matches_kernel_large(p, s, n):
     _check_transform(Field(p, s), n)
 
 
+@pytest.mark.parametrize("p,s", [(7, 1), (2, 6), (3, 3)])   # FFT, float view, odd p
+def test_blocked_transform_and_sum_match_kernel(monkeypatch, p, s):
+    field = Field(p, s)
+    monkeypatch.setattr(chshq.field, "BLOCK_CELLS", 3 * field.q)
+    blocks = _column_blocks(field, 7)
+    assert [len(range(7)[b]) for b in blocks] == [3, 3, 1]
+    fam = random_family(field.q, 7, seed=field.q)
+    K = _character_transform(field)
+    ref = kernel_apply_oracle(field, fam.v)
+    for b in blocks:   # strided column views of the family, as the callers pass them
+        assert np.abs(K(fam.v[:, b]) - ref[:, b]).max() <= 1e-10 * field.q
+    expected = bilinear_sum_oracle(field, fam)
+    assert abs(character_bilinear_sum(field, fam) - expected) <= 1e-10 * field.q ** 1.5
+    # column blocks of a Fortran-ordered family are not unit-strided rows
+    fortran = VectorFamily(u=np.asfortranarray(fam.u), v=np.asfortranarray(fam.v))
+    assert abs(character_bilinear_sum(field, fortran) - expected) <= 1e-10 * field.q ** 1.5
+
+
+def test_tight_sum_temporaries_stay_within_a_block():
+    # the 8 MB family is live before tracing starts; a block of K v is 1 MB,
+    # two whole-width temporaries of K v would be 8 MB
+    field = Field(2, 9)
+    fam = tight_family(field)
+    tracemalloc.start()
+    try:
+        character_bilinear_sum(field, fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20, peak
+
+
 @settings(max_examples=40, deadline=None)
 @given(q=st.sampled_from(PRIME_POWERS_81), n=st.integers(1, 5),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -211,6 +246,19 @@ def test_maximize_matches_dense_oracle(q, seed):
     field = field_from_q(q)
     r = maximize_sum(field, n=3, seed=seed)
     history, value = maximize_oracle(field, n=3, seed=seed)
+    assert len(r.history) == len(history)
+    assert np.abs(np.subtract(r.history, history)).max() <= 1e-9
+    assert abs(r.value - value) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("p,s", [(7, 1), (2, 3), (3, 2)])   # FFT, float view, odd p
+def test_blocked_maximize_matches_dense_oracle(monkeypatch, p, s, seed):
+    # blocks of 2, 2 and 1 columns for n = 5
+    field = Field(p, s)
+    monkeypatch.setattr(chshq.field, "BLOCK_CELLS", 2 * field.q)
+    r = maximize_sum(field, n=5, seed=seed)
+    history, value = maximize_oracle(field, n=5, seed=seed)
     assert len(r.history) == len(history)
     assert np.abs(np.subtract(r.history, history)).max() <= 1e-9
     assert abs(r.value - value) <= 1e-9

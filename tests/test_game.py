@@ -381,6 +381,37 @@ def test_local_search_monotone_and_sound(q):
         assert r.value.wins == best_g_wins == best_f_wins
 
 
+def local_search_oracle(field, seed, max_rounds=100):
+    """The loop that takes both half-steps every round and recounts the
+    value: (wins, f, g, rounds, history)."""
+    q = field.q
+    rng = random.Random(seed)
+    f = tuple(rng.randrange(q) for _ in range(q))
+    g = tuple(rng.randrange(q) for _ in range(q))
+    history = []
+    rounds = 0
+    while rounds < max_rounds:
+        rounds += 1
+        g_new, wg = best_response_g(field, f)
+        history.append(wg)
+        f_new, wf = best_response_f(field, g_new)
+        history.append(wf)
+        if f_new == f and g_new == g:
+            break
+        f, g = f_new, g_new
+    return win_count(field, Strategy(f, g)), f, g, rounds, tuple(history)
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2, 3, 100])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 32, 64])
+def test_local_search_matches_both_half_steps_oracle(q, max_rounds):
+    field = field_from_q(q)
+    for seed in range(60):
+        r = local_search(field, seed, max_rounds)
+        assert (r.value, r.strategy.f, r.strategy.g, r.rounds, r.history) == \
+            local_search_oracle(field, seed, max_rounds), seed
+
+
 def test_restarts_find_optimum_small_q():
     for q in (2, 3, 4):
         field = field_from_q(q)

@@ -1,6 +1,7 @@
-"""Checks above Tier-1 sizes: the exhaustive verifiers at their caps and
-the GF(65536) subfield configuration through the CLI.  Outside the Tier-1
-`testpaths`; run with
+"""Checks above Tier-1 sizes: the exhaustive verifiers at their caps, the
+GF(65536) subfield configuration and character-sum probe through the CLI,
+and the character transform's temporaries on a 32 MB family.  Outside the
+Tier-1 `testpaths`; run with
 
     python -m pytest -q tier2
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 sys.path[:0] = [str(Path(__file__).resolve().parent.parent / "src")]
@@ -17,6 +19,7 @@ sys.path[:0] = [str(Path(__file__).resolve().parent.parent / "src")]
 from chshq import cli  # noqa: E402
 from chshq.boxes import StrategyBox, regularize  # noqa: E402
 from chshq.field import Field  # noqa: E402
+from chshq.fourier import character_bilinear_sum, random_family  # noqa: E402
 from chshq.game import Strategy, exact_classical_value, win_count  # noqa: E402
 from chshq.geometry import make_config, verify_incidence_preservation_exhaustive  # noqa: E402
 from chshq.infotheory import build_U_m, pairwise_independence_check  # noqa: E402
@@ -57,4 +60,22 @@ def test_subfield_configuration_at_gf65536_end_to_end(tmp_path, capsys):
     n = json.loads(inc16.read_text())["incidences"]
     assert n == 16777216, n
     assert cli.run(["regularize", "--in", str(sub16), "--out", str(reg16)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_character_sum_temporaries_on_a_32mb_family():
+    field = Field(2, 12)
+    fam = random_family(field.q, 256, seed=0)   # two (4096, 256) complex arrays
+    tracemalloc.start()
+    try:
+        character_bilinear_sum(field, fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20, peak   # two whole-width temporaries of K v would be 32 MB
+
+
+def test_fourier_verify_at_gf65536(capsys):
+    assert cli.run(["fourier", "verify", "--p", "2", "--s", "16", "--n", "4",
+                    "--trials", "3"]) == 0
     assert capsys.readouterr().err == ""
