@@ -182,18 +182,18 @@ def maximize_sum(field: Field, n: int, seed: int, rounds: int = 50) -> MaximizeR
     K = _character_transform(field)
     fam = random_family(field.q, n, seed)
     blocks = _column_blocks(field, n)
-    u, v = fam.u.copy(), fam.v.copy()
-    kv = np.empty_like(u)   # each half-step's K v, written a column block at a time
+    u, v = fam.u, fam.v
+    kv = np.empty_like(u)   # each half-step's update, renormalized in place, then swapped in
     history = []
     for _ in range(rounds):
         for b in blocks:
             kv[:, b] = K(v[:, b])
-        u, norms = _renorm_into(kv, u)
-        history.append(float(norms.sum()))
+        history.append(float(_renorm_into(kv, u).sum()))
+        u, kv = kv, u
         for b in blocks:   # K^H u = conj(K conj(u)), as K is symmetric
             np.conjugate(K(u[:, b].conj()), out=kv[:, b])
-        v, norms = _renorm_into(kv, v)
-        history.append(float(norms.sum()))
+        history.append(float(_renorm_into(kv, v).sum()))
+        v, kv = kv, v
         if len(history) >= 4 and history[-1] - history[-3] <= STOP_RTOL * history[-1]:
             break
     best = VectorFamily(u=u, v=v)
@@ -202,14 +202,14 @@ def maximize_sum(field: Field, n: int, seed: int, rounds: int = 50) -> MaximizeR
                           history=tuple(history))
 
 
-def _renorm_into(target: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of target scaled to unit norm, fallback's rows where target's are
-    zero; and target's row norms."""
+def _renorm_into(target: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Scale target's rows to unit norm in place, copying fallback's rows
+    where target's are zero; return target's row norms."""
     norms = np.linalg.norm(target, axis=1)
-    out = fallback.copy()
     nz = norms > 0
-    out[nz] = target[nz] / norms[nz, None]
-    return out, norms
+    target /= np.where(nz, norms, 1.0)[:, None]   # zero rows stay zero, then fall back
+    target[~nz] = fallback[~nz]
+    return norms
 
 
 def implied_bias_ceiling(q: int) -> float:

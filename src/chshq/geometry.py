@@ -272,25 +272,32 @@ def trivial_incidence_bound(n_points: int, n_lines: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# PG(2,q): canonical homogeneous triples
+# PG(m-1,q): canonical rows
 # ---------------------------------------------------------------------------
-# Points and lines are both stored as canonical triples (first nonzero
+# Points and lines of PG(2,q) are both canonical triples (first nonzero
 # coordinate scaled to 1); a point v lies on a line u iff u . v = 0.
 
+def canonical_rows(field: Field, rows: np.ndarray) -> np.ndarray:
+    """Each row scaled by the inverse of its first nonzero entry, as intp; zero rows stay zero."""
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    return field.vec.mul(field.vec.inv(lead)[:, None], rows)
+
+
 def proj_canonical(field: Field, v: tuple[int, int, int]) -> tuple[int, int, int]:
-    for i in range(3):
-        if v[i]:
-            inv = field.inv(v[i])
-            return tuple(field.mul(inv, c) for c in v)
-    raise InvalidInput("zero triple has no projective class")
+    if not any(v):
+        raise InvalidInput("zero triple has no projective class")
+    return tuple(canonical_rows(field, np.array([v]))[0].tolist())
 
 
-def all_proj_points(field: Field) -> list[tuple[int, int, int]]:
+def proj_points(field: Field, m: int) -> np.ndarray:
+    """The canonical vectors of F_q^m (first nonzero coordinate 1) as a read-only
+    intp (k, m) array, by the position of the leading 1, then lex on the rest: the
+    base-q codes q^r .. 2q^r - 1 for r = m - 1 down to 0.  PG(2,q) for m = 3."""
     q = field.q
-    return [proj_point(field, i) for i in range(q * q + q + 1)]
-
-
-all_proj_lines = all_proj_points   # duality: same canonical triples
+    codes = np.concatenate([np.arange(q ** r, 2 * q ** r) for r in range(m - 1, -1, -1)])
+    rows = codes[:, None] // q ** np.arange(m - 1, -1, -1) % q
+    rows.flags.writeable = False
+    return rows
 
 
 def proj_point(field: Field, i: int) -> tuple[int, int, int]:
@@ -331,7 +338,7 @@ def proj_cross(field: Field, u, v) -> tuple[int, int, int]:
 
 def point_on_line(field: Field, line: tuple[int, int, int],
                   i: int) -> tuple[int, int, int]:
-    """The i-th of the q+1 canonical points on a line, in all_proj_points order.
+    """The i-th of the q+1 canonical points on a line, in `proj_points` order.
 
     Solved per case instead of scanning the plane: with l2 != 0 each
     (1, y, .) has one solution z, then comes (0, 1, -l1/l2); with l2 = 0 and
@@ -353,21 +360,24 @@ def point_on_line(field: Field, line: tuple[int, int, int],
 
 
 def points_on_line(field: Field, line: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-    """The q+1 canonical points v with line . v = 0, in all_proj_points order."""
+    """The q+1 canonical points v with line . v = 0, in `proj_points` order."""
     return [point_on_line(field, line, i) for i in range(field.q + 1)]
 
 
-def lift_config(field: Field, c: Config):
-    """Affine -> projective: (x, y) -> (x:y:1); l_{a,b} -> coefficients (a:-1:-b)."""
+def lift_config(field: Field, c: Config) -> tuple[np.ndarray, np.ndarray]:
+    """Affine -> projective: (x, y) -> (x:y:1); l_{a,b} -> coefficients
+    (a:-1:-b), as two canonical intp (n, 3) arrays, row for row with `c`."""
     _check_in_field(field, c)
-    pts = [proj_canonical(field, (x, y, 1)) for x, y in c.points.tolist()]
-    lns = [proj_canonical(field, (a, field.neg(1), field.neg(b)))
-           for a, b in c.lines.tolist()]
-    return pts, lns
+    a, b = c.lines.T
+    lns = np.column_stack((a, np.full_like(a, field.neg(1)), field.vec.neg(b)))
+    return canonical_rows(field, np.insert(c.points, 2, 1, axis=1)), canonical_rows(field, lns)
 
 
 def projective_incidences(field: Field, pts, lns) -> int:
-    return sum(proj_dot(field, l, p) == 0 for l in lns for p in pts)
+    """|{(p, l): l . p = 0}|, each copy of a repeated row counted, for (n, 3)
+    arrays or sequences of triples: the zeros of one `proj_dot` grid."""
+    P, L = (np.asarray(v, dtype=np.intp).reshape(-1, 3).T for v in (pts, lns))
+    return int(np.count_nonzero(proj_dot(field.vec, L[:, :, None], P[:, None, :]) == 0))
 
 
 class ProjTransform:
@@ -444,7 +454,7 @@ def _sweep_tiles(field: Field, pts, lns):
     (counts, singular), two (rows, cols) arrays over a block of c2 rows and
     a window of c3 columns; singular marks det(M) = (c1 x c2) . c3 = 0.
 
-    c1 runs over the canonical points and (c2, c3) over the nonzero codes
+    c1 runs over `proj_points(field, 3)` and (c2, c3) over the nonzero codes
     in lex order, in tiles of at most t = `block_rows(lines * points)`
     transforms: t // (n-1) whole c2 rows when t >= n-1, n = q^3, otherwise
     windows of t columns of one c2 row.
@@ -465,8 +475,7 @@ def _sweep_tiles(field: Field, pts, lns):
     vadd, vcross, scale, dot = _code_tables(field)
     n = q ** 3
     scale_n = scale * n
-    P = np.array(pts, dtype=np.intp).reshape(-1, 3).T[:, :, None]   # (3, np, 1)
-    U = np.array(lns, dtype=np.intp).reshape(-1, 3).T[:, :, None]   # (3, nl, 1)
+    P, U = pts.T[:, :, None], lns.T[:, :, None]     # (3, np, 1), (3, nl, 1)
     vectors = np.arange(1, n)                  # nonzero c2 codes, lex order
     cells = len(lns) * len(pts)
     tally = np.min_scalar_type(cells)          # holds every count
@@ -477,8 +486,7 @@ def _sweep_tiles(field: Field, pts, lns):
                for s in range(0, n - 1, tile_cols)]
     v1c2, u0c2 = scale[P[1], vectors], scale_n[U[0], vectors]   # v1*c2, n u0*c2
     neg_u1 = field.vec.neg(U[1])
-    for c1 in all_proj_points(field):
-        k1 = (c1[0] * q + c1[1]) * q + c1[2]
+    for k1 in (proj_points(field, 3) @ (q * q, q, 1)).tolist():
         c12 = vcross[k1 * n + vectors]                          # c1 x c2
         A = vadd[scale_n[P[0], k1] + v1c2]                      # (np, n - 1)
         B = scale[U[2], c12]                                    # (nl, n - 1)
@@ -502,15 +510,11 @@ def verify_incidence_preservation_exhaustive(field: Field, c: Config) -> int:
     incidence count of the lifted configuration; returns the group order.
 
     Enumerates the matrices M with columns c1, c2, c3, one per projective
-    class: c1 runs over the canonical points, which fixes the scalar, and
-    with it every pair of nonzero vectors (c2, c3) with
-    det(M) = (c1 x c2) . c3 != 0.  `_sweep_tiles` counts each transform's
-    incidences from the `dot` table of F_q^3 without forming an image
-    point or line: with c1 and c2 fixed, a (line, point) pair meets after
-    the transform iff beta . c3 = 0 for a beta in F_q^3 that does not
-    depend on c3.  Every regular cell must count the scalar projective
-    incidences of the lift, and `checked`, the number of regular cells,
-    must equal the group order.
+    class: c1 runs over `proj_points(field, 3)`, which fixes the scalar, and
+    (c2, c3) over every pair of nonzero vectors with det(M) = (c1 x c2) . c3
+    != 0, counted by `_sweep_tiles` without forming an image.  Every regular
+    cell must count the projective incidences of the lift, and `checked`,
+    the number of regular cells, must equal the group order.
     """
     q = field.q
     if q > SWEEP_Q_CAP:
@@ -617,7 +621,7 @@ def slope_collision_probability(field: Field, l1: Line, l2: Line) -> Fraction:
     """
     if l1 == l2:
         raise InvalidInput("lines must be distinct")
-    lifted1, lifted2 = lift_config(field, make_config((), (l1, l2)))[1]
+    lifted1, lifted2 = map(tuple, lift_config(field, make_config((), (l1, l2)))[1].tolist())
     meet = proj_cross(field, lifted1, lifted2)
     # by duality the lines through meet are the triples of points_on_line(meet)
     hits = sum(cand != lifted1 for cand in points_on_line(field, meet))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import log2
 
 import numpy as np
@@ -18,6 +17,7 @@ import numpy as np
 from .errors import InvalidInput, InvariantViolation, CapExceeded
 from .field import OP_TABLE_Q_CAP, Field
 from .boxes import RegularBox, ErrorDist, compose_m
+from .geometry import canonical_rows, proj_points
 
 QM_CAP = 1 << 20   # largest input space q^m whose U_m is listed
 
@@ -30,7 +30,7 @@ def check_joint(table) -> np.ndarray:
     t = np.asarray(table, dtype=float)
     if (t < 0).any():
         raise InvalidInput("joint table has negative entries")
-    if abs(t.sum() - 1.0) > 1e-12:
+    if not abs(t.sum() - 1.0) <= 1e-12:   # False on NaN
         raise InvalidInput("joint table does not sum to 1")
     return t
 
@@ -57,14 +57,15 @@ def mutual_information(joint) -> float:
 # the Hadamard subcode task
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HadamardTask:
-    """Index vectors with first nonzero coordinate 1: one per projective
-    direction, (q^m - 1)/(q - 1) in total.  The linear forms they induce
-    on a uniform Y in F_q^m are pairwise independent."""
+    """Index vectors as the rows of a (k, m) integer array: `build_U_m` gives
+    `geometry.proj_points(field, m)`, one vector per projective direction.
+    A task built directly holds what it is given, as `geometry.Config` does;
+    tasks compare by identity."""
     field: Field
     m: int
-    vectors: tuple[tuple[int, ...], ...]
+    vectors: np.ndarray
 
 
 def build_U_m(field: Field, m: int) -> HadamardTask:
@@ -75,14 +76,10 @@ def build_U_m(field: Field, m: int) -> HadamardTask:
     # taken at most that far: q ** m for a huge m would not finish
     if q ** min(m, QM_CAP.bit_length()) > QM_CAP:
         raise CapExceeded(f"q^m exceeds enumeration cap {QM_CAP}")
-    vectors = []
-    for lead in range(m):
-        for suffix in product(range(q), repeat=m - lead - 1):
-            vectors.append((0,) * lead + (1,) + suffix)
-    expected = (q ** m - 1) // (q - 1)
-    if len(vectors) != expected:
+    vectors = proj_points(field, m)
+    if len(vectors) != (q ** m - 1) // (q - 1):
         raise InvariantViolation("subcode has wrong size")
-    return HadamardTask(field, m, tuple(vectors))
+    return HadamardTask(field, m, vectors)
 
 
 def pairwise_independence_check(task: HadamardTask) -> bool:
@@ -97,27 +94,25 @@ def pairwise_independence_check(task: HadamardTask) -> bool:
     uniform.  If they are dependent, xi2 = c xi1 and the pair lies on the
     line {(a, c a)}, which is not all of F_q^2 (for m = 1 every pair is
     dependent).  So the task passes iff no vector is zero and no two are
-    scalar multiples: each vector is scaled by the inverse of its first
-    nonzero entry, and the scaled rows must be pairwise distinct.
+    scalar multiples: the rows of `geometry.canonical_rows` must be nonzero
+    and pairwise distinct.
     """
     field, m = task.field, task.m
-    q = field.q
     if m < 1:
         raise InvalidInput("m must be >= 1")
-    if any(len(xi) != m for xi in task.vectors):
+    try:
+        xis = np.asarray(task.vectors)
+    except ValueError:   # ragged rows
+        xis = None
+    if xis is None or len(xis) and xis.shape[1:] != (m,):
         raise InvalidInput(f"index vectors must have m = {m} coordinates")
-    xis = np.asarray(task.vectors).reshape(-1, m)
     if not xis.size:
         return True
-    if xis.dtype.kind not in "iu" or xis.min() < 0 or xis.max() >= q:
-        raise InvalidInput(f"index vector entries must be integers in [0, {q})")
-    nonzero = xis != 0
-    if not nonzero.any(axis=1).all():
-        return False
-    lead = xis[np.arange(len(xis)), nonzero.argmax(axis=1)]
-    rows = field.vec.mul(field.vec.inv(lead)[:, None], xis)
-    rows = rows[np.lexsort(rows.T)]
-    return not (rows[1:] == rows[:-1]).all(axis=1).any()
+    if xis.dtype.kind not in "iu" or xis.min() < 0 or xis.max() >= field.q:
+        raise InvalidInput(f"index vector entries must be integers in [0, {field.q})")
+    rows = canonical_rows(field, xis)
+    rows = rows[np.lexsort(rows.T)]   # a zero row, the least, sorts first
+    return bool(rows[0].any()) and not (rows[1:] == rows[:-1]).all(axis=1).any()
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +255,7 @@ class ChannelProtocol:
         if len(widths) != 1 or widths.pop() != len(self.dec):
             raise InvalidInput("msg columns must match dec rows")
         for dist in (self.x_dist, *self.msg, *self.dec):
-            if any(v < 0 for v in dist) or abs(sum(dist) - 1.0) > 1e-12:
+            if any(v < 0 for v in dist) or not abs(sum(dist) - 1.0) <= 1e-12:   # False on NaN
                 raise InvalidInput("protocol rows must be distributions")
 
     @property

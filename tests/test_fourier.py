@@ -42,6 +42,16 @@ def bilinear_sum_oracle(field: Field, fam: VectorFamily) -> float:
     return float(abs((_kernel(field) * gram).sum()))
 
 
+def renorm_copy(target: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """The copying renormalization that maximize_sum's in-place one replaced:
+    target's rows at unit norm, fallback's rows where target's are zero."""
+    norms = np.linalg.norm(target, axis=1)
+    out = fallback.copy()
+    nz = norms > 0
+    out[nz] = target[nz] / norms[nz, None]
+    return out
+
+
 def maximize_oracle(field: Field, n: int, seed: int, rounds: int = 50):
     """The alternating maximization on the dense kernel: (history, value)."""
     K = _kernel(field)
@@ -50,10 +60,10 @@ def maximize_oracle(field: Field, n: int, seed: int, rounds: int = 50):
     history = []
     for _ in range(rounds):
         w = K @ v
-        u, _ = _renorm_into(w, u)
+        u = renorm_copy(w, u)
         history.append(float(np.linalg.norm(w, axis=1).sum()))
         t = K.conj().T @ u
-        v, _ = _renorm_into(t, v)
+        v = renorm_copy(t, v)
         history.append(float(np.linalg.norm(t, axis=1).sum()))
         if len(history) >= 4 and history[-1] - history[-3] <= STOP_RTOL * history[-1]:
             break
@@ -275,16 +285,27 @@ def test_maximize_history_is_the_renormalized_norms(p, s, n, seed):
     history = []
     for _ in range(50):
         w = K(v)
-        u, _ = _renorm_into(w, u)
+        u = renorm_copy(w, u)
         history.append(float(np.linalg.norm(w, axis=1).sum()))
         t = K(u.conj()).conj()
-        v, _ = _renorm_into(t, v)
+        v = renorm_copy(t, v)
         history.append(float(np.linalg.norm(t, axis=1).sum()))
         if len(history) >= 4 and history[-1] - history[-3] <= STOP_RTOL * history[-1]:
             break
     r = maximize_sum(field, n, seed)
     assert r.history == tuple(history)
     assert r.value == character_bilinear_sum(field, VectorFamily(u=u, v=v))
+
+
+def test_renorm_in_place_matches_copy_with_zero_rows():
+    # rows with a zero update keep the fallback's row, bit for bit
+    rng = np.random.default_rng(5)
+    target, fallback = rng.standard_normal((2, 6, 4)) + 1j * rng.standard_normal((2, 6, 4))
+    target[[1, 4]] = 0
+    norms, expected = np.linalg.norm(target, axis=1), renorm_copy(target, fallback)
+    assert np.array_equal(_renorm_into(target, fallback), norms)
+    assert np.array_equal(target, expected)
+    assert np.array_equal(target[[1, 4]], fallback[[1, 4]])
 
 
 def test_maximize_rejects_bad_args():

@@ -20,12 +20,13 @@ from chshq.errors import CapExceeded, InvalidInput, InvariantViolation
 from chshq.field import Field, field_from_q
 from chshq.game import Strategy, win_count
 from chshq.infotheory import build_U_m
+from test_infotheory import u_m_listing
 from chshq.geometry import (
     Line, Config, make_config, is_legal, incidences,
     strategy_to_config, config_to_strategy,
     subfield_construction, grid_construction, grid_expected_incidences,
     subspace_construction, subspace_cardinalities, trivial_incidence_bound,
-    proj_canonical, all_proj_points, all_proj_lines, proj_point, proj_dot,
+    canonical_rows, proj_canonical, proj_points, proj_point, proj_dot,
     proj_cross, point_on_line, points_on_line,
     lift_config, projective_incidences,
     ProjTransform,
@@ -33,6 +34,11 @@ from chshq.geometry import (
     RegularizationStats, random_projective_regularize, slope_collision_probability,
     _cross, _det_adjugate, _code_tables, _span,
 )
+
+
+def plane(field) -> list[tuple[int, int, int]]:
+    # the canonical triples of PG(2,q) as tuples: its points and, by duality, its lines
+    return list(map(tuple, proj_points(field, 3).tolist()))
 
 
 def raw_config(points, lines) -> Config:
@@ -396,8 +402,7 @@ def projective_plane_census(field) -> tuple[int, int, int]:
     q = field.q
     n = q * q + q + 1
     if q <= 16:
-        pts = all_proj_points(field)
-        lns = all_proj_lines(field)
+        pts = lns = plane(field)
         if len(pts) != n or len(lns) != n:
             raise InvariantViolation("projective census mismatch")
         if len({p for p in pts}) != n:
@@ -422,14 +427,15 @@ def test_census_formula_beyond_enumeration_range():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_proj_points_are_the_hadamard_index_vectors(q):
-    # PG(2,q) and U_3 list the same canonical triples in the same order
+    # PG(2,q) and U_3 list the canonical triples of the product listing, in its order
     field = field_from_q(q)
-    assert build_U_m(field, 3).vectors == tuple(all_proj_points(field))
+    listing = [list(v) for v in u_m_listing(q, 3)]
+    assert build_U_m(field, 3).vectors.tolist() == proj_points(field, 3).tolist() == listing
 
 
 def test_canonical_representatives_unique():
     field = field_from_q(4)
-    pts = all_proj_points(field)
+    pts = plane(field)
     assert len(pts) == len(set(pts)) == 21
     for v in pts:
         assert proj_canonical(field, v) == v
@@ -443,9 +449,9 @@ def test_canonical_representatives_unique():
 def test_proj_point_and_points_on_line_match_scan(q):
     # the plane scans these closed forms replaced, kept as the reference
     field = field_from_q(q)
-    pts = all_proj_points(field)
+    pts = plane(field)
     assert [proj_point(field, i) for i in range(len(pts))] == pts
-    for line in all_proj_lines(field):
+    for line in plane(field):
         scan = [p for p in pts if proj_dot(field, line, p) == 0]
         assert points_on_line(field, line) == scan
         # any nonzero multiple names the same line
@@ -469,7 +475,7 @@ def test_proj_point_and_points_on_line_reject_bad_input():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_point_on_line_is_the_listed_point(q):
     field = field_from_q(q)
-    for line in all_proj_lines(field):
+    for line in plane(field):
         listed = points_on_line(field, line)
         assert [point_on_line(field, line, i) for i in range(q + 1)] == listed
 
@@ -477,7 +483,7 @@ def test_point_on_line_is_the_listed_point(q):
 def test_cross_product_join_and_meet():
     field = field_from_q(5)
     rng = random.Random(0)
-    pts = all_proj_points(field)
+    pts = plane(field)
     for _ in range(50):
         u, v = rng.sample(pts, 2)
         line = proj_cross(field, u, v)
@@ -497,6 +503,56 @@ def test_lift_preserves_incidences():
             assert projective_incidences(field, pts, lns) == incidences(field, c)
 
 
+def canonical_loop(field, v) -> tuple[int, ...]:
+    # the per-row scalar scaling that canonical_rows replaced; zero rows stay zero
+    lead = next((x for x in v if x), 0)
+    return tuple(field.mul(field.inv(lead), x) for x in v) if lead else tuple(v)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
+def test_canonical_rows_match_scalar_loop(q):
+    field = field_from_q(q)
+    rng = np.random.default_rng(q)
+    for m in (1, 2, 3, 4):
+        rows = rng.integers(0, q, size=(40, m))
+        rows[::7] = 0                               # zero rows
+        rows[1::5, :m - 1] = 0                      # leads late in the row
+        got = canonical_rows(field, rows)
+        assert got.dtype == np.intp
+        assert got.tolist() == [list(canonical_loop(field, v)) for v in rows.tolist()]
+    for v in plane(field):
+        assert proj_canonical(field, tuple(field.mul(q - 1, x) for x in v)) == v
+    with pytest.raises(InvalidInput, match="zero triple"):
+        proj_canonical(field, (0, 0, 0))
+
+
+def projective_incidences_loop(field, pts, lns) -> int:
+    # the scalar double loop that the one-grid count replaced
+    return sum(proj_dot(field, l, p) == 0 for l in lns for p in pts)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_projective_incidences_match_scalar_loop(q):
+    field = field_from_q(q)
+    rng = random.Random(q)
+    configs = [random_config(field, rng, n, k) for n, k in ((q, q), (2 * q, q), (1, 3))]
+    full = configs[0]
+    configs += [raw_config(full.points.tolist() * 2, full.lines.tolist()[:1] * 3),
+                raw_config(full.points.tolist()[::-1], full.lines.tolist() * 2),
+                make_config(full.points, []), make_config([], [])]
+    for c in configs:
+        pts, lns = lift_config(field, c)
+        assert pts.shape == (len(c.points), 3) and lns.shape == (len(c.lines), 3)
+        tuples = [list(map(tuple, v.tolist())) for v in (pts, lns)]
+        assert tuples == [[canonical_loop(field, (x, y, 1)) for x, y in c.points.tolist()],
+                          [canonical_loop(field, (a, field.neg(1), field.neg(b)))
+                           for a, b in c.lines.tolist()]]
+        expected = projective_incidences_loop(field, *tuples)
+        assert projective_incidences(field, pts, lns) == expected
+        assert projective_incidences(field, *tuples) == expected
+        assert expected == naive_incidences(field, c)
+
+
 # ---------------------------------------------------------------------------
 # projective transforms
 # ---------------------------------------------------------------------------
@@ -511,7 +567,7 @@ def all_transforms(field):
     """
     q = field.q
     vectors = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)][1:]
-    for c1 in all_proj_points(field):
+    for c1 in plane(field):
         for c2 in vectors:
             c12 = _cross(field, c1, c2)
             for c3 in vectors:
@@ -545,7 +601,7 @@ def all_transforms_span_sets(field):
     # span(c1), c3 outside span(c1, c2), each span built as a set
     q = field.q
     vectors = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)][1:]
-    for c1 in all_proj_points(field):
+    for c1 in plane(field):
         span1 = {tuple(field.mul(t, x) for x in c1) for t in range(1, q)}
         for c2 in vectors:
             if c2 in span1:
@@ -639,7 +695,7 @@ def test_sampled_transforms_preserve_incidence(q):
     c = random_config(field, rng, q, q)
     pts, lns = lift_config(field, c)
     base = projective_incidences(field, pts, lns)
-    all_points = all_proj_points(field)
+    all_points = plane(field)
     for _ in range(500):
         t = random_transform(field, rng)
         tp = [apply_point(field, t, v) for v in pts]
@@ -713,7 +769,7 @@ def sweep_per_column_pair(field, c: Config) -> int:
     vectors = np.array([(a, b, c3) for a in range(q) for b in range(q)
                         for c3 in range(q)][1:]).T
     checked = 0
-    for c1 in all_proj_points(field):
+    for c1 in plane(field):
         col1 = np.array(c1)[:, None, None]
         c12s = np.array(_cross(ops, c1, vectors))
         c31s = np.array(_cross(ops, vectors, c1))
@@ -748,7 +804,7 @@ def sweep_code_pairs(field, c: Config) -> int:
     v2c3 = scale[P[2], vectors]
     rows = chshq.field.block_rows(len(lns) * len(pts))
     checked = 0
-    for c1 in all_proj_points(field):
+    for c1 in plane(field):
         k1 = (c1[0] * q + c1[1]) * q + c1[2]
         c12 = vcross[k1 * n + vectors]
         v01 = vadd[scale[P[0], k1] * n + scale[P[1], vectors]]
@@ -785,7 +841,7 @@ def sweep_image_tiles(field, pts, lns):
     u0s = scale_n[U[0, :, 0]]                  # n * u0*w for every code w
     per_tile = chshq.field.block_rows(len(lns) * len(pts))      # transforms
     tile_rows, tile_cols = max(1, per_tile // (n - 1)), min(n - 1, per_tile)
-    for c1 in all_proj_points(field):
+    for c1 in plane(field):
         k1 = (c1[0] * q + c1[1]) * q + c1[2]
         c12 = vcross[k1 * n + vectors]         # c1 x c2 for every c2
         c12_n = (c12 * n)[:, None]
@@ -977,7 +1033,7 @@ def test_sweep_refuses_q_above_cap_before_building_tables(monkeypatch):
 def test_from_chart_sends_targets_to_infinity(q):
     field = field_from_q(q)
     rng = random.Random(2)
-    pts = all_proj_points(field)
+    pts = plane(field)
     for _ in range(30):
         l_inf = rng.choice(pts)     # lines share the canonical triples
         v_inf = rng.choice(points_on_line(field, l_inf))
@@ -1068,7 +1124,7 @@ def regularize_loop_oracle(field, c: Config, seed: int):
     v_inf = on_l_inf[rng.randrange(len(on_l_inf))]
     T = ProjTransform.from_chart(field, l_inf, v_inf)
 
-    pts, lns = lift_config(field, sampled)
+    pts, lns = (list(map(tuple, v.tolist())) for v in lift_config(field, sampled))
     new_pts = []
     for p in pts:
         if proj_dot(field, l_inf, p) == 0:
@@ -1167,7 +1223,7 @@ def test_regularize_draws_every_line_at_infinity():
     c = make_config([(0, 0), (1, 1)], [(1, 0)])
     drawn = {random_projective_regularize(field, c, seed=s)[1].l_inf
              for s in range(200)}
-    assert drawn == set(all_proj_lines(field))
+    assert drawn == set(plane(field))
 
 
 def slope_collision_scan(field, l1: Line, l2: Line) -> Fraction:
@@ -1175,7 +1231,7 @@ def slope_collision_scan(field, l1: Line, l2: Line) -> Fraction:
     lifted1 = proj_canonical(field, (l1.a, field.neg(1), field.neg(l1.b)))
     lifted2 = proj_canonical(field, (l2.a, field.neg(1), field.neg(l2.b)))
     meet = proj_cross(field, lifted1, lifted2)
-    cands = [c for c in all_proj_lines(field) if c != lifted1]
+    cands = [c for c in plane(field) if c != lifted1]
     return Fraction(sum(proj_dot(field, c, meet) == 0 for c in cands), len(cands))
 
 

@@ -15,9 +15,10 @@ import chshq.field
 from chshq.errors import InvalidInput, InvariantViolation, CapExceeded
 from chshq.field import field_from_q
 from chshq.boxes import RegularBox
+from chshq.geometry import proj_points
 from chshq.infotheory import (
     HadamardTask, check_joint, entropy, mutual_information,
-    build_U_m, pairwise_independence_check,
+    QM_CAP, build_U_m, pairwise_independence_check,
     joint_from_error, ic_sum,
     ic_dichotomy_experiment, binary_reduction_select,
     ChannelProtocol, copy_protocol, simulate_cstar,
@@ -41,6 +42,22 @@ def test_entropy_basics():
     assert entropy([1.0, 0.0]) == 0.0
     assert abs(entropy([0.5, 0.5]) - 1.0) < 1e-12
     assert abs(entropy([0.25] * 4) - 2.0) < 1e-12
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_joint([[NAN, 0.5], [0.25, 0.25]]),
+    lambda: mutual_information([[NAN, 0.5], [0.25, 0.25]]),
+    lambda: ChannelProtocol(x_dist=(0.5, 0.5), msg=((NAN, 1.0), (0.0, 1.0)),
+                            dec=((1.0,), (1.0,))),
+], ids=["check_joint", "mutual_information", "protocol-msg"])
+def test_nan_distributions_are_refused(call):
+    # a NaN sum compares False against any tolerance, so the sum tests are
+    # written to be False on it
+    with pytest.raises(InvalidInput):
+        call()
 
 
 def test_check_joint_rejects_garbage():
@@ -96,7 +113,37 @@ def test_u_m_size_and_normalization():
 def test_u_m_enumeration_order():
     field = field_from_q(2)
     task = build_U_m(field, 2)
-    assert task.vectors == ((1, 0), (1, 1), (0, 1))
+    assert task.vectors.tolist() == [[1, 0], [1, 1], [0, 1]]
+
+
+def test_tasks_compare_by_identity():
+    # value equality over the vectors array would be ambiguous; as before, a
+    # task hashes
+    field = field_from_q(3)
+    a, b = build_U_m(field, 2), build_U_m(field, 2)
+    assert a == a and a != b and len({a, b}) == 2
+
+
+def u_m_listing(q: int, m: int) -> list[tuple[int, ...]]:
+    # the product listing that proj_points replaced: leading 1 at each
+    # position in turn, then every suffix in lex order
+    vectors = []
+    for lead in range(m):
+        for suffix in product(range(q), repeat=m - lead - 1):
+            vectors.append((0,) * lead + (1,) + suffix)
+    return vectors
+
+
+@pytest.mark.parametrize("q, m", [(q, m) for q in (2, 3, 4, 5, 7, 8, 9)
+                                  for m in (1, 2, 3, 4) if q ** m <= QM_CAP])
+def test_proj_points_match_product_listing(q, m):
+    field = field_from_q(q)
+    points = proj_points(field, m)
+    assert points.dtype == np.intp and points.shape == (len(points), m)
+    assert not points.flags.writeable
+    listing = [list(v) for v in u_m_listing(q, m)]
+    assert points.tolist() == listing
+    assert build_U_m(field, m).vectors.tolist() == listing
 
 
 def test_codeword_coordinates_pairwise_independent():
@@ -200,7 +247,7 @@ def hadamard_tasks(draw):
     field = field_from_q(q)
     m = draw(st.integers(1, 3 if q <= 5 else 2))
     any_vector = st.tuples(*[st.integers(0, q - 1)] * m)
-    vector = st.one_of(st.sampled_from(build_U_m(field, m).vectors), any_vector)
+    vector = st.one_of(st.sampled_from(build_U_m(field, m).vectors.tolist()), any_vector)
     vectors = draw(st.lists(vector, max_size=8))
     if vectors:
         copies = draw(st.lists(st.tuples(st.sampled_from(vectors), st.integers(0, q - 1)),
@@ -223,7 +270,7 @@ def test_pairwise_check_matches_oracles_at_each_q(q):
     field = field_from_q(q)
     u2 = build_U_m(field, 2).vectors
     for task, expected in ((HadamardTask(field, 2, u2), True),
-                           (HadamardTask(field, 2, u2 + ((q - 1, q - 1),)), False),
+                           (HadamardTask(field, 2, np.vstack((u2, (q - 1, q - 1)))), False),
                            (HadamardTask(field, 1, ((1,), (1,))), False)):
         assert pairwise_scan(task) is pairwise_onehot_q(task) is expected
         assert pairwise_independence_check(task) is expected
@@ -249,9 +296,11 @@ def test_pairwise_check_finds_dependent_vectors(monkeypatch, block_cells, vector
 
 
 def test_pairwise_check_rejects_wrong_length_vectors():
-    task = HadamardTask(field_from_q(3), 2, ((1, 0), (0, 1, 0)))
-    with pytest.raises(InvalidInput):
-        pairwise_independence_check(task)
+    # ragged rows, and rows of one width other than m
+    for vectors in (((1, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0))):
+        task = HadamardTask(field_from_q(3), 2, vectors)
+        with pytest.raises(InvalidInput, match="must have m = 2 coordinates"):
+            pairwise_independence_check(task)
 
 
 def test_u_m_cap():

@@ -1,28 +1,54 @@
 """Checks above Tier-1 sizes: the exhaustive verifiers at their caps, the
+pairwise rank test against the exhaustive oracles of the Tier-1 tests, the
 GF(65536) subfield configuration and character-sum probe through the CLI,
-and the character transform's temporaries on a 32 MB family.  Outside the
-Tier-1 `testpaths`; run with
+and the traced peaks of U_20, the character transform and the Fourier
+maximization.  Outside the Tier-1 `testpaths`; run with
 
     python -m pytest -q tier2
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 import sys
 import tracemalloc
 from pathlib import Path
 
-sys.path[:0] = [str(Path(__file__).resolve().parent.parent / "src")]
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src")]
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from chshq import cli  # noqa: E402
 from chshq.boxes import StrategyBox, regularize  # noqa: E402
 from chshq.field import Field  # noqa: E402
-from chshq.fourier import character_bilinear_sum, random_family  # noqa: E402
+from chshq.fourier import character_bilinear_sum, maximize_sum, random_family  # noqa: E402
 from chshq.game import Strategy, exact_classical_value, win_count  # noqa: E402
 from chshq.geometry import make_config, verify_incidence_preservation_exhaustive  # noqa: E402
-from chshq.infotheory import build_U_m, pairwise_independence_check  # noqa: E402
+from chshq.infotheory import HadamardTask, build_U_m, pairwise_independence_check  # noqa: E402
+
+
+def load_by_path(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the exhaustive pairwise oracles, pairwise_scan and pairwise_onehot_q
+ORACLES = load_by_path("infotheory_oracles", ROOT / "tests" / "test_infotheory.py")
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_sweep_at_q7_and_q8():
@@ -36,8 +62,31 @@ def test_sweep_at_q7_and_q8():
 def test_pairwise_independence_of_large_hadamard_subcodes():
     assert pairwise_independence_check(build_U_m(Field(2, 1), 10)) is True
     assert pairwise_independence_check(build_U_m(Field(2, 2), 5)) is True
-    assert pairwise_independence_check(build_U_m(Field(2, 1), 20)) is True   # 2^20 = QM_CAP
     assert pairwise_independence_check(build_U_m(Field(101, 1), 3)) is True
+
+
+def test_u20_build_and_check_peak():
+    # 2^20 = QM_CAP; U_20 is a 168 MB intp array, and its tuple form peaked at 732 MB
+    def run():
+        assert pairwise_independence_check(build_U_m(Field(2, 1), 20)) is True
+    peak = traced_peak(run)
+    assert peak <= 600 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("p, s, m, oracles", [
+    (2, 1, 10, ("pairwise_onehot_q",)),
+    (2, 2, 5, ("pairwise_scan", "pairwise_onehot_q")),
+], ids=["U10-GF2", "U5-GF4"])
+def test_rank_test_matches_exhaustive_oracles(p, s, m, oracles):
+    # U_m passes; with one scaled copy of a row appended it fails
+    field = Field(p, s)
+    u = build_U_m(field, m)
+    scaled = field.vec.mul(field.q - 1, u.vectors[len(u.vectors) // 2])
+    for task, expected in ((u, True),
+                           (HadamardTask(field, m, np.vstack((u.vectors, scaled))), False)):
+        assert pairwise_independence_check(task) is expected
+        for name in oracles:
+            assert getattr(ORACLES, name)(task) is expected, name
 
 
 def test_exact_value_at_q9():
@@ -66,13 +115,15 @@ def test_subfield_configuration_at_gf65536_end_to_end(tmp_path, capsys):
 def test_character_sum_temporaries_on_a_32mb_family():
     field = Field(2, 12)
     fam = random_family(field.q, 256, seed=0)   # two (4096, 256) complex arrays
-    tracemalloc.start()
-    try:
-        character_bilinear_sum(field, fam)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: character_bilinear_sum(field, fam))
     assert peak <= 4 * 2 ** 20, peak   # two whole-width temporaries of K v would be 32 MB
+
+
+def test_maximize_sum_renormalizes_in_place():
+    # a (4096, 256) complex array is 16 MB: random_family's draw sets the
+    # peak, near 64 MB; copies of u and v and of each fallback made it 128 MB
+    peak = traced_peak(lambda: maximize_sum(Field(2, 12), 256, seed=0, rounds=3))
+    assert peak <= 80 * 2 ** 20, peak
 
 
 def test_fourier_verify_at_gf65536(capsys):
