@@ -32,6 +32,15 @@ REGULARIZE_Q_CAP = 16   # q^2 (q-1)^2 q^2 draws: 0.08 s and 55 MB at q = 16,
                         # 2.1 s and 309 MB at q = 25 (2-vCPU x86_64 Xeon)
 
 
+def parse_fraction(value) -> Fraction:
+    """value (an int, float, Fraction or text such as "13/20") as an exact
+    Fraction; InvalidInput for anything that is not a finite rational."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InvalidInput(f"cannot parse rational {value!r}") from None
+
+
 def _check_q(q) -> None:
     if not isinstance(q, int) or q < 2:
         raise InvalidInput(f"q = {q!r} must be an integer >= 2")
@@ -71,7 +80,7 @@ class RegularBox:
 
     def __post_init__(self):
         _check_q(self.q)
-        E = Fraction(self.bias)
+        E = parse_fraction(self.bias)
         object.__setattr__(self, "bias", E)
         if not -Fraction(1, self.q - 1) <= E <= 1:
             raise InvalidInput(f"bias {E} outside [-1/(q-1), 1]")
@@ -262,6 +271,8 @@ def monte_carlo_win(field: Field, box, game: str = "base",
     add, mul = field.op_table("add"), field.op_table("mul")
 
     if isinstance(box, RegularBox):
+        if box.q != q:
+            raise InvalidInput("distribution/field size mismatch")
         err = box.error_dist()
         pmf = np.array([float(err.p0)] + [float(err.p1)] * (q - 1))
         pmf = pmf / pmf.sum()   # guard float rounding in np.choice
@@ -273,8 +284,8 @@ def monte_carlo_win(field: Field, box, game: str = "base",
             e2 = rng.choice(q, size=samples, p=pmf)
             success = add[e1, e2] == 0
     elif isinstance(box, StrategyBox):
-        f = np.array(box.strategy.f)
-        g = np.array(box.strategy.g)
+        _check_strategy(field, box.strategy)
+        f, g = (np.asarray(t, dtype=np.intp) for t in box.strategy)
         if game == "base":
             x = rng.integers(0, q, size=samples)
             y = rng.integers(0, q, size=samples)

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .errors import InvalidInput, InvariantViolation, CapExceeded
 from .field import Field, field_new, field_from_q
 from . import game, geometry, boxes, infotheory, fourier
+from .boxes import parse_fraction
 
 SCHEMA = "chshq/1"
 PMF_TEXT_CAP = 1 << 26   # characters of the q strings of one printed pmf
@@ -44,13 +45,6 @@ def pmf_strs(dist: boxes.ErrorDist) -> list[str]:
         raise CapExceeded(f"pmf text at q = {dist.q} exceeds "
                           f"{PMF_TEXT_CAP} characters")
     return [s0] + [s1] * (dist.q - 1)
-
-
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InvalidInput(f"cannot parse rational {text!r}")
 
 
 def config_to_json(q: int, c: geometry.Config) -> dict:

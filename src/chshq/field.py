@@ -36,7 +36,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -321,22 +320,14 @@ class _Arith:
 # the field object
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Immutable description of GF(p^s): reconstructible from (p, s, modulus)."""
-    p: int
-    s: int
-    q: int
-    modulus: tuple[int, ...]   # monic, length s+1, low degree first
-
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "s": self.s, "modulus": list(self.modulus)}
-
-
 class Field(_Arith):
-    """Arithmetic on integer-encoded elements of GF(p^s)."""
+    """Arithmetic on integer-encoded elements of GF(p^s).
 
-    def __init__(self, p: int, s: int, modulus: tuple[int, ...] | None = None):
+    A field is (p, s) and nothing else: the modulus is always
+    `smallest_irreducible(p, s)`, so two fields built from the same pair
+    agree on every encoding, table and derived quantity."""
+
+    def __init__(self, p: int, s: int):
         if not isinstance(p, int) or not isinstance(s, int):
             raise InvalidInput("p and s must be integers")
         if not is_prime(p):
@@ -348,25 +339,9 @@ class Field(_Arith):
         q = p ** s
         if q > Q_CAP:
             raise CapExceeded(f"q = {q} exceeds the supported cap {Q_CAP}")
-        if modulus is None:
-            modulus = smallest_irreducible(p, s)
-        else:
-            try:
-                modulus = tuple(operator.index(c) for c in modulus)
-            except TypeError:
-                raise InvalidInput("modulus must be a sequence of integers") from None
-            if len(modulus) != s + 1 or modulus[-1] != 1:
-                raise InvalidInput("modulus must be monic of degree s")
-            modulus = tuple(c % p for c in modulus[:-1]) + (1,)
-            if not _is_irreducible(list(modulus), p):
-                raise InvalidInput("modulus is reducible")
-        self.p = p
-        self.s = s
-        self.q = q
-        self.modulus = modulus
-        self.spec = FieldSpec(p, s, q, modulus)
-
-        self._g, mg = _primitive_root(p, s, _x_matrix(modulus, p))
+        self.p, self.s, self.q = p, s, q
+        self.modulus = smallest_irreducible(p, s)
+        self._g, mg = _primitive_root(p, s, _x_matrix(self.modulus, p))
         powers = _powers(p, s, mg)
         # memoryviews of the tables, whose items index as plain Python ints
         self._bind(p, s, {k: memoryview(t) for k, t in _tables(p, s, powers).items()})
@@ -500,15 +475,6 @@ def field_from_q(q: int) -> Field:
     return Field(p, round(math.log(q, p)))   # exact for every q <= Q_CAP
 
 
-def field_from_json(d: dict) -> Field:
-    """The field of `FieldSpec.to_json_dict`; InvalidInput for any malformed dict."""
-    try:
-        p, s, modulus = d["p"], d["s"], list(d["modulus"])
-    except (KeyError, TypeError) as e:
-        raise InvalidInput(f"malformed field json: {e!r}") from None
-    return Field(p, s, modulus)
-
-
 # ---------------------------------------------------------------------------
 # characters
 # ---------------------------------------------------------------------------
@@ -532,7 +498,3 @@ class AdditiveCharacter:
 
     def __call__(self, a: int) -> complex:
         return self.table[a]
-
-
-def additive_character(field: Field) -> AdditiveCharacter:
-    return AdditiveCharacter(field)

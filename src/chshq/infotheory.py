@@ -9,14 +9,13 @@ with long messages.  All logs are base 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import log2
 
 import numpy as np
 
 from .errors import InvalidInput, InvariantViolation, CapExceeded
 from .field import OP_TABLE_Q_CAP, Field
-from .boxes import RegularBox, ErrorDist, compose_m
+from .boxes import RegularBox, ErrorDist, compose_m, parse_fraction
 from .geometry import canonical_rows, proj_points
 
 QM_CAP = 1 << 20   # largest input space q^m whose U_m is listed
@@ -152,7 +151,7 @@ class IcSumResult:
 def ic_sum(field: Field, m: int, E) -> IcSumResult:
     """|U_m| times the MI of the m-fold composed channel, from first
     principles (joint table), not from any closed-form shortcut."""
-    E = Fraction(E)
+    E = parse_fraction(E)
     if not 0 <= E <= 1:
         raise InvalidInput("bias must be in [0, 1] for the IC sum")
     _check_m(field.q, m)
@@ -275,6 +274,8 @@ class ChannelProtocol:
 
 def copy_protocol(n: int) -> ChannelProtocol:
     """Noiseless protocol: message = input = output, X uniform on n symbols."""
+    if not isinstance(n, int) or n < 1:
+        raise InvalidInput(f"n = {n!r} must be an integer >= 1")
     eye = tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
     return ChannelProtocol(x_dist=(1.0 / n,) * n, msg=eye, dec=eye)
 

@@ -56,10 +56,18 @@ def test_bad_q_is_invalid_input(make, q):
 
 def test_regular_box_range():
     RegularBox(3, Fraction(-1, 2))     # -1/(q-1) is the floor
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="outside"):
         RegularBox(3, Fraction(-2, 3))
-    with pytest.raises(InvalidInput):
-        RegularBox(3, Fraction(3, 2))
+    with pytest.raises(InvalidInput, match="outside"):
+        RegularBox(3, "3/2")           # parses, then is out of range
+    assert RegularBox(3, "1/2") == RegularBox(3, 0.5) == RegularBox(3, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("E", [float("nan"), float("inf"), float("-inf"), None, "x", "1/0", 1j],
+                         ids=["nan", "inf", "-inf", "None", "text", "zero-denominator", "complex"])
+def test_non_rational_bias_is_invalid_input(E):
+    with pytest.raises(InvalidInput, match="cannot parse rational"):
+        RegularBox(3, E)
 
 
 def test_regular_box_pmf():
@@ -453,3 +461,17 @@ def test_monte_carlo_rejects_bad_args():
         monte_carlo_win(field, RegularBox(3, Fraction(0)), game="nope")
     with pytest.raises(InvalidInput):
         monte_carlo_win(field, RegularBox(3, Fraction(0)), samples=0)
+
+
+@pytest.mark.parametrize("game", ["base", "dist"])
+@pytest.mark.parametrize("box, match", [
+    (StrategyBox(Strategy((0, -1, 0), (0, 0, 0))), "strategy tables"),    # -1 would wrap
+    (StrategyBox(Strategy((0, 1), (0, 0, 0))), "strategy tables"),
+    (StrategyBox(Strategy((0, 1.0, 2), (0, 0, 0))), "strategy tables"),
+    (StrategyBox(Strategy((0, 1, 2), (0, 3, 0))), "strategy tables"),
+    (RegularBox(5, Fraction(1, 2)), "size mismatch"),
+], ids=["negative", "short", "float", "outside-field", "q5-box"])
+def test_monte_carlo_refuses_what_regularize_and_convolve_refuse(box, match, game):
+    # on GF(3): the same checks as regularize (tables) and convolve (sizes)
+    with pytest.raises(InvalidInput, match=match):
+        monte_carlo_win(field_from_q(3), box, game=game, samples=100)

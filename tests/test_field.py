@@ -16,8 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 import chshq.field
 from chshq.errors import InvalidInput, InvariantViolation, CapExceeded
 from chshq.field import (
-    Field, field_new, field_from_q, field_from_json,
-    is_prime, factorize, smallest_irreducible, additive_character,
+    Field, field_new, field_from_q,
+    is_prime, factorize, smallest_irreducible,
     Q_CAP, OP_TABLE_Q_CAP, AdditiveCharacter, _digits,
 )
 
@@ -48,6 +48,14 @@ def test_rejects_nonprime_characteristic():
         field_new(1, 1)
     with pytest.raises(InvalidInput):
         field_new(2, 0)
+
+
+@pytest.mark.parametrize("key", ["p", "s"])
+@pytest.mark.parametrize("value", ["2", 2.0, None, [2]], ids=["str", "float", "None", "list"])
+def test_rejects_non_integer_p_and_s(key, value):
+    args = {"p": 2, "s": 2, key: value}
+    with pytest.raises(InvalidInput, match="p and s must be integers"):
+        Field(**args)
 
 
 def test_rejects_non_prime_power_order():
@@ -142,7 +150,7 @@ def test_no_irreducible_raises_invariant_violation(monkeypatch):
 def test_modulus_has_no_small_roots():
     for p, s in [(2, 5), (3, 4), (5, 3), (7, 2)]:
         f = field_new(p, s)
-        mod = f.spec.modulus
+        mod = f.modulus
         assert mod[-1] == 1 and len(mod) == s + 1
         for x in range(p):
             assert sum(c * x ** i for i, c in enumerate(mod)) % p != 0
@@ -492,7 +500,7 @@ def test_subfield_elements():
 @pytest.mark.parametrize("q", SMALL_Q)
 def test_character_is_homomorphism(q):
     f = field_from_q(q)
-    chi = additive_character(f)
+    chi = AdditiveCharacter(f)
     for a in f.elements():
         assert abs(abs(chi(a)) - 1.0) < 1e-12
         for b in f.elements():
@@ -502,55 +510,24 @@ def test_character_is_homomorphism(q):
 @pytest.mark.parametrize("q", SMALL_Q)
 def test_character_orthogonality(q):
     f = field_from_q(q)
-    chi = additive_character(f)
+    chi = AdditiveCharacter(f)
     assert abs(sum(chi(a) for a in f.elements())) < 1e-9
     assert chi(0) == 1
 
 
 def test_character_exact_signs_in_char_two():
     f = field_from_q(8)
-    chi = additive_character(f)
+    chi = AdditiveCharacter(f)
     for a in f.elements():
         assert chi(a) in (complex(1), complex(-1))   # no exp() noise at p=2
 
 
 def test_character_nontrivial():
     f = field_from_q(9)
-    chi = additive_character(f)
+    chi = AdditiveCharacter(f)
     w = cmath.exp(2j * cmath.pi / 3)
     vals = {chi(a) for a in f.elements()}
     assert any(abs(v - w) < 1e-12 for v in vals)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_spec_json_roundtrip():
-    f = field_new(3, 3)
-    g = field_from_json(f.spec.to_json_dict())
-    assert g.spec == f.spec
-    assert g.mul(5, 7) == f.mul(5, 7)
-
-
-def test_from_json_rejects_reducible_modulus():
-    d = field_new(2, 2).spec.to_json_dict()
-    d["modulus"] = [0, 0, 1]   # x^2, reducible
-    with pytest.raises(InvalidInput):
-        field_from_json(d)
-
-
-GF4_JSON = {"p": 2, "s": 2, "modulus": [1, 1, 1]}
-
-
-@pytest.mark.parametrize("d", [
-    {**GF4_JSON, "modulus": m} for m in (["x", 1, 1], 5, None, [1.5, 1, 1], [], [1, 1, 1, 1])
-] + [{**GF4_JSON, k: v} for k in ("p", "s") for v in ("2", 2.0, None, [2])] + [
-    {"p": 2, "s": 2}, {}, [], None, "GF(4)",
-])
-def test_from_json_rejects_malformed_dicts(d):
-    with pytest.raises(InvalidInput):
-        field_from_json(d)
 
 
 # ---------------------------------------------------------------------------

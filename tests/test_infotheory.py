@@ -404,8 +404,20 @@ def test_ic_sum_matches_closed_form():
 
 def test_ic_sum_rejects_negative_bias():
     field = field_from_q(3)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match=r"in \[0, 1\]"):
         ic_sum(field, 2, Fraction(-1, 2))
+    with pytest.raises(InvalidInput, match=r"in \[0, 1\]"):
+        ic_sum(field, 2, "-1/2")
+
+
+@pytest.mark.parametrize("E", ["x", float("nan"), float("inf"), None, "1/0"],
+                         ids=["text", "nan", "inf", "None", "zero-denominator"])
+def test_non_rational_ic_bias_is_invalid_input(E):
+    field = field_from_q(3)
+    with pytest.raises(InvalidInput, match="cannot parse rational"):
+        ic_sum(field, 2, E)
+    with pytest.raises(InvalidInput, match="cannot parse rational"):
+        ic_dichotomy_experiment(field, E, range(2, 5))
 
 
 def test_dichotomy_verdicts():
@@ -487,6 +499,13 @@ def test_cstar_exact_facts():
     assert np.allclose(cond1, proto.joint_xz())
     assert np.allclose(cond0, np.full((3, 3), 1 / 9))
     assert mutual_information(cond0) == 0.0
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.0, None])
+def test_copy_protocol_refuses_bad_n(n):
+    with pytest.raises(InvalidInput, match="integer >= 1"):
+        copy_protocol(n)
+    assert copy_protocol(1).joint_xz().tolist() == [[1.0]]
 
 
 def test_simulate_cstar_copy_channel():

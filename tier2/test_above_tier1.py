@@ -1,8 +1,9 @@
 """Checks above Tier-1 sizes: the exhaustive verifiers at their caps, the
 pairwise rank test against the exhaustive oracles of the Tier-1 tests, the
 GF(65536) subfield configuration and character-sum probe through the CLI,
-and the traced peaks of U_20, the character transform and the Fourier
-maximization.  Outside the Tier-1 `testpaths`; run with
+the traced peaks of U_20, the character transform and the Fourier
+maximization, and `report --all` in two fresh interpreters.  Outside the
+Tier-1 `testpaths`; run with
 
     python -m pytest -q tier2
 """
@@ -11,7 +12,9 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -130,3 +133,19 @@ def test_fourier_verify_at_gf65536(capsys):
     assert cli.run(["fourier", "verify", "--p", "2", "--s", "16", "--n", "4",
                     "--trials", "3"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_report_is_reproducible_in_fresh_processes(tmp_path):
+    # two interpreters with different str hash seeds write the same tables
+    files = ["classical_values.csv", "tsirelson.csv", "constructions.csv", "ic_sweep.csv"]
+    outs = [tmp_path / "report-0", tmp_path / "report-1"]
+    for hashseed, out in enumerate(outs):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": str(hashseed)}
+        proc = subprocess.run([sys.executable, "-m", "chshq.cli", "report", "--all",
+                               "--seed", "7", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["files"] == files
+    for name in files:
+        a, b = ((out / name).read_bytes() for out in outs)
+        assert a == b and a, name
