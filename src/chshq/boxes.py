@@ -15,21 +15,18 @@ which is what regularize() computes, exactly.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log10
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidInput, InvariantViolation
-from .field import Field, block_rows
+from .errors import CapExceeded, InvalidInput
+from .field import Field
 from .game import (Strategy, win_count, bias_from_p_win, p_win_from_bias,
                    _check_strategy)
 
 POW_DIGITS_CAP = 4300   # Python's default int-to-str digit limit
-REGULARIZE_Q_CAP = 16   # q^2 (q-1)^2 q^2 draws: 0.08 s and 55 MB at q = 16,
-                        # 2.1 s and 309 MB at q = 25 (2-vCPU x86_64 Xeon)
 
 
 def parse_fraction(value) -> Fraction:
@@ -41,9 +38,9 @@ def parse_fraction(value) -> Fraction:
         raise InvalidInput(f"cannot parse rational {value!r}") from None
 
 
-def _check_q(q) -> None:
-    if not isinstance(q, int) or q < 2:
-        raise InvalidInput(f"q = {q!r} must be an integer >= 2")
+def _check_int(name: str, value, low: int = 1) -> None:
+    if not isinstance(value, int) or value < low:
+        raise InvalidInput(f"{name} = {value!r} must be an integer >= {low}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ class ErrorDist:
     p1: Fraction
 
     def __post_init__(self):
-        _check_q(self.q)
+        _check_int("q", self.q, 2)
         if self.p0 < 0 or self.p1 < 0:
             raise InvalidInput("pmf entries must be nonnegative")
         if self.p0 + (self.q - 1) * self.p1 != 1:
@@ -79,7 +76,7 @@ class RegularBox:
     bias: Fraction
 
     def __post_init__(self):
-        _check_q(self.q)
+        _check_int("q", self.q, 2)
         E = parse_fraction(self.bias)
         object.__setattr__(self, "bias", E)
         if not -Fraction(1, self.q - 1) <= E <= 1:
@@ -103,89 +100,31 @@ class StrategyBox:
 # regularization wrapper
 # ---------------------------------------------------------------------------
 
-def _error_counts(field: Field, strategy: Strategy) -> np.ndarray:
-    """Integer tally counts[x*q + y, e] of the wrapped strategy's error e
-    over every draw (alpha, beta, gamma, delta), as a (q^2, q) array.
+def regularize(field: Field, box: StrategyBox) -> RegularBox:
+    """Exact regular box equivalent to a deterministic strategy (f, g).
 
-    The error splits into one half that reads x and one that reads y:
-    with x~ = alpha*x + gamma and y~ = beta*y + delta,
+    The wrapper draws shared alpha, beta in F_q^* and gamma, delta in F_q,
+    plays the strategy on x~ = alpha*x + gamma and y~ = beta*y + delta, and
+    corrects the outputs to
 
         a = (f(x~) - delta*x~) / (alpha*beta)
         b = (g(y~) - gamma*beta*y) / (alpha*beta)
 
-    (delta*alpha*x + gamma*delta = delta*x~).  Each half is built once over
-    its five axes (x or y, alpha, beta, gamma, delta) and encoded as
-    XA = x*q^3 + a*q and YB = y*q^2 + b, so XA + YB indexes one flat q^4
-    table T[((x*q + y)*q + a)*q + b] = (x*q + y)*q + (a + b - x*y).  The
-    draws are tallied in slabs of `block_rows(q (q-1)^2 q^2)` x-values, in
-    one reused buffer: one flat take from T and one bincount per slab.
-    Refused above REGULARIZE_Q_CAP before anything is allocated.
+    Write E(x', y') = f(x') + g(y') - x'y'.  Since x~y~ = alpha*beta*xy +
+    delta*x~ + gamma*beta*y, the wrapped error is e = a + b - xy =
+    E(x~, y~) / (alpha*beta).  For fixed (x, y) the map (alpha, beta, gamma,
+    delta) -> (x~, y~, alpha, beta) is a bijection onto F_q^2 x (F_q^*)^2,
+    with gamma = x~ - alpha*x and delta = y~ - beta*y.  So for every input
+    pair, e = 0 on the (q-1)^2 W draws with E(x~, y~) = 0, where W is the
+    win count; on each of the q^2 - W pairs (x~, y~) with E != 0, beta ->
+    E/(alpha*beta) is onto F_q^* for each alpha, so each e != 0 occurs on
+    (q-1)(q^2 - W) draws.  The error is input-independent and uniform off
+    zero, with p_win = W/q^2: the box has the strategy's own bias.
+    Refused where `win_count` is, above OP_TABLE_Q_CAP.
     """
-    q = field.q
-    if q > REGULARIZE_Q_CAP:
-        raise CapExceeded(f"strategy regularization capped at q <= {REGULARIZE_Q_CAP}")
-    _check_strategy(field, strategy)
-    f, g = (np.asarray(t, dtype=np.intp) for t in strategy)
-    add, sub, mul = (field.op_table(op) for op in ("add", "sub", "mul"))
-    inv = field.vec.inv(np.arange(q))
-    el, un = np.arange(q), np.arange(1, q)
-    u, alpha, beta, gamma, delta = np.ix_(el, un, un, el, el)   # u is x or y
-    inv_ab = inv[mul[alpha, beta]]
-    xt = add[mul[alpha, u], gamma]
-    a = mul[sub[f[xt], mul[delta, xt]], inv_ab]
-    by = mul[beta, u]
-    b = mul[sub[g[add[by, delta]], mul[gamma, by]], inv_ab]
-    XA = (u * q ** 3 + a * q).reshape(q, -1)
-    YB = (u * q * q + b).reshape(q, -1)
-    x, y, a, b = np.ix_(el, el, el, el)
-    T = ((x * q + y) * q + sub[add[a, b], mul[x, y]]).ravel()
-    counts = np.zeros(q ** 3, dtype=np.intp)
-    rows = block_rows(YB.size)
-    slab = np.empty((rows, q, YB.shape[1]), dtype=np.intp)   # reused by every slab
-    for start in range(0, q, rows):
-        xa = XA[start:start + rows, None]
-        idx = np.add(xa, YB[None], out=slab[:len(xa)])
-        T.take(idx, out=idx, mode="clip")   # every index is < q^4
-        counts += np.bincount(idx.ravel(), minlength=q ** 3)
-    return counts.reshape(q * q, q)
-
-
-def per_input_error_dists(field: Field, box: StrategyBox) -> list[list[Fraction]]:
-    """Error pmf of the wrapped strategy for each input pair (x, y).
-
-    The wrapper draws shared alpha, beta in F_q^* and gamma, delta in F_q,
-    plays the strategy on relabeled inputs x~ = alpha*x + gamma,
-    y~ = beta*y + delta, and corrects the outputs:
-
-        a = (f(x~) - delta*alpha*x - gamma*delta) / (alpha*beta)
-        b = (g(y~) - beta*gamma*y) / (alpha*beta)
-
-    Each returned pmf is the exact average over the (q-1)^2 q^2 draws: the
-    `Fraction` view of the integer tally that `regularize` checks.
-    """
-    counts = _error_counts(field, box.strategy)
-    total = (field.q - 1) ** 2 * field.q ** 2
-    return [[Fraction(c, total) for c in row] for row in counts.tolist()]
-
-
-def regularize(field: Field, box: StrategyBox) -> RegularBox:
-    """Exact regular box equivalent to a deterministic strategy.
-
-    Asserts, on the integer tally of every draw, that the wrapper really
-    does produce an input-independent, off-zero-uniform error, and that
-    p_win is preserved exactly.
-    """
-    counts = _error_counts(field, box.strategy)
-    first = counts[0]
-    if (counts != first).any():
-        raise InvariantViolation("wrapped error depends on the input pair")
-    if (first[1:] != first[1]).any():
-        raise InvariantViolation("wrapped error is not uniform off zero")
-    q = field.q
-    p_win = Fraction(int(first[0]), (q - 1) ** 2 * q ** 2)
-    if p_win != win_count(field, box.strategy).p_win:
-        raise InvariantViolation("regularization changed the winning probability")
-    return RegularBox(q, bias_from_p_win(q, p_win))
+    if not isinstance(box, StrategyBox):
+        raise InvalidInput("regularize takes a StrategyBox")
+    return RegularBox(field.q, win_count(field, box.strategy).bias)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +150,7 @@ def compose_m(field: Field, box: RegularBox, m: int) -> ErrorDist:
 
     Refused before any step when E^m could not be printed: x^m, x the
     larger of E's numerator and denominator, would reach 10^POW_DIGITS_CAP."""
-    if m < 1:
-        raise InvalidInput("m must be >= 1")
+    _check_int("m", m)
     x = max(abs(box.bias.numerator), box.bias.denominator)
     if x > 1 and m >= POW_DIGITS_CAP / log10(x):   # no float of a huge m
         raise CapExceeded(f"E^m would have more than {POW_DIGITS_CAP} digits")
@@ -232,7 +170,8 @@ def compose_m(field: Field, box: RegularBox, m: int) -> ErrorDist:
 
 def compose_closed_form(q: int, E: Fraction, m: int) -> ErrorDist:
     """p(0) = 1/q + (q-1)E^m/q, p(k != 0) = 1/q - E^m/q."""
-    return RegularBox(q, Fraction(E) ** m).error_dist()
+    _check_int("m", m)
+    return RegularBox(q, RegularBox(q, E).bias ** m).error_dist()
 
 
 def distribute(field: Field, box: RegularBox) -> RegularBox:
@@ -262,8 +201,8 @@ class MonteCarloResult:
 def monte_carlo_win(field: Field, box, game: str = "base",
                     samples: int = 10 ** 5, seed: int = 0) -> MonteCarloResult:
     """Estimate p_win by simulation; unbiased, deterministic per seed."""
-    if samples < 1:
-        raise InvalidInput("samples must be >= 1")
+    _check_int("samples", samples)
+    _check_int("seed", seed, 0)
     if game not in ("base", "dist"):
         raise InvalidInput(f"unknown game {game!r}")
     q = field.q

@@ -131,23 +131,6 @@ def character_bilinear_sum(field: Field, fam: VectorFamily) -> float:
                          for b in _column_blocks(field, fam.n))))
 
 
-def verify_bound(field: Field, fam: VectorFamily) -> bool:
-    return character_bilinear_sum(field, fam) <= field.q ** 1.5 + BOUND_TOL
-
-
-def cauchy_schwarz_chain(field: Field, fam: VectorFamily) -> tuple[float, float, float]:
-    """(S, sqrt(q) * sum_i ||u(., i)|| ||v(., i)||, q^(3/2)).
-
-    The middle term applies the scalar character-sum bound per coordinate;
-    a final Cauchy-Schwarz over coordinates gives the endpoint.  Both
-    inequalities hold on every family, so the triple is nondecreasing."""
-    s = character_bilinear_sum(field, fam)
-    col_u = np.linalg.norm(fam.u, axis=0)
-    col_v = np.linalg.norm(fam.v, axis=0)
-    mid = float(np.sqrt(field.q) * (col_u * col_v).sum())
-    return s, mid, field.q ** 1.5
-
-
 def fourier_matrix(field: Field) -> np.ndarray:
     """H[x, y] = chi(xy)/sqrt(q); unitary for every prime power q."""
     mul = field.op_table("mul")   # refuses q x q work above OP_TABLE_Q_CAP

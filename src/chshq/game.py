@@ -55,13 +55,23 @@ def p_win_from_bias(q: int, bias: Fraction) -> Fraction:
 
 def _check_table(field: Field, table):
     q = field.q
-    if len(table) != q or any(not isinstance(v, (int, np.integer)) or not 0 <= v < q
-                              for v in table):
+    try:   # a table without a length, such as None or a number, is no table
+        ok = len(table) == q and all(isinstance(v, (int, np.integer)) and 0 <= v < q
+                                     for v in table)
+    except TypeError:
+        ok = False
+    if not ok:
         raise InvalidInput("strategy tables must map all of GF(q) into GF(q) by integers")
 
 
 def _check_strategy(field: Field, strategy: Strategy):
-    for table in strategy:
+    try:
+        tables = tuple(strategy)
+    except TypeError:
+        tables = ()
+    if len(tables) != 2:
+        raise InvalidInput("a strategy must be two tables (f, g)")
+    for table in tables:
         _check_table(field, table)
 
 
@@ -108,11 +118,6 @@ def best_response_g(field: Field, f) -> tuple[tuple[int, ...], int]:
     """Optimal g against a fixed f, with wins; ties pick the smallest encoding."""
     _check_table(field, f)
     return _best_response(field, f)
-
-
-def best_response_f(field: Field, g) -> tuple[tuple[int, ...], int]:
-    """Optimal f against a fixed g; x*y = y*x makes it g's best response."""
-    return best_response_g(field, g)
 
 
 def _best_response(field: Field, f) -> tuple[tuple[int, ...], int]:

@@ -187,13 +187,6 @@ def grid_construction(field: Field) -> Config:
     return make_config(points, lines)
 
 
-def grid_expected_incidences(q: int) -> int:
-    """Closed form |L| * floor(q^(1/3)) for the grid construction."""
-    n1 = _ifloor_pow(q, 1, 3)
-    n2 = _ifloor_pow(q, 2, 3)
-    return (n1 // 2) * (n2 // 2) * n1
-
-
 def _ifloor_pow(n: int, num: int, den: int) -> int:
     # floor(n^(num/den)) without float edge cases
     r = round(n ** (num / den))

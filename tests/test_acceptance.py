@@ -10,10 +10,12 @@ cross-checked against the full f(0) = f(1) = 0 slice search before freezing.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +42,17 @@ from chshq.infotheory import (
 from chshq.fourier import (
     random_family, character_bilinear_sum, tight_family, maximize_sum,
 )
+
+
+def _load_by_path(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the tally of every draw of the regularization wrapper, with its checks
+BOX_ORACLE = _load_by_path("boxes_oracle", Path(__file__).with_name("test_boxes.py"))
 
 # frozen goldens: q -> (wins, p_win, f, g), witnesses normalized to f(0)=0
 GOLDEN_VALUES = {
@@ -154,8 +167,9 @@ def test_criterion_06_strategy_regularization():
         rng = random.Random(q)
         for _ in range(50):
             s = random_strategy(q, rng)
-            box = regularize(field, StrategyBox(s))   # raises if not flat
-            ok = ok and box.p_win() == win_count(field, s).p_win
+            box = BOX_ORACLE.tallied_box(field, s)   # raises if not flat
+            ok = (ok and box.p_win() == win_count(field, s).p_win
+                  and regularize(field, StrategyBox(s)) == box)
             total += 1
     _verdict(6, ok, time.perf_counter() - t0, 30.0,
              f"{total} wrapped strategies exactly regular, p_win preserved")

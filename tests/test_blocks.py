@@ -3,16 +3,25 @@ any `field.BLOCK_CELLS`."""
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 import chshq.field
-from chshq.boxes import StrategyBox, per_input_error_dists, regularize
+from chshq.boxes import StrategyBox, regularize
 from chshq.field import Field, field_from_q, smallest_irreducible
 from chshq.game import Strategy, exact_classical_value
 from chshq.geometry import (
     incidences, make_config, subfield_construction,
     verify_incidence_preservation_exhaustive,
 )
+
+
+spec = importlib.util.spec_from_file_location(
+    "boxes_oracle", Path(__file__).with_name("test_boxes.py"))
+BOX_ORACLE = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(BOX_ORACLE)   # the x-slab tally of every regularization draw
 
 
 def powers(p, s):
@@ -27,7 +36,8 @@ KERNELS = {
     "exact-q5": lambda: exact_classical_value(field_from_q(5)),
     # 12348 cells per x-slab: five x, then two, at the default size
     "regularize-q7": lambda: [f(field_from_q(7), StrategyBox(Strategy(
-        (3, 0, 6, 1, 1, 5, 2), (4, 4, 0, 2, 6, 1, 3)))) for f in (regularize, per_input_error_dists)],
+        (3, 0, 6, 1, 1, 5, 2), (4, 4, 0, 2, 6, 1, 3))))
+        for f in (regularize, BOX_ORACLE.per_input_error_dists)],
     "incidences-subfield-16": lambda: incidences(
         Field(2, 4), subfield_construction(Field(2, 4))),
     "incidences-parabola-7": lambda: incidences(field_from_q(7), make_config(

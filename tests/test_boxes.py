@@ -9,13 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chshq import boxes
 from chshq.errors import CapExceeded, InvalidInput, InvariantViolation
-from chshq.field import factorize, field_from_q
-from chshq.game import Strategy, win_count, p_win_from_bias
+from chshq.field import Field, OP_TABLE_Q_CAP, block_rows, factorize, field_from_q
+from chshq.game import Strategy, win_count, bias_from_p_win, p_win_from_bias, _check_strategy
 from chshq.boxes import (
-    REGULARIZE_Q_CAP, ErrorDist, RegularBox, StrategyBox,
-    per_input_error_dists, regularize, convolve, compose_m,
+    ErrorDist, RegularBox, StrategyBox, regularize, convolve, compose_m,
     compose_closed_form, distribute, monte_carlo_win,
 )
 
@@ -88,6 +86,91 @@ def test_extreme_boxes():
 # ---------------------------------------------------------------------------
 # regularization of deterministic strategies
 # ---------------------------------------------------------------------------
+
+def error_counts(field, strategy: Strategy) -> np.ndarray:
+    """Integer tally counts[x*q + y, e] of the wrapped strategy's error e
+    over every draw (alpha, beta, gamma, delta), as a (q^2, q) array: the
+    oracle for the orbit count in `regularize`.
+
+    The error splits into one half that reads x and one that reads y:
+    with x~ = alpha*x + gamma and y~ = beta*y + delta,
+
+        a = (f(x~) - delta*x~) / (alpha*beta)
+        b = (g(y~) - gamma*beta*y) / (alpha*beta)
+
+    (delta*alpha*x + gamma*delta = delta*x~).  Each half is built once over
+    its five axes (x or y, alpha, beta, gamma, delta) and encoded as
+    XA = x*q^3 + a*q and YB = y*q^2 + b, so XA + YB indexes one flat q^4
+    table T[((x*q + y)*q + a)*q + b] = (x*q + y)*q + (a + b - x*y).  The
+    draws are tallied in slabs of `block_rows(q (q-1)^2 q^2)` x-values, in
+    one reused buffer: one flat take from T and one bincount per slab.
+    """
+    q = field.q
+    _check_strategy(field, strategy)
+    f, g = (np.asarray(t, dtype=np.intp) for t in strategy)
+    add, sub, mul = (field.op_table(op) for op in ("add", "sub", "mul"))
+    inv = field.vec.inv(np.arange(q))
+    el, un = np.arange(q), np.arange(1, q)
+    u, alpha, beta, gamma, delta = np.ix_(el, un, un, el, el)   # u is x or y
+    inv_ab = inv[mul[alpha, beta]]
+    xt = add[mul[alpha, u], gamma]
+    a = mul[sub[f[xt], mul[delta, xt]], inv_ab]
+    by = mul[beta, u]
+    b = mul[sub[g[add[by, delta]], mul[gamma, by]], inv_ab]
+    XA = (u * q ** 3 + a * q).reshape(q, -1)
+    YB = (u * q * q + b).reshape(q, -1)
+    x, y, a, b = np.ix_(el, el, el, el)
+    T = ((x * q + y) * q + sub[add[a, b], mul[x, y]]).ravel()
+    counts = np.zeros(q ** 3, dtype=np.intp)
+    rows = block_rows(YB.size)
+    slab = np.empty((rows, q, YB.shape[1]), dtype=np.intp)   # reused by every slab
+    for start in range(0, q, rows):
+        xa = XA[start:start + rows, None]
+        idx = np.add(xa, YB[None], out=slab[:len(xa)])
+        T.take(idx, out=idx, mode="clip")   # every index is < q^4
+        counts += np.bincount(idx.ravel(), minlength=q ** 3)
+    return counts.reshape(q * q, q)
+
+
+def per_input_error_dists(field, box: StrategyBox) -> list[list[Fraction]]:
+    """Error pmf of the wrapped strategy for each input pair (x, y): the
+    exact average over the (q-1)^2 q^2 draws, as the `Fraction` view of
+    the integer tally."""
+    counts = error_counts(field, box.strategy)
+    total = (field.q - 1) ** 2 * field.q ** 2
+    return [[Fraction(c, total) for c in row] for row in counts.tolist()]
+
+
+def tallied_box(field, strategy: Strategy, counts=None) -> RegularBox:
+    """The regular box read off the tally of every draw (or off the given
+    counts), after checking that the wrapped error is input-independent and
+    uniform off zero and that p_win is the strategy's own."""
+    counts = error_counts(field, strategy) if counts is None else counts
+    first = counts[0]
+    if (counts != first).any():
+        raise InvariantViolation("wrapped error depends on the input pair")
+    if (first[1:] != first[1]).any():
+        raise InvariantViolation("wrapped error is not uniform off zero")
+    q = field.q
+    p_win = Fraction(int(first[0]), (q - 1) ** 2 * q ** 2)
+    if p_win != win_count(field, strategy).p_win:
+        raise InvariantViolation("regularization changed the winning probability")
+    return RegularBox(q, bias_from_p_win(q, p_win))
+
+
+def orbit_counts(q: int, wins: int) -> np.ndarray:
+    """The closed form of `regularize`: every input pair has e = 0 on
+    (q-1)^2 W draws and each e != 0 on (q-1)(q^2 - W) draws."""
+    counts = np.full((q * q, q), (q - 1) * (q * q - wins), dtype=np.intp)
+    counts[:, 0] = (q - 1) ** 2 * wins
+    return counts
+
+
+def assert_regularize_matches_tally(field, s: Strategy) -> None:
+    counts = error_counts(field, s)
+    assert np.array_equal(counts, orbit_counts(field.q, win_count(field, s).wins))
+    assert regularize(field, StrategyBox(s)) == tallied_box(field, s, counts)
+
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_wrapper_flattens_every_strategy(q):
@@ -167,10 +250,17 @@ def test_error_counts_match_six_axis_oracle(q):
     rng = random.Random(200 + q)
     for s in [random_strategy(q, rng) for _ in range(3)] + [
             Strategy((0,) * q, (0,) * q), Strategy(tuple(range(q)), tuple(range(q))[::-1])]:
-        counts = boxes._error_counts(field, s)
+        counts = error_counts(field, s)
         assert counts.shape == (q * q, q)
         assert np.array_equal(counts, error_counts_six_axes(field, s))
-        assert regularize(field, StrategyBox(s)).p_win() == win_count(field, s).p_win
+        assert_regularize_matches_tally(field, s)
+
+
+@pytest.mark.parametrize("q", [11, 13, 16, 17])
+def test_regularize_matches_tally_at_larger_q(q):
+    field = field_from_q(q)
+    rng = random.Random(300 + q)
+    assert_regularize_matches_tally(field, random_strategy(q, rng))
 
 
 def test_error_dists_reject_malformed_strategy():
@@ -183,30 +273,35 @@ def test_error_dists_reject_malformed_strategy():
             regularize(field, StrategyBox(s))
 
 
-def test_regularize_refuses_fields_above_cap(monkeypatch):
-    q = 17
-    assert q > REGULARIZE_Q_CAP
-    field = field_from_q(q)
-
-    def no_table(op):
-        raise AssertionError("an op table was built before the refusal")
-
-    monkeypatch.setattr(field, "op_table", no_table)
-    s = Strategy((0,) * q, (0,) * q)
-    for call in (regularize, per_input_error_dists):
-        with pytest.raises(CapExceeded, match=str(REGULARIZE_Q_CAP)):
-            call(field, StrategyBox(s))
+@pytest.mark.parametrize("box", [
+    RegularBox(3, Fraction(1, 2)), StrategyBox(None), StrategyBox(((0, 1, 2),)),
+    StrategyBox(((0, 1, 2),) * 3), StrategyBox((None, (0, 1, 2))), StrategyBox((0, 1)), None,
+], ids=["regular-box", "none", "one-table", "three-tables", "none-table", "int-tables",
+        "no-box"])
+def test_regularize_refuses_what_is_not_a_strategy(box):
+    with pytest.raises(InvalidInput):
+        regularize(field_from_q(3), box)
+    if isinstance(box, StrategyBox):
+        with pytest.raises(InvalidInput, match="strateg"):
+            monte_carlo_win(field_from_q(3), box, samples=10)
 
 
-def corrupt_counts(monkeypatch, corrupt):
-    tally = boxes._error_counts
+def test_regularize_at_op_table_cap():
+    field = Field(2, 12)
+    q = field.q
+    assert q == OP_TABLE_Q_CAP
+    s = random_strategy(q, random.Random(q))
+    box = regularize(field, StrategyBox(s))
+    assert box.p_win() == win_count(field, s).p_win
 
-    def corrupted(field, strategy):
-        counts = tally(field, strategy).copy()
-        corrupt(counts)
-        return counts
 
-    monkeypatch.setattr(boxes, "_error_counts", corrupted)
+def test_regularize_refuses_fields_above_cap():
+    field = Field(4099, 1)   # the smallest prime above OP_TABLE_Q_CAP
+    assert field.q > OP_TABLE_Q_CAP
+    s = Strategy((0,) * field.q, (0,) * field.q)
+    with pytest.raises(CapExceeded, match=f"capped at q <= {OP_TABLE_Q_CAP}"):
+        regularize(field, StrategyBox(s))
+    assert not field._op_tables   # refused before any op table was built
 
 
 def move_one(counts, row, src, dst):
@@ -220,13 +315,15 @@ def move_one(counts, row, src, dst):
     (lambda c: [move_one(c, r, 1, 0) or move_one(c, r, 2, 0) or move_one(c, r, 3, 0)
                 for r in range(len(c))], "changed the winning probability"),
 ], ids=["input-dependent-row", "off-zero-not-uniform", "zero-entry-shifted"])
-def test_regularize_reports_each_broken_invariant(monkeypatch, corrupt, match):
+def test_regularize_reports_each_broken_invariant(corrupt, match):
     # rows keep their total of (q-1)^2 q^2 draws, so only the named check can fire
     field = field_from_q(4)
     s = random_strategy(4, random.Random(11))
-    corrupt_counts(monkeypatch, corrupt)
+    counts = error_counts(field, s)
+    tallied_box(field, s, counts)
+    corrupt(counts)
     with pytest.raises(InvariantViolation, match=match):
-        regularize(field, StrategyBox(s))
+        tallied_box(field, s, counts)
 
 
 def test_regularize_returns_matching_box():
@@ -392,6 +489,31 @@ def test_compose_m_validation():
         compose_m(field, RegularBox(3, Fraction(1, 2)), 0)
     with pytest.raises(InvalidInput, match="mismatch"):
         compose_m(field, RegularBox(5, Fraction(1, 2)), 2)
+    with pytest.raises(InvalidInput, match="outside"):
+        compose_closed_form(3, -1, 2)   # E is no bias at q = 3, though E^2 = 1 is
+
+
+F3, BOX3 = field_from_q(3), RegularBox(3, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: compose_m(F3, BOX3, 2.0),
+    lambda: compose_m(F3, BOX3, -1),
+    lambda: compose_m(F3, BOX3, "2"),
+    lambda: compose_closed_form(3, Fraction(1, 2), 0),
+    lambda: compose_closed_form(3, 0, -1),
+    lambda: compose_closed_form(3, Fraction(1, 2), 2.0),
+    lambda: monte_carlo_win(F3, BOX3, samples=2.5),
+    lambda: monte_carlo_win(F3, BOX3, samples=None),
+    lambda: monte_carlo_win(F3, BOX3, seed=-1),
+    lambda: monte_carlo_win(F3, BOX3, seed=1.5),
+], ids=["compose-m-float", "compose-m-negative", "compose-m-text", "closed-form-m0",
+        "closed-form-m-negative", "closed-form-m-float", "samples-float", "samples-none",
+        "seed-negative", "seed-float"])
+def test_integer_arguments_are_checked(call):
+    # m and samples are ints >= 1, seed an int >= 0; anything else is refused
+    with pytest.raises(InvalidInput, match="must be an integer >= "):
+        call()
 
 
 # ---------------------------------------------------------------------------

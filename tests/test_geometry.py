@@ -24,7 +24,7 @@ from test_infotheory import u_m_listing
 from chshq.geometry import (
     Line, Config, make_config, is_legal, incidences,
     strategy_to_config, config_to_strategy,
-    subfield_construction, grid_construction, grid_expected_incidences,
+    subfield_construction, grid_construction,
     subspace_construction, subspace_cardinalities, trivial_incidence_bound,
     canonical_rows, proj_canonical, proj_points, proj_point, proj_dot,
     proj_cross, point_on_line, points_on_line,
@@ -327,6 +327,15 @@ def test_subfield_construction_hits_q_to_three_halves(q):
 def test_subfield_needs_even_degree():
     with pytest.raises(InvalidInput):
         subfield_construction(field_from_q(8))
+
+
+def grid_expected_incidences(q: int) -> int:
+    """Closed form |L| * floor(q^(1/3)) for the grid construction: n1 x n2
+    points with n1 = floor(q^(1/3)), n2 = floor(q^(2/3)), and lines of
+    slope 1..n1/2 and intercept 1..n2/2, each through n1 points."""
+    n1 = max(n for n in range(q) if n ** 3 <= q)
+    n2 = max(n for n in range(q) if n ** 3 <= q * q)
+    return (n1 // 2) * (n2 // 2) * n1
 
 
 @pytest.mark.parametrize("q", [101, 211, 1009])

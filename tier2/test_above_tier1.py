@@ -1,9 +1,9 @@
 """Checks above Tier-1 sizes: the exhaustive verifiers at their caps, the
-pairwise rank test against the exhaustive oracles of the Tier-1 tests, the
-GF(65536) subfield configuration and character-sum probe through the CLI,
-the traced peaks of U_20, the character transform and the Fourier
-maximization, and `report --all` in two fresh interpreters.  Outside the
-Tier-1 `testpaths`; run with
+pairwise rank test and strategy regularization against the exhaustive
+oracles of the Tier-1 tests, the GF(65536) subfield configuration and
+character-sum probe through the CLI, the traced peaks of U_20, the
+character transform and the Fourier maximization, and `report --all` in
+two fresh interpreters.  Outside the Tier-1 `testpaths`; run with
 
     python -m pytest -q tier2
 """
@@ -43,6 +43,8 @@ def load_by_path(name: str, path: Path):
 
 # the exhaustive pairwise oracles, pairwise_scan and pairwise_onehot_q
 ORACLES = load_by_path("infotheory_oracles", ROOT / "tests" / "test_infotheory.py")
+# the tally of every regularization draw, the closed form and the tally's checks
+BOX_ORACLE = load_by_path("boxes_oracle", ROOT / "tests" / "test_boxes.py")
 
 
 def traced_peak(call) -> int:
@@ -97,11 +99,19 @@ def test_exact_value_at_q9():
     assert value.wins == 29, value
 
 
-def test_regularize_at_q16():
-    rng = random.Random(16)
-    s = Strategy(*(tuple(rng.randrange(16) for _ in range(16)) for _ in range(2)))
-    box = regularize(Field(2, 4), StrategyBox(s))   # q = 16, REGULARIZE_Q_CAP
-    assert box.p_win() == win_count(Field(2, 4), s).p_win, box
+@pytest.mark.parametrize("p, s", [(2, 4), (5, 2)], ids=["q16", "q25"])
+def test_regularize_matches_tally(p, s):
+    # the x-slab tally of every draw: 0.1 s at q = 16; 2.6 s and a 263 MB
+    # ru_maxrss at q = 25, in a fresh process on a 2-vCPU x86_64 Xeon
+    field = Field(p, s)
+    rng = random.Random(field.q)
+    strategy = Strategy(*(tuple(rng.randrange(field.q) for _ in range(field.q))
+                          for _ in range(2)))
+    counts = BOX_ORACLE.error_counts(field, strategy)
+    wins = win_count(field, strategy).wins
+    assert np.array_equal(counts, BOX_ORACLE.orbit_counts(field.q, wins))
+    assert regularize(field, StrategyBox(strategy)) == BOX_ORACLE.tallied_box(
+        field, strategy, counts)
 
 
 def test_subfield_configuration_at_gf65536_end_to_end(tmp_path, capsys):
