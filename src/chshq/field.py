@@ -28,7 +28,8 @@ for odd p with s > 1.  `_Arith` writes add, sub, neg and mul once over them,
 and two faces run those bodies: the scalar methods index compact uint16 and
 int32 tables as plain Python ints, and `Field.vec` gathers elementwise on
 integer arrays from intp widenings of the same tables.  `op_table` serves
-the cached q x q add/sub/mul tables that `vec` builds.
+the cached q x q add/sub/mul tables that `vec` builds; `vec.mul_window`
+reads the products x * g^j of a run of j as windows of the antilog table.
 """
 
 from __future__ import annotations
@@ -455,6 +456,16 @@ class FieldVec(_Arith):
 
     def trace(self, a):
         return self._tr[a]
+
+    def mul_window(self, x, j0: int, m: int) -> np.ndarray:
+        """The (len(x), m) products x * g^(j0 + k), k < m, of the 1-D array
+        x, for 0 <= j0 and j0 + m <= q - 1.  Row x is the window of the
+        doubled antilog table that starts at log x + j0, one strided slice;
+        log 0 = 2n starts it in the zero tail, so x = 0 needs no branch.
+        With x = [1] the one row is g^j0, ..., g^(j0 + m - 1)."""
+        exp = self._exp
+        windows = np.ndarray((len(exp) - m + 1, m), exp.dtype, exp, 0, (exp.itemsize,) * 2)
+        return windows[self._log[x] + j0]
 
 
 def field_new(p: int, s: int) -> Field:

@@ -11,7 +11,7 @@ import pytest
 import chshq.field
 from chshq.boxes import StrategyBox, regularize
 from chshq.field import Field, field_from_q, smallest_irreducible
-from chshq.game import Strategy, exact_classical_value
+from chshq.game import Strategy, best_response_g, exact_classical_value, search_with_restarts
 from chshq.geometry import (
     incidences, make_config, subfield_construction,
     verify_incidence_preservation_exhaustive,
@@ -34,6 +34,10 @@ KERNELS = {
     "powers-251^2": lambda: powers(251, 2),
     "powers-2^16": lambda: powers(2, 16),
     "exact-q5": lambda: exact_classical_value(field_from_q(5)),
+    # 26 and 63 columns of windows: one block by default, one column per block at 1 or 7
+    "search-q27": lambda: search_with_restarts(field_from_q(27), seed=4, restarts=3),
+    "best-response-q64": lambda: best_response_g(
+        field_from_q(64), [(7 * x * x + 3) % 64 for x in range(64)]),
     # 12348 cells per x-slab: five x, then two, at the default size
     "regularize-q7": lambda: [f(field_from_q(7), StrategyBox(Strategy(
         (3, 0, 6, 1, 1, 5, 2), (4, 4, 0, 2, 6, 1, 3))))

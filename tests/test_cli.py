@@ -13,6 +13,8 @@ from chshq import cli, fourier
 from chshq.boxes import compose_closed_form
 from chshq.cli import PMF_TEXT_CAP, run, parse_fraction, frac_str, pmf_strs
 from chshq.errors import CapExceeded, InvalidInput
+from chshq.field import Field
+from chshq.game import Strategy, win_count
 from fractions import Fraction
 
 
@@ -474,6 +476,14 @@ def test_exit_code_local_search_over_op_table_cap(capsys):
             "--restarts", "1", "--max-rounds", "1"]
     assert run(argv) == 4
     assert "capped at q <= 4096" in capsys.readouterr().err
+
+
+def test_local_search_at_op_table_cap(capsys):
+    # best responses on antilog windows hold no q x q table: 0.3 s at q = 4096
+    code, d = run_json(capsys, ["classical-value", "--p", "2", "--s", "12", "--search",
+                                "--restarts", "1", "--max-rounds", "1"])
+    assert code == 0 and d["q"] == 4096
+    assert win_count(Field(2, 12), Strategy(tuple(d["f"]), tuple(d["g"]))).wins == d["wins"]
 
 
 @pytest.mark.parametrize("command", ["verify", "maximize"])

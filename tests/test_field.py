@@ -435,6 +435,20 @@ def test_op_table_refused_above_cap():
             f.op_table(op)
 
 
+@pytest.mark.parametrize("q", [2, 4, 7, 9, 27, 256])
+def test_mul_window_is_x_times_powers_of_g(q):
+    f = field_from_q(q)
+    n = q - 1
+    x = np.arange(q)   # 0 included: its window starts in the zero tail
+    g = f.primitive_element()
+    for j0, m in {(0, n), (0, 1), (n - 1, 1), (n // 2, n - n // 2), (1 % n, max(1, n - 2))}:
+        j = np.arange(j0, j0 + m)
+        rows = f.vec.mul_window(x, j0, m)
+        assert rows.shape == (q, m)
+        assert np.array_equal(rows, f.vec.mul(x[:, None], f.vec.pow(g, j))), (j0, m)
+        assert np.array_equal(f.vec.mul_window(x[1:2], j0, m)[0], f.vec.pow(g, j))
+
+
 @pytest.mark.parametrize("q", [7, 16, 27])   # one field of each add kind
 def test_scalar_ops_return_plain_ints(q):
     f = field_from_q(q)

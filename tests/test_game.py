@@ -149,6 +149,36 @@ def test_value_major_kernel_matches_2d_oracle(q):
         assert np.array_equal(game._batch_wins(field, F[::-1], keys), wins2[::-1])
 
 
+@pytest.mark.parametrize("block_cells", [None, 1000])
+@pytest.mark.parametrize("q", [32, 64, 81, 125, 128, 243, 256])
+def test_window_kernel_matches_2d_oracle_at_larger_q(monkeypatch, q, block_cells):
+    # random tables, the zero table (ties at every y) and a constant table;
+    # 1000 cells are 1000 // q columns a block, with a shorter last block
+    if block_cells:
+        monkeypatch.setattr(chshq.field, "BLOCK_CELLS", block_cells)
+    field = field_from_q(q)
+    rng = np.random.default_rng(q)
+    F = np.vstack([rng.integers(0, q, (3, q)), np.zeros((1, q), dtype=np.int64),
+                   np.full((1, q), q - 1)])
+    g2, wins2 = best_g_batch_2d(field, F)
+    for f, g, wins in zip(F.tolist(), g2.tolist(), wins2.tolist()):
+        assert best_response_g(field, f) == (tuple(g), wins)
+
+
+def test_best_responses_and_counts_refuse_fields_above_cap():
+    # vec refuses nothing, so each entry point refuses before it is built
+    field = field_from_q(4099)   # the smallest prime above OP_TABLE_Q_CAP
+    zeros = (0,) * field.q
+    calls = [lambda: best_response_g(field, zeros),
+             lambda: win_count(field, Strategy(zeros, zeros)),
+             lambda: local_search(field, seed=0, max_rounds=1),
+             lambda: search_with_restarts(field, seed=0, restarts=1, max_rounds=1)]
+    for call in calls:
+        with pytest.raises(CapExceeded, match="capped at q <= 4096"):
+            call()
+    assert "vec" not in vars(field) and not field._op_tables
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_best_response_is_optimal(q):
     import itertools
@@ -383,9 +413,15 @@ def test_local_search_monotone_and_sound(q):
         assert r.value.wins == best_g_wins == best_f_wins
 
 
+def oracle_best_response(field, f):
+    g, wins = best_g_batch_2d(field, [f])
+    return tuple(g[0].tolist()), int(wins[0])
+
+
 def local_search_oracle(field, seed, max_rounds=100):
-    """The loop that takes both half-steps every round and recounts the
-    value: (wins, f, g, rounds, history)."""
+    """The loop that takes both half-steps every round, each through the
+    2-D kernel on the op tables, and recounts the value: (wins, f, g,
+    rounds, history)."""
     q = field.q
     rng = random.Random(seed)
     f = tuple(rng.randrange(q) for _ in range(q))
@@ -394,9 +430,9 @@ def local_search_oracle(field, seed, max_rounds=100):
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
-        g_new, wg = best_response_g(field, f)
+        g_new, wg = oracle_best_response(field, f)
         history.append(wg)
-        f_new, wf = best_response_g(field, g_new)
+        f_new, wf = oracle_best_response(field, g_new)
         history.append(wf)
         if f_new == f and g_new == g:
             break
@@ -405,7 +441,7 @@ def local_search_oracle(field, seed, max_rounds=100):
 
 
 @pytest.mark.parametrize("max_rounds", [1, 2, 3, 100])
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 32, 64])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 32, 64, 81, 125])
 def test_local_search_matches_both_half_steps_oracle(q, max_rounds):
     field = field_from_q(q)
     for seed in range(60):

@@ -1,9 +1,11 @@
 """Checks above Tier-1 sizes: the exhaustive verifiers at their caps, the
 pairwise rank test and strategy regularization against the exhaustive
-oracles of the Tier-1 tests, the GF(65536) subfield configuration and
-character-sum probe through the CLI, the traced peaks of U_20, the
-character transform and the Fourier maximization, and `report --all` in
-two fresh interpreters.  Outside the Tier-1 `testpaths`; run with
+oracles of the Tier-1 tests, local search at the op-table cap against
+frozen results, the GF(65536) subfield configuration and character-sum
+probe through the CLI, the traced peaks of U_20, the character transform,
+the Fourier maximization, a q = 4096 search round and win count, and
+`report --all` in two fresh interpreters.  Outside the Tier-1
+`testpaths`; run with
 
     python -m pytest -q tier2
 """
@@ -29,7 +31,7 @@ from chshq import cli  # noqa: E402
 from chshq.boxes import StrategyBox, regularize  # noqa: E402
 from chshq.field import Field  # noqa: E402
 from chshq.fourier import character_bilinear_sum, maximize_sum, random_family  # noqa: E402
-from chshq.game import Strategy, exact_classical_value, win_count  # noqa: E402
+from chshq.game import Strategy, exact_classical_value, local_search, win_count  # noqa: E402
 from chshq.geometry import make_config, verify_incidence_preservation_exhaustive  # noqa: E402
 from chshq.infotheory import HadamardTask, build_U_m, pairwise_independence_check  # noqa: E402
 
@@ -112,6 +114,34 @@ def test_regularize_matches_tally(p, s):
     assert np.array_equal(counts, BOX_ORACLE.orbit_counts(field.q, wins))
     assert regularize(field, StrategyBox(strategy)) == BOX_ORACLE.tallied_box(
         field, strategy, counts)
+
+
+@pytest.mark.parametrize("p, s, wins, history", [
+    (2, 12, 34762, (25644, 29577, 31389, 32511, 33217, 33729, 34090, 34391, 34618, 34762)),
+    (4093, 1, 34745, (25597, 29539, 31436, 32507, 33212, 33678, 34056, 34330, 34550, 34745)),
+], ids=["q4096", "q4093"])
+def test_local_search_at_op_table_cap(p, s, wins, history):
+    # frozen from the op-table kernel this search replaced, which took 12.2 s
+    # and 8.5 s with a 542 MB ru_maxrss (fresh process, 2-vCPU x86_64 Xeon)
+    field = Field(p, s)
+    r = local_search(field, 1, max_rounds=5)
+    assert (r.rounds, r.value.wins, r.history) == (5, wins, history), r
+    assert win_count(field, r.strategy) == r.value
+
+
+def test_search_round_and_win_count_peaks_at_q4096():
+    # best responses and counts run on blocks of 2^16 cells: no q x q array
+    # (a 134 MB intp array at q = 4096) is ever formed
+    field = Field(2, 12)
+    field.vec   # built outside the traced calls
+    peak = traced_peak(lambda: local_search(field, 1, max_rounds=1))
+    assert peak <= 16 * 2 ** 20, peak
+    rng = random.Random(field.q)
+    strategy = Strategy(*(tuple(rng.randrange(field.q) for _ in range(field.q))
+                          for _ in range(2)))
+    peak = traced_peak(lambda: win_count(field, strategy))
+    assert peak <= 16 * 2 ** 20, peak
+    assert not field._op_tables
 
 
 def test_subfield_configuration_at_gf65536_end_to_end(tmp_path, capsys):
