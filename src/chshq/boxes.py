@@ -22,7 +22,7 @@ from math import log10
 import numpy as np
 
 from .errors import CapExceeded, InvalidInput
-from .field import Field
+from .field import OP_TABLE_Q_CAP, Field
 from .game import (Strategy, win_count, bias_from_p_win, p_win_from_bias,
                    _check_strategy)
 
@@ -200,14 +200,19 @@ class MonteCarloResult:
 
 def monte_carlo_win(field: Field, box, game: str = "base",
                     samples: int = 10 ** 5, seed: int = 0) -> MonteCarloResult:
-    """Estimate p_win by simulation; unbiased, deterministic per seed."""
+    """Estimate p_win by simulation; unbiased, deterministic per seed.
+
+    The draws are index arrays, combined elementwise by `field.vec`, so no
+    q x q table is built.  Refused above OP_TABLE_Q_CAP, before any draw."""
     _check_int("samples", samples)
     _check_int("seed", seed, 0)
     if game not in ("base", "dist"):
         raise InvalidInput(f"unknown game {game!r}")
     q = field.q
+    if q > OP_TABLE_Q_CAP:
+        raise CapExceeded(f"Monte Carlo games capped at q <= {OP_TABLE_Q_CAP}")
     rng = np.random.default_rng(seed)
-    add, mul = field.op_table("add"), field.op_table("mul")
+    add, mul = field.vec.add, field.vec.mul
 
     if isinstance(box, RegularBox):
         if box.q != q:
@@ -221,23 +226,23 @@ def monte_carlo_win(field: Field, box, game: str = "base",
         else:
             e1 = rng.choice(q, size=samples, p=pmf)
             e2 = rng.choice(q, size=samples, p=pmf)
-            success = add[e1, e2] == 0
+            success = add(e1, e2) == 0
     elif isinstance(box, StrategyBox):
         _check_strategy(field, box.strategy)
         f, g = (np.asarray(t, dtype=np.intp) for t in box.strategy)
         if game == "base":
             x = rng.integers(0, q, size=samples)
             y = rng.integers(0, q, size=samples)
-            success = add[f[x], g[y]] == mul[x, y]
+            success = add(f[x], g[y]) == mul(x, y)
         else:
             alpha = rng.integers(0, q, size=samples)
             gamma = rng.integers(0, q, size=samples)
             beta = rng.integers(0, q, size=samples)
             delta = rng.integers(0, q, size=samples)
-            a = add[add[f[alpha], f[gamma]], mul[alpha, gamma]]
-            b = add[add[g[delta], g[beta]], mul[beta, delta]]
-            target = mul[add[alpha, beta], add[gamma, delta]]
-            success = add[a, b] == target
+            a = add(add(f[alpha], f[gamma]), mul(alpha, gamma))
+            b = add(add(g[delta], g[beta]), mul(beta, delta))
+            target = mul(add(alpha, beta), add(gamma, delta))
+            success = add(a, b) == target
     else:
         raise InvalidInput("box must be a RegularBox or StrategyBox")
 

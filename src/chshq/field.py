@@ -27,9 +27,10 @@ mod-q table for prime fields, nothing for p = 2 (XOR) and Zech logarithms
 for odd p with s > 1.  `_Arith` writes add, sub, neg and mul once over them,
 and two faces run those bodies: the scalar methods index compact uint16 and
 int32 tables as plain Python ints, and `Field.vec` gathers elementwise on
-integer arrays from intp widenings of the same tables.  `op_table` serves
-the cached q x q add/sub/mul tables that `vec` builds; `vec.mul_window`
-reads the products x * g^j of a run of j as windows of the antilog table.
+integer arrays from intp widenings of the same tables.  No q x q table
+is kept: `vec.mul_window` reads the products x * g^j of a run of j as
+windows of the antilog table, and `vec.log` with `vec.antilog` reads any
+function of a product x * y at log x + log y.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ import numpy as np
 from .errors import InvalidInput, InvariantViolation, CapExceeded
 
 Q_CAP = 1 << 16        # refuse fields larger than this
-OP_TABLE_Q_CAP = 1 << 12   # refuse q x q op tables above this q
+OP_TABLE_Q_CAP = 1 << 12   # refuse q x q work above this q
 BLOCK_CELLS = 1 << 16  # cells of one block in every blocked numpy loop
 
-# op table item types: field elements are < q <= 2**16, logarithms lie in [-2q, 2q]
+# table item types: field elements are < q <= 2**16, logarithms lie in [-2q, 2q]
 _ELT, _LOG = np.uint16, np.int32
 
 
@@ -170,15 +171,27 @@ def smallest_irreducible(p: int, s: int) -> tuple[int, ...]:
 
     Returned as coefficients (c_0, ..., c_{s-1}, 1).  Candidates are ordered
     by the integer sum(c_i * p**i) over the non-leading coefficients.
+
+    Each block of candidates is first evaluated at every a in F_p, as one
+    product of its digits with the powers a^i (a^s < p^s <= Q_CAP, so
+    nothing overflows), and a candidate with a root a is skipped, as x - a
+    divides it.  A rootless candidate of degree s <= 3 is irreducible, since
+    a reducible one of degree 2 or 3 has a linear factor; only s >= 4 runs
+    Rabin's test.
     """
     if s == 1:
         return (0, 1)
-    for n in range(p ** s):
-        if n % p == 0:   # constant term 0: x divides the candidate
-            continue
-        coeffs = _digits(n, p, s) + [1]
-        if _is_irreducible(coeffs, p):
-            return tuple(coeffs)
+    q = p ** s
+    powers = np.arange(p) ** np.arange(s + 1)[:, None] % p   # powers[i, a] = a^i
+    radix = p ** np.arange(s)
+    block = max(1, 256 // p)
+    for start in range(0, q, block):
+        digits = np.arange(start, min(start + block, q))[:, None] // radix % p
+        value = (digits @ powers[:s] + powers[s]) % p
+        for row in digits[value.all(axis=1)].tolist():
+            coeffs = row + [1]
+            if s <= 3 or _is_irreducible(coeffs, p):
+                return tuple(coeffs)
     raise InvariantViolation(f"no irreducible of degree {s} over F_{p}")
 
 
@@ -257,7 +270,7 @@ def _powers(p: int, s: int, mg: np.ndarray) -> np.ndarray:
 
 
 def _tables(p: int, s: int, powers: np.ndarray) -> dict[str, np.ndarray]:
-    """The op tables of GF(p^s) from powers = g^0, ..., g^(n-1), n = q - 1.
+    """The tables of GF(p^s) from powers = g^0, ..., g^(n-1), n = q - 1.
 
     log[0] is the sentinel 2n, and exp is the powers twice, then 2n + 1
     zeros, so exp[log[a] + log[b]] = a * b is 0 when a or b is; neg and inv
@@ -346,7 +359,6 @@ class Field(_Arith):
         powers = _powers(p, s, mg)
         # memoryviews of the tables, whose items index as plain Python ints
         self._bind(p, s, {k: memoryview(t) for k, t in _tables(p, s, powers).items()})
-        self._op_tables: dict[str, np.ndarray] = {}
 
     # -- encoding -----------------------------------------------------------
 
@@ -386,22 +398,6 @@ class Field(_Arith):
         """The elementwise face of this field, built on first use."""
         return FieldVec(self)
 
-    def op_table(self, op: str) -> np.ndarray:
-        """The read-only q x q table of "add", "sub" or "mul", built from
-        `vec` on first use and cached.  int32, so callers may form a * q + b
-        freely.  Refused above OP_TABLE_Q_CAP, before anything is allocated."""
-        table = self._op_tables.get(op)
-        if table is None:
-            if op not in ("add", "sub", "mul"):
-                raise InvalidInput(f"unknown field operation {op!r}")
-            if self.q > OP_TABLE_Q_CAP:
-                raise CapExceeded(f"q x q op tables capped at q <= {OP_TABLE_Q_CAP}")
-            r = np.arange(self.q)
-            table = getattr(self.vec, op)(r[:, None], r[None, :]).astype(np.int32)
-            table.flags.writeable = False
-            self._op_tables[op] = table
-        return table
-
     # -- structure ----------------------------------------------------------
 
     def multiplicative_order(self, a: int) -> int:
@@ -436,14 +432,20 @@ class FieldVec(_Arith):
     def __init__(self, field: Field):
         p, s = field.p, field.s
         self._bind(p, s, {k: np.asarray(t).astype(np.intp) for k, t in field._tables.items()})
-        # Tr(x) = x + x^p + ... + x^(p^(s-1)) lies in F_p, encoded 0..p-1
-        tr = term = np.arange(field.q)
+        # Tr(b) = b + b^p + ... + b^(p^(s-1)) lies in F_p, encoded 0..p-1; it
+        # is taken on the basis a^i (encoded p^i) alone, and Tr is F_p-linear,
+        # so Tr(x) = sum_i d_i(x) Tr(a^i) mod p over the base-p digits d_i(x),
+        # one digit position at a time: row d of step i holds x + d p^i
+        tr = term = p ** np.arange(s)
         for _ in range(s - 1):
             term = self.pow(term, p)
             tr = self.add(tr, term)
         if (tr >= p).any():
             raise InvariantViolation("trace not in prime subfield")
-        self._tr = tr
+        table, d = np.zeros(1, dtype=np.intp), np.arange(p)[:, None]
+        for t in tr.tolist():
+            table = ((d * t + table) % p).ravel()
+        self._tr = table
 
     def inv(self, a):
         return self._inv[a]
@@ -456,6 +458,17 @@ class FieldVec(_Arith):
 
     def trace(self, a):
         return self._tr[a]
+
+    def log(self, a):
+        """log_g a, and the sentinel 2n for a = 0 (n = q - 1), so that
+        antilog(v)[log a + log b] is v[a * b] for every a and b."""
+        return self._log[a]
+
+    def antilog(self, values) -> np.ndarray:
+        """values, indexed by encoding, read through the antilog table: the
+        4n + 1 entries v[exp[k]], indexed by sums k of two logs; every sum
+        with log 0 = 2n in it lands in the zero tail, on v[0]."""
+        return np.asarray(values)[self._exp]
 
     def mul_window(self, x, j0: int, m: int) -> np.ndarray:
         """The (len(x), m) products x * g^(j0 + k), k < m, of the 1-D array

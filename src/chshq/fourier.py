@@ -132,10 +132,24 @@ def character_bilinear_sum(field: Field, fam: VectorFamily) -> float:
 
 
 def fourier_matrix(field: Field) -> np.ndarray:
-    """H[x, y] = chi(xy)/sqrt(q); unitary for every prime power q."""
-    mul = field.op_table("mul")   # refuses q x q work above OP_TABLE_Q_CAP
-    tab = np.array(AdditiveCharacter(field).table)
-    return (tab / np.sqrt(field.q))[mul]   # scaled before the q x q gather
+    """H[x, y] = chi(xy)/sqrt(q); unitary for every prime power q.
+
+    Read off the antilog table as H[x, y] = c[log x + log y], with c =
+    (chi / sqrt(q))[exp] one vector of 4n + 1 entries, n = q - 1: log 0 = 2n
+    lands every product with a zero factor in the zero tail, on chi(0).  The
+    rows are filled in blocks of `block_rows(q)`, one take into the output
+    each, so no q x q index array is formed.  Refused above OP_TABLE_Q_CAP."""
+    q = field.q
+    if q > OP_TABLE_Q_CAP:
+        raise CapExceeded(f"character matrices capped at q <= {OP_TABLE_Q_CAP}")
+    vec = field.vec
+    c = vec.antilog(np.array(AdditiveCharacter(field).table) / np.sqrt(q))
+    log = vec.log(np.arange(q))
+    out = np.empty((q, q), dtype=c.dtype)
+    step = block_rows(q)
+    for x0 in range(0, q, step):
+        c.take(log[x0:x0 + step, None] + log, out=out[x0:x0 + step], mode="clip")
+    return out
 
 
 def tight_family(field: Field) -> VectorFamily:

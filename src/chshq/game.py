@@ -76,7 +76,7 @@ def _check_strategy(field: Field, strategy: Strategy):
 
 
 def _check_cap(field: Field, what: str) -> None:
-    # vec refuses nothing: the blocked counts below keep the op tables' cap
+    # vec refuses nothing: the blocked counts below keep the cap on q x q work
     if field.q > OP_TABLE_Q_CAP:
         raise CapExceeded(f"{what} capped at q <= {OP_TABLE_Q_CAP}")
 
@@ -99,7 +99,14 @@ def win_count(field: Field, strategy: Strategy) -> GameValue:
     return GameValue.from_wins(q, int(wins))
 
 
-def _value_counts(field: Field, F, keys=None) -> np.ndarray:
+def _grid(field: Field, op: str) -> np.ndarray:
+    """The q x q table of `field.vec`'s "add", "sub" or "mul", for the
+    searches that only run at small q (EXACT_Q_CAP, PAIRS_Q_CAP)."""
+    r = np.arange(field.q)
+    return getattr(field.vec, op)(r[:, None], r)
+
+
+def _value_counts(mul, sub, F, keys=None) -> np.ndarray:
     """Value-major tally for a (B, q) batch of tables f, as a (q, q*B) array:
     counts[v, y*B + b] is the number of x with sub[mul[x, y], F[b, x]] = v,
     the answers g(y) = v that win on (x, y) against table b.
@@ -109,14 +116,14 @@ def _value_counts(field: Field, F, keys=None) -> np.ndarray:
     given): one broadcast add writes x*y*q + F[b, x], one flat take from the
     sub table premultiplied by q*B maps it to v*q*B in place, and one more
     in-place add and one bincount tally the cells.  Max and argmax then
-    reduce over the leading (value) axis, along whole rows.
+    reduce over the leading (value) axis, along whole rows.  mul and sub are
+    the q x q tables of `_grid`, built once per search.
 
     Only the exact search tallies here.  A tally of the same batches on the
     antilog windows of `_responder` took 2.3x as long at q = 7 (2.5 against
     1.1 ms) and 3.6x at q = 9 (0.88 against 0.25 s) on a 2-vCPU x86_64 Xeon.
     """
-    q = field.q
-    mul, sub = field.op_table("mul"), field.op_table("sub")   # refused above the cap
+    q = len(mul)
     F = np.asarray(F, dtype=np.intp)
     n = q * len(F)
     if keys is None:
@@ -129,9 +136,9 @@ def _value_counts(field: Field, F, keys=None) -> np.ndarray:
     return np.bincount(keys.ravel(), minlength=q * n).reshape(q, n)
 
 
-def _batch_wins(field: Field, F, keys) -> np.ndarray:
+def _batch_wins(mul, sub, F, keys) -> np.ndarray:
     """Wins of each table's best response, for a (B, q) batch of tables f."""
-    return _value_counts(field, F, keys).max(axis=0).reshape(field.q, -1).sum(axis=0)
+    return _value_counts(mul, sub, F, keys).max(axis=0).reshape(len(mul), -1).sum(axis=0)
 
 
 def _responder(field: Field):
@@ -215,20 +222,22 @@ def exact_classical_value(field: Field) -> tuple[GameValue, Strategy]:
     The zero table comes first, then the tables with leading 1 at position
     k = q-1 down to 2, each block with its free suffix in lex order: lex
     order over the reduced set.  A block runs in chunks of `block_rows(q^2)`
-    tables through the value-major tally (`_value_counts`), one reused key
-    buffer for all chunks, and only their win counts are reduced; argmax
-    keeps the first maximum of a chunk and only a strictly larger win count
-    replaces the best so far, so the chunking never changes the result.  The
-    best response g is then taken once, for the winning table.
+    tables through the value-major tally (`_value_counts`), with one mul
+    table, one sub table and one key buffer for all chunks, and only their
+    win counts are reduced; argmax keeps the first maximum of a chunk and
+    only a strictly larger win count replaces the best so far, so the
+    chunking never changes the result.  The best response g is then taken
+    once, for the winning table.
     """
     q = field.q
     if q > EXACT_Q_CAP:
         raise CapExceeded(f"exact classical value capped at q <= {EXACT_Q_CAP}")
     chunk = block_rows(q * q)
     keys = np.empty(chunk * q * q, dtype=np.intp)   # one buffer for every chunk
+    mul, sub = _grid(field, "mul"), _grid(field, "sub")
     best = None
     for F in _gauge_tables(q, chunk):
-        wins = _batch_wins(field, F, keys)
+        wins = _batch_wins(mul, sub, F, keys)
         i = int(wins.argmax())
         if best is None or wins[i] > best[0]:
             best = (int(wins[i]), tuple(F[i].tolist()))
@@ -261,8 +270,7 @@ def exhaustive_pairs_value(field: Field) -> tuple[GameValue, Strategy]:
     q = field.q
     if q > PAIRS_Q_CAP:
         raise CapExceeded(f"pair enumeration capped at q <= {PAIRS_Q_CAP}")
-    mul = field.op_table("mul").tolist()
-    add = field.op_table("add").tolist()
+    mul, add = _grid(field, "mul").tolist(), _grid(field, "add").tolist()
     best = None
     for f in product(range(q), repeat=q):
         for g in product(range(q), repeat=q):

@@ -11,6 +11,7 @@ import pytest
 import chshq.field
 from chshq.boxes import StrategyBox, regularize
 from chshq.field import Field, field_from_q, smallest_irreducible
+from chshq.fourier import fourier_matrix
 from chshq.game import Strategy, best_response_g, exact_classical_value, search_with_restarts
 from chshq.geometry import (
     incidences, make_config, subfield_construction,
@@ -46,6 +47,8 @@ KERNELS = {
         Field(2, 4), subfield_construction(Field(2, 4))),
     "incidences-parabola-7": lambda: incidences(field_from_q(7), make_config(
         [(x, x * x % 7) for x in range(7)], [(a, b) for a in range(7) for b in range(7)])),
+    # one block of rows by default, one row per block at 1 or 7
+    "fourier-matrix-q27": lambda: fourier_matrix(field_from_q(27)).tobytes(),
     "sweep-q3": lambda: verify_incidence_preservation_exhaustive(
         field_from_q(3), make_config([(0, 0), (1, 2), (2, 1)], [(1, 0), (2, 1), (0, 2)])),
 }

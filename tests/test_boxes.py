@@ -17,6 +17,8 @@ from chshq.boxes import (
     compose_closed_form, distribute, monte_carlo_win,
 )
 
+from op_grids import op_grid
+
 
 def random_strategy(q: int, rng: random.Random) -> Strategy:
     return Strategy(tuple(rng.randrange(q) for _ in range(q)),
@@ -108,7 +110,7 @@ def error_counts(field, strategy: Strategy) -> np.ndarray:
     q = field.q
     _check_strategy(field, strategy)
     f, g = (np.asarray(t, dtype=np.intp) for t in strategy)
-    add, sub, mul = (field.op_table(op) for op in ("add", "sub", "mul"))
+    add, sub, mul = (op_grid(field, op) for op in ("add", "sub", "mul"))
     inv = field.vec.inv(np.arange(q))
     el, un = np.arange(q), np.arange(1, q)
     u, alpha, beta, gamma, delta = np.ix_(el, un, un, el, el)   # u is x or y
@@ -231,7 +233,7 @@ def error_counts_six_axes(field, strategy: Strategy) -> np.ndarray:
     # (x, y, alpha, beta, gamma, delta) gathered from the 2-D op tables
     q = field.q
     f, g = (np.asarray(t, dtype=np.intp) for t in strategy)
-    add, sub, mul = (field.op_table(op) for op in ("add", "sub", "mul"))
+    add, sub, mul = (op_grid(field, op) for op in ("add", "sub", "mul"))
     inv = field.vec.inv(np.arange(q))
     el, un = np.arange(q), np.arange(1, q)
     x, y, alpha, beta, gamma, delta = np.ix_(el, el, un, un, el, el)
@@ -301,7 +303,7 @@ def test_regularize_refuses_fields_above_cap():
     s = Strategy((0,) * field.q, (0,) * field.q)
     with pytest.raises(CapExceeded, match=f"capped at q <= {OP_TABLE_Q_CAP}"):
         regularize(field, StrategyBox(s))
-    assert not field._op_tables   # refused before any op table was built
+    assert "vec" not in vars(field)   # refused before the elementwise tables were built
 
 
 def move_one(counts, row, src, dst):
@@ -575,6 +577,45 @@ def test_monte_carlo_deterministic_per_seed():
     a = monte_carlo_win(field, box, samples=5000, seed=9)
     b = monte_carlo_win(field, box, samples=5000, seed=9)
     assert a == b
+
+
+# wins out of 3000 draws, frozen from the op-table simulation that the
+# elementwise one replaced: (q, box, game, seed) -> wins, for the strategy
+# f(x) = x^2 + 1, g(y) = 2y + 3 on encodings mod q and the bias-1/3 box
+MONTE_CARLO_WINS = {
+    (7, "strategy", "base", 0): 373, (7, "strategy", "base", 11): 359,
+    (7, "strategy", "dist", 0): 410, (7, "strategy", "dist", 11): 435,
+    (7, "regular", "base", 0): 1304, (7, "regular", "base", 11): 1311,
+    (7, "regular", "dist", 0): 771, (7, "regular", "dist", 11): 708,
+    (8, "strategy", "base", 0): 493, (8, "strategy", "base", 11): 506,
+    (8, "strategy", "dist", 0): 388, (8, "strategy", "dist", 11): 442,
+    (8, "regular", "base", 0): 1265, (8, "regular", "base", 11): 1276,
+    (8, "regular", "dist", 0): 710, (8, "regular", "dist", 11): 671,
+    (9, "strategy", "base", 0): 255, (9, "strategy", "base", 11): 275,
+    (9, "strategy", "dist", 0): 346, (9, "strategy", "dist", 11): 332,
+    (9, "regular", "base", 0): 1243, (9, "regular", "base", 11): 1249,
+    (9, "regular", "dist", 0): 682, (9, "regular", "dist", 11): 644,
+}
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_monte_carlo_reproduces_frozen_estimates(q):
+    field = field_from_q(q)
+    boxes = {"strategy": StrategyBox(Strategy(tuple((x * x + 1) % q for x in range(q)),
+                                              tuple((2 * y + 3) % q for y in range(q)))),
+             "regular": RegularBox(q, Fraction(1, 3))}
+    for (q_, kind, game, seed), wins in MONTE_CARLO_WINS.items():
+        if q_ == q:
+            r = monte_carlo_win(field, boxes[kind], game=game, samples=3000, seed=seed)
+            assert r.estimate == wins / 3000, (kind, game, seed)
+
+
+def test_monte_carlo_refused_above_cap_before_vec():
+    field = Field(4099, 1)   # the smallest prime above OP_TABLE_Q_CAP
+    box = StrategyBox(Strategy((0,) * field.q, (0,) * field.q))
+    with pytest.raises(CapExceeded, match=f"capped at q <= {OP_TABLE_Q_CAP}"):
+        monte_carlo_win(field, box, samples=10)
+    assert "vec" not in vars(field)
 
 
 def test_monte_carlo_rejects_bad_args():

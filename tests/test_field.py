@@ -18,7 +18,7 @@ from chshq.errors import InvalidInput, InvariantViolation, CapExceeded
 from chshq.field import (
     Field, field_new, field_from_q,
     is_prime, factorize, smallest_irreducible,
-    Q_CAP, OP_TABLE_Q_CAP, AdditiveCharacter, _digits,
+    Q_CAP, AdditiveCharacter, _digits,
 )
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
@@ -142,9 +142,10 @@ def test_irreducibility_matches_product_sieve(p, s):
 
 
 def test_no_irreducible_raises_invariant_violation(monkeypatch):
+    # degree 4: a rootless candidate of degree 2 or 3 is accepted without Rabin's test
     monkeypatch.setattr(chshq.field, "_is_irreducible", lambda coeffs, p: False)
     with pytest.raises(InvariantViolation):
-        smallest_irreducible(2, 3)
+        smallest_irreducible(2, 4)
 
 
 def test_modulus_has_no_small_roots():
@@ -415,24 +416,13 @@ def test_table_ops_match_polynomial_reference(p, s):
 
 @pytest.mark.parametrize("q", SMALL_Q + [16, 25, 27])
 def test_op_table_matches_scalar_ops(q):
+    # the q x q op table of each vec op, one broadcast, against the scalar ops
     f = field_from_q(q)
+    r = np.arange(q)
     for op in ("add", "sub", "mul"):
-        table = f.op_table(op)
-        assert table.shape == (q, q) and not table.flags.writeable
-        assert f.op_table(op) is table
+        grid = getattr(f.vec, op)(r[:, None], r)
         scalar = getattr(f, op)
-        assert table.tolist() == [[scalar(a, b) for b in range(q)] for a in range(q)]
-    with pytest.raises(InvalidInput):
-        f.op_table("div")
-
-
-def test_op_table_refused_above_cap():
-    # GF(8192) would need 256 MiB per table; GF(4096) is the largest built
-    assert OP_TABLE_Q_CAP == 4096
-    f = Field(2, 13)
-    for op in ("add", "sub", "mul"):
-        with pytest.raises(CapExceeded, match="capped at q <= 4096"):
-            f.op_table(op)
+        assert grid.tolist() == [[scalar(a, b) for b in range(q)] for a in range(q)]
 
 
 @pytest.mark.parametrize("q", [2, 4, 7, 9, 27, 256])
@@ -580,6 +570,34 @@ def loop_trace(f: Field, a: int) -> int:
         term = f.pow(term, f.p)
         acc = f.add(acc, term)
     return acc
+
+
+def frobenius_trace_table(f: Field) -> np.ndarray:
+    # the whole-field Frobenius sum that the trace by linearity replaced
+    tr = term = np.arange(f.q)
+    for _ in range(f.s - 1):
+        term = f.vec.pow(term, f.p)
+        tr = f.vec.add(tr, term)
+    return tr
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (5, 1), (2, 2), (2, 5), (3, 3), (5, 2), (7, 3),
+                                 (2, 8), (3, 6), (13, 2), (2, 11), (5, 5), (3, 7),
+                                 (251, 2), (2, 16)])
+def test_trace_by_linearity_matches_frobenius_sum(p, s):
+    f = cached_field(p, s)
+    tr = f.vec.trace(np.arange(f.q))
+    assert np.array_equal(tr, frobenius_trace_table(f))
+    sample = random.Random(p ** s).sample(range(f.q), min(f.q, 64))
+    assert tr[sample].tolist() == [loop_trace(f, a) for a in sample]
+
+
+def test_trace_basis_outside_prime_field_raises(monkeypatch):
+    # with x -> x^p broken to the constant terms (5, 6), the basis traces of
+    # GF(9) read 1 + 5 = 3 and 3 + 6 = 0: 3 = p is the first encoding outside F_3
+    monkeypatch.setattr(chshq.field.FieldVec, "pow", lambda self, a, e: np.array([5, 6]))
+    with pytest.raises(InvariantViolation, match="prime subfield"):
+        Field(3, 2).vec
 
 
 operands = st.lists(st.integers(0, Q_CAP - 1), max_size=12)

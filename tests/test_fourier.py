@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chshq.field
-from chshq.errors import InvalidInput
+from chshq.errors import CapExceeded, InvalidInput
 from chshq.field import AdditiveCharacter, Field, factorize, field_from_q
 from chshq.game import tsirelson_bound
 from chshq.fourier import (
@@ -23,12 +23,14 @@ PRIME_POWERS_81 = [q for q in range(2, 82) if len(factorize(q)) == 1]
 LARGE_FIELDS = [(2, 11), (3, 7), (5, 5), (2, 12)]
 ORACLE_ROWS = 512   # kernel rows per block: 32 MB of complex at q = 4096
 
+from op_grids import op_grid
+
 
 def _kernel(field: Field, rows=slice(None)) -> np.ndarray:
     """The dense oracle K[x, y] = chi(-x*y), restricted to the given rows."""
-    mul = field.op_table("mul")
+    mul = op_grid(field, "mul", range(field.q)[rows])
     tab = np.array(AdditiveCharacter(field).table)
-    return tab[field.vec.neg(np.arange(field.q))][mul[rows]]
+    return tab[field.vec.neg(np.arange(field.q))][mul]
 
 
 def kernel_apply_oracle(field: Field, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -225,6 +227,24 @@ def test_fourier_matrix_unitary_large():
     field = field_from_q(64)
     h = fourier_matrix(field)
     assert np.allclose(h @ h.conj().T, np.eye(64), atol=1e-11)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 25, 27, 512])
+def test_fourier_matrix_equals_scalar_grid_bit_for_bit(q):
+    # chi(x*y)/sqrt(q) through the scalar mul, against the antilog-table take
+    field = field_from_q(q)
+    chi = AdditiveCharacter(field).table
+    grid = np.array([[chi[field.mul(x, y)] for y in range(q)] for x in range(q)]) / np.sqrt(q)
+    h = fourier_matrix(field)
+    assert h.dtype == grid.dtype and h.shape == (q, q)
+    assert h.tobytes() == grid.tobytes()
+
+
+def test_fourier_matrix_refused_above_cap_before_vec():
+    field = Field(4099, 1)   # the smallest prime above OP_TABLE_Q_CAP
+    with pytest.raises(CapExceeded, match="capped at q <= 4096"):
+        fourier_matrix(field)
+    assert "vec" not in vars(field)
 
 
 @pytest.mark.parametrize("q", SMALL_Q)

@@ -21,6 +21,8 @@ from chshq.game import (
     bias_from_p_win, p_win_from_bias,
 )
 
+from op_grids import op_grid
+
 
 def random_strategy(q: int, rng: random.Random) -> Strategy:
     return Strategy(tuple(rng.randrange(q) for _ in range(q)),
@@ -127,7 +129,7 @@ def best_g_batch_2d(field, F):
     the first maximum, so ties pick the smallest encoding."""
     q = field.q
     F = np.asarray(F, dtype=np.intp)
-    vals = field.op_table("sub")[field.op_table("mul").T[None], F[:, None, :]]
+    vals = op_grid(field, "sub")[op_grid(field, "mul").T[None], F[:, None, :]]
     rows = np.arange(len(F) * q).reshape(len(F), q, 1) * q
     counts = np.bincount((rows + vals).ravel(),
                          minlength=len(F) * q * q).reshape(len(F), q, q)
@@ -145,8 +147,9 @@ def test_value_major_kernel_matches_2d_oracle(q):
         for f, g, wins in zip(F.tolist(), g2.tolist(), wins2.tolist()):
             assert best_response_g(field, f) == (tuple(g), wins)
         keys = np.full(len(F) * q * q + 5, -1, dtype=np.intp)   # a reused, larger buffer
-        assert np.array_equal(game._batch_wins(field, F, keys), wins2)
-        assert np.array_equal(game._batch_wins(field, F[::-1], keys), wins2[::-1])
+        mul, sub = game._grid(field, "mul"), game._grid(field, "sub")
+        assert np.array_equal(game._batch_wins(mul, sub, F, keys), wins2)
+        assert np.array_equal(game._batch_wins(mul, sub, F[::-1], keys), wins2[::-1])
 
 
 @pytest.mark.parametrize("block_cells", [None, 1000])
@@ -176,7 +179,7 @@ def test_best_responses_and_counts_refuse_fields_above_cap():
     for call in calls:
         with pytest.raises(CapExceeded, match="capped at q <= 4096"):
             call()
-    assert "vec" not in vars(field) and not field._op_tables
+    assert "vec" not in vars(field)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -301,9 +304,9 @@ def test_kernel_sees_one_table_per_gauge_class(monkeypatch, q):
     rows = []
     kernel = game._batch_wins
 
-    def counted(field, F, keys):
+    def counted(mul, sub, F, keys):
         rows.append(len(F))
-        return kernel(field, F, keys)
+        return kernel(mul, sub, F, keys)
 
     monkeypatch.setattr(game, "_batch_wins", counted)
     exact_classical_value(field)

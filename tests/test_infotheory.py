@@ -24,6 +24,8 @@ from chshq.infotheory import (
     ChannelProtocol, copy_protocol, simulate_cstar,
 )
 
+from op_grids import op_grid
+
 
 def random_joint(rng: random.Random, na: int, nb: int) -> np.ndarray:
     # uniform marginal on the first axis, random rows
@@ -176,7 +178,7 @@ def codeword_values_op_tables(field, m, vectors) -> np.ndarray:
     # Had_xi over all q^m inputs Y, Y_0 most significant, for each xi in
     # vectors: m full (k, q^m) two-dimensional gathers from the q x q op tables
     q = field.q
-    add, mul = field.op_table("add"), field.op_table("mul")
+    add, mul = op_grid(field, "add"), op_grid(field, "mul")
     xis = np.asarray(vectors, dtype=np.intp).reshape(-1, m)
     vals = np.zeros((len(xis), q ** m), dtype=np.int64)
     for i in range(m):
@@ -352,7 +354,7 @@ def test_joint_from_error_marginals():
 
 def joint_from_error_oracle(field, err) -> np.ndarray:
     """The joint table built through the q x q `sub` op table."""
-    z_minus_x = field.op_table("sub").T.copy()
+    z_minus_x = op_grid(field, "sub").T.copy()
     return np.where(z_minus_x == 0, float(err.p0), float(err.p1)) / field.q
 
 
