@@ -6,22 +6,23 @@ is encoded as sum(c_i * p**i).  Encoding 0 is the additive identity and
 encoding 1 is the multiplicative identity regardless of the modulus.
 
 The modulus is the lexicographically smallest monic irreducible of degree s,
-where "smallest" compares the low-degree coefficients as a base-p integer.
-That makes every derived quantity (primitive element, traces, subfields)
-reproducible from (p, s) alone.
+where "smallest" compares the low-degree coefficients as a base-p integer,
+and the canonical primitive element g is the smallest encoding of order
+q - 1.  Both depend on (p, s) alone, and no build searches for them: for
+s >= 2 they are frozen constants (`_CANONICAL`), which the tests check
+against the search in `tests/field_oracle.py`; a prime field has modulus x
+and takes g from integer `pow` on the cofactors of p - 1.
 
 A field is built from s x s matrices over F_p alone: M_a, the matrix of
 multiplication by a, has the digits of x^i * a as row i, so the digits of
-b * a are d(b) @ M_a.  One matrix power by squaring runs Rabin's
-irreducibility test on M_x and the primitive-element search on M_g.  The
-powers of g are listed by doubling, each step a float32 (float64 for primes
-p > 2896) BLAS product over blocks of columns, reduced mod p in place; every
-value is an integer of at most s(p - 1)^2, small enough that the products
-and the floor of each quotient by p are exact (`_powers` gives the bound).
+b * a are d(b) @ M_a.  The powers of g are listed from M_g by doubling,
+each step a float32 (float64 for primes p > 2896) BLAS product over blocks
+of columns, reduced mod p in place; every value is an integer of at most
+s(p - 1)^2, small enough that the products and the floor of each quotient
+by p are exact (`_powers` gives the bound).
 
 Every field holds one set of tables, derived once by `_tables` in one
-sentinel scheme from the powers of its canonical primitive element g (the
-smallest encoding of order q - 1): log, antilog, neg and inv, so that mul,
+sentinel scheme from the powers of g: log, antilog, neg and inv, so that mul,
 inv and pow are index arithmetic, and for addition (digit-wise mod p) a
 mod-q table for prime fields, nothing for p = 2 (XOR) and Zech logarithms
 for odd p with s > 1.  `_Arith` writes add, sub, neg and mul once over them,
@@ -117,18 +118,6 @@ def _digits(n: int, p: int, width: int) -> list[int]:
     return out
 
 
-def _matpow(m: np.ndarray, e: int, p: int) -> np.ndarray:
-    """m^e over F_p for e >= 1, by squaring; m is square with entries in [0, p)."""
-    out = None
-    while True:
-        if e & 1:
-            out = m if out is None else out @ m % p
-        e >>= 1
-        if not e:
-            return out
-        m = m @ m % p
-
-
 def _mul_matrices(a: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
     """M_a for each row a of the (k, s) digit array a, stacked to (k, s, s).
     M_a is the matrix of multiplication by a = sum a_i x^i: row i holds the
@@ -148,75 +137,42 @@ def _x_matrix(coeffs, p: int) -> np.ndarray:
     return x
 
 
-def _is_irreducible(coeffs: list[int], p: int) -> bool:
-    """coeffs is monic of degree s >= 1, low degree first, length s+1.
-
-    Rabin's test on X = M_x: x^(p^s) = x mod f, and for each prime r | s,
-    gcd(x^(p^(s/r)) - x, f) = 1.  Given the first, F_p[x]/(f) is a product of
-    fields F_(p^d) with d | s, so the gcd is 1 iff x^(p^(s/r)) - x is a unit,
-    that is iff its (p^s - 1)-th power is 1."""
-    s = len(coeffs) - 1
-    x = _x_matrix(coeffs, p)
-    frob = [x]   # X^(p^j) for j = 0 .. s
-    for _ in range(s):
-        frob.append(_matpow(frob[-1], p, p))
-    if (frob[s] != x).any():
-        return False
-    one = np.eye(s, dtype=np.int64)
-    return all((_matpow((frob[s // r] - x) % p, p ** s - 1, p) == one).all() for r in factorize(s))
-
-
-def smallest_irreducible(p: int, s: int) -> tuple[int, ...]:
-    """Lex-smallest monic irreducible of degree s over F_p.
-
-    Returned as coefficients (c_0, ..., c_{s-1}, 1).  Candidates are ordered
-    by the integer sum(c_i * p**i) over the non-leading coefficients.
-
-    Each block of candidates is first evaluated at every a in F_p, as one
-    product of its digits with the powers a^i (a^s < p^s <= Q_CAP, so
-    nothing overflows), and a candidate with a root a is skipped, as x - a
-    divides it.  A rootless candidate of degree s <= 3 is irreducible, since
-    a reducible one of degree 2 or 3 has a linear factor; only s >= 4 runs
-    Rabin's test.
-    """
-    if s == 1:
-        return (0, 1)
-    q = p ** s
-    powers = np.arange(p) ** np.arange(s + 1)[:, None] % p   # powers[i, a] = a^i
-    radix = p ** np.arange(s)
-    block = max(1, 256 // p)
-    for start in range(0, q, block):
-        digits = np.arange(start, min(start + block, q))[:, None] // radix % p
-        value = (digits @ powers[:s] + powers[s]) % p
-        for row in digits[value.all(axis=1)].tolist():
-            coeffs = row + [1]
-            if s <= 3 or _is_irreducible(coeffs, p):
-                return tuple(coeffs)
-    raise InvariantViolation(f"no irreducible of degree {s} over F_{p}")
+# (p, s): (code, g) for every s >= 2 with p^s <= Q_CAP.  The modulus is x^s
+# plus the polynomial whose base-p digits, low degree first, are `code`: the
+# lex-smallest monic irreducible of degree s, that is the first irreducible in
+# the scan by code.  g is the smallest encoding of order q - 1.  Both are the
+# results of that search, frozen; tests/field_oracle.py reruns it.
+_CANONICAL = {
+    (2, 2): (3, 2), (3, 2): (1, 4), (5, 2): (2, 6), (7, 2): (1, 9), (11, 2): (1, 15),
+    (13, 2): (2, 15), (17, 2): (3, 19), (19, 2): (1, 22), (23, 2): (1, 25),
+    (29, 2): (2, 30), (31, 2): (1, 35), (37, 2): (2, 41), (41, 2): (3, 43),
+    (43, 2): (1, 45), (47, 2): (1, 49), (53, 2): (2, 54), (59, 2): (1, 62),
+    (61, 2): (2, 63), (67, 2): (1, 74), (71, 2): (1, 79), (73, 2): (5, 76),
+    (79, 2): (1, 85), (83, 2): (1, 93), (89, 2): (3, 91), (97, 2): (5, 101),
+    (101, 2): (2, 102), (103, 2): (1, 105), (107, 2): (1, 109), (109, 2): (2, 111),
+    (113, 2): (3, 117), (127, 2): (1, 135), (131, 2): (1, 134), (137, 2): (3, 145),
+    (139, 2): (1, 143), (149, 2): (2, 152), (151, 2): (1, 160), (157, 2): (2, 159),
+    (163, 2): (1, 170), (167, 2): (1, 169), (173, 2): (2, 174), (179, 2): (1, 182),
+    (181, 2): (2, 185), (191, 2): (1, 201), (193, 2): (5, 198), (197, 2): (2, 200),
+    (199, 2): (1, 212), (211, 2): (1, 215), (223, 2): (1, 225), (227, 2): (1, 229),
+    (229, 2): (2, 231), (233, 2): (3, 241), (239, 2): (1, 247), (241, 2): (7, 248),
+    (251, 2): (1, 256), (2, 3): (3, 2), (3, 3): (7, 3), (5, 3): (6, 9), (7, 3): (2, 22),
+    (11, 3): (15, 11), (13, 3): (2, 15), (17, 3): (20, 17), (19, 3): (2, 29),
+    (23, 3): (26, 23), (29, 3): (33, 30), (31, 3): (3, 34), (37, 3): (2, 75),
+    (2, 4): (3, 2), (3, 4): (5, 3), (5, 4): (2, 6), (7, 4): (8, 12), (11, 4): (13, 11),
+    (13, 4): (2, 17), (2, 5): (5, 2), (3, 5): (7, 3), (5, 5): (21, 10), (7, 5): (10, 9),
+    (2, 6): (3, 2), (3, 6): (5, 3), (5, 6): (7, 5), (2, 7): (3, 2), (3, 7): (11, 5),
+    (2, 8): (27, 3), (3, 8): (11, 38), (2, 9): (3, 7), (3, 9): (64, 3), (2, 10): (9, 2),
+    (3, 10): (19, 34), (2, 11): (5, 2), (2, 12): (9, 3), (2, 13): (27, 2),
+    (2, 14): (33, 7), (2, 15): (3, 2), (2, 16): (43, 3)
+}
 
 
-def _primitive_root(p: int, s: int, x: np.ndarray) -> tuple[int, np.ndarray]:
-    """Smallest encoding g of multiplicative order p^s - 1, with M_g:
-    M_g^((q-1)/r) != I for each prime r | q - 1.  Candidates are tested in
-    stacks, one matrix power per cofactor for the whole stack; a stack stays
-    small enough that its s^3 work per matrix costs no more than the numpy
-    calls it saves."""
-    q = p ** s
-    cofactors = [(q - 1) // r for r in factorize(q - 1)]
-    one = np.eye(s, dtype=np.int64)
-    block = max(1, min(16, 4096 // s ** 3))
-    for start in range(1, q, block):
-        g = np.arange(start, min(start + block, q))
-        mg = _mul_matrices(g[:, None] // p ** np.arange(s) % p, x, p)
-        ok = np.ones(len(g), dtype=bool)
-        for e in cofactors:
-            ok &= ~(_matpow(mg, e, p) == one).all(axis=(1, 2))
-            if not ok.any():
-                break
-        else:
-            i = ok.argmax()
-            return int(g[i]), mg[i]
-    raise InvariantViolation("no primitive element found")
+def _prime_root(p: int) -> int:
+    """Smallest generator of F_p*: the least a with a^((p-1)/r) != 1 mod p for
+    each prime r | p - 1; 1 for p = 2, where F_p* = {1}."""
+    cofactors = [(p - 1) // r for r in factorize(p - 1)]
+    return next(a for a in range(1, p) if all(pow(a, e, p) != 1 for e in cofactors))
 
 
 def _powers(p: int, s: int, mg: np.ndarray) -> np.ndarray:
@@ -337,13 +293,15 @@ class _Arith:
 class Field(_Arith):
     """Arithmetic on integer-encoded elements of GF(p^s).
 
-    A field is (p, s) and nothing else: the modulus is always
-    `smallest_irreducible(p, s)`, so two fields built from the same pair
-    agree on every encoding, table and derived quantity."""
+    A field is (p, s) and nothing else: the modulus and g are always the
+    canonical ones, so two fields built from the same pair agree on every
+    encoding, table and derived quantity."""
 
     def __init__(self, p: int, s: int):
         if not isinstance(p, int) or not isinstance(s, int):
             raise InvalidInput("p and s must be integers")
+        if p > Q_CAP:   # before is_prime: Miller-Rabin on a huge p takes seconds
+            raise CapExceeded(f"p = {p} exceeds the supported cap {Q_CAP}")
         if not is_prime(p):
             raise InvalidInput(f"p = {p} is not prime")
         if s < 1:
@@ -354,8 +312,9 @@ class Field(_Arith):
         if q > Q_CAP:
             raise CapExceeded(f"q = {q} exceeds the supported cap {Q_CAP}")
         self.p, self.s, self.q = p, s, q
-        self.modulus = smallest_irreducible(p, s)
-        self._g, mg = _primitive_root(p, s, _x_matrix(self.modulus, p))
+        code, self._g = _CANONICAL[p, s] if s > 1 else (0, _prime_root(p))
+        self.modulus = (*_digits(code, p, s), 1)
+        mg = _mul_matrices(np.array([_digits(self._g, p, s)]), _x_matrix(self.modulus, p), p)[0]
         powers = _powers(p, s, mg)
         # memoryviews of the tables, whose items index as plain Python ints
         self._bind(p, s, {k: memoryview(t) for k, t in _tables(p, s, powers).items()})

@@ -10,13 +10,16 @@ import pytest
 
 import chshq.field
 from chshq.boxes import StrategyBox, regularize
-from chshq.field import Field, field_from_q, smallest_irreducible
+from chshq.field import Field, field_from_q
 from chshq.fourier import fourier_matrix
 from chshq.game import Strategy, best_response_g, exact_classical_value, search_with_restarts
 from chshq.geometry import (
     incidences, make_config, subfield_construction,
     verify_incidence_preservation_exhaustive,
 )
+
+import field_oracle
+from field_oracle import smallest_irreducible
 
 
 spec = importlib.util.spec_from_file_location(
@@ -27,7 +30,7 @@ spec.loader.exec_module(BOX_ORACLE)   # the x-slab tally of every regularization
 
 def powers(p, s):
     x = chshq.field._x_matrix(smallest_irreducible(p, s), p)
-    _, mg = chshq.field._primitive_root(p, s, x)
+    _, mg = field_oracle._primitive_root(p, s, x)
     return chshq.field._powers(p, s, mg).tolist()
 
 

@@ -9,6 +9,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import chshq.field
 from chshq import cli, fourier
 from chshq.boxes import compose_closed_form
 from chshq.cli import PMF_TEXT_CAP, run, parse_fraction, frac_str, pmf_strs
@@ -195,6 +196,16 @@ def test_exit_code_cap(capsys):
 def test_exit_code_huge_extension_degree(capsys):
     # refused before p ** s, which would not finish
     assert run(["classical-value", "--p", "2", "--s", str(10 ** 20)]) == 4
+    assert "exceeds the supported cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [10 ** 30 + 57, 10 ** 4200 + 7], ids=["31-digits", "4201-digits"])
+def test_exit_code_huge_characteristic(monkeypatch, capsys, p):
+    # refused before Miller-Rabin, which takes seconds on a p of 1000 digits
+    def refuse(n):
+        raise AssertionError("is_prime ran on a p above the cap")
+    monkeypatch.setattr(chshq.field, "is_prime", refuse)
+    assert run(["classical-value", "--p", str(p)]) == 4
     assert "exceeds the supported cap" in capsys.readouterr().err
 
 

@@ -17,9 +17,12 @@ import chshq.field
 from chshq.errors import InvalidInput, InvariantViolation, CapExceeded
 from chshq.field import (
     Field, field_new, field_from_q,
-    is_prime, factorize, smallest_irreducible,
+    is_prime, factorize,
     Q_CAP, AdditiveCharacter, _digits,
 )
+
+import field_oracle
+from field_oracle import smallest_irreducible
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
 
@@ -112,7 +115,7 @@ def test_small_degree_moduli_match_root_test():
         for s in (2, 3):
             for n in range(p ** s):
                 coeffs = _digits(n, p, s) + [1]
-                assert chshq.field._is_irreducible(coeffs, p) == (not has_root(coeffs, p))
+                assert field_oracle._is_irreducible(coeffs, p) == (not has_root(coeffs, p))
 
 
 def reducible_monics(p: int, s: int) -> set[tuple[int, ...]]:
@@ -138,14 +141,50 @@ def test_irreducibility_matches_product_sieve(p, s):
     reducible = reducible_monics(p, s)
     for n in range(p ** s):
         coeffs = [n // p ** i % p for i in range(s)] + [1]
-        assert chshq.field._is_irreducible(coeffs, p) == (tuple(coeffs) not in reducible)
+        assert field_oracle._is_irreducible(coeffs, p) == (tuple(coeffs) not in reducible)
 
 
 def test_no_irreducible_raises_invariant_violation(monkeypatch):
     # degree 4: a rootless candidate of degree 2 or 3 is accepted without Rabin's test
-    monkeypatch.setattr(chshq.field, "_is_irreducible", lambda coeffs, p: False)
+    monkeypatch.setattr(field_oracle, "_is_irreducible", lambda coeffs, p: False)
     with pytest.raises(InvariantViolation):
         smallest_irreducible(2, 4)
+
+
+def test_canonical_table_covers_every_extension_field_under_cap():
+    assert set(chshq.field._CANONICAL) == {
+        (p, s) for s in range(2, 17) for p in range(2, 257)
+        if is_prime(p) and p ** s <= Q_CAP}
+    assert len(chshq.field._CANONICAL) == 93
+
+
+def test_canonical_table_matches_oracle_search():
+    # the frozen (code, g) of every extension field is the search's result:
+    # the modulus's index in the scan order, and the smallest primitive encoding
+    wrong = []
+    for (p, s), (code, g) in chshq.field._CANONICAL.items():
+        modulus = smallest_irreducible(p, s)
+        found, _ = field_oracle._primitive_root(p, s, chshq.field._x_matrix(modulus, p))
+        if (code, g) != (sum(c * p ** i for i, c in enumerate(modulus[:-1])), found):
+            wrong.append((p, s))
+    assert not wrong, f"frozen constants differ from the search for (p, s) = {wrong}"
+
+
+def test_prime_field_root_matches_matrix_oracle():
+    x = np.zeros((1, 1), dtype=np.int64)   # M_x for the modulus x
+    wrong = [p for p in primes_up_to(4096) + [65521]
+             if chshq.field._prime_root(p) != field_oracle._primitive_root(p, 1, x)[0]]
+    assert not wrong, f"prime-field g differs from the oracle for p = {wrong}"
+
+
+def test_huge_characteristic_refused_before_primality_test(monkeypatch):
+    def refuse(n):
+        raise AssertionError("is_prime ran on a p above the cap")
+    monkeypatch.setattr(chshq.field, "is_prime", refuse)
+    with pytest.raises(CapExceeded, match="exceeds the supported cap"):
+        Field(10 ** 30 + 57, 1)
+    with pytest.raises(CapExceeded):
+        Field(Q_CAP + 1, 1)
 
 
 def test_modulus_has_no_small_roots():
@@ -221,7 +260,7 @@ POWER_FIELDS = [(2887, 1), (2897, 1), (4093, 1), (65521, 1), (2, 16), (3, 10),
 @pytest.mark.parametrize("p,s", POWER_FIELDS)
 def test_powers_match_int_matmul_oracle(monkeypatch, p, s, rows):
     x = chshq.field._x_matrix(smallest_irreducible(p, s), p)
-    _, mg = chshq.field._primitive_root(p, s, x)
+    _, mg = field_oracle._primitive_root(p, s, x)
     if rows is not None:   # partial last blocks, and many blocks per step
         monkeypatch.setattr(chshq.field, "BLOCK_CELLS", rows * s)
     got = chshq.field._powers(p, s, mg)
@@ -235,7 +274,7 @@ def test_irreducible_search_matches_unskipped_scan():
     assert len(pairs) == 93
     for p, s in pairs:
         first = next(tuple(_digits(n, p, s) + [1]) for n in range(p ** s)
-                     if chshq.field._is_irreducible(_digits(n, p, s) + [1], p))
+                     if field_oracle._is_irreducible(_digits(n, p, s) + [1], p))
         assert smallest_irreducible(p, s) == first
 
 

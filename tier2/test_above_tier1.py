@@ -4,7 +4,8 @@ oracles of the Tier-1 tests, local search at the op-table cap against
 frozen results, the GF(65536) subfield configuration and character-sum
 probe through the CLI, the traced peaks of U_20, the character transform,
 the Fourier maximization, a q = 4096 search round, win count, Monte Carlo
-run and character matrix, and `report --all` in two fresh interpreters.
+run and character matrix, the generator of every prime field against the
+matrix search, and `report --all` in two fresh interpreters.
 Outside the Tier-1 `testpaths`; run with
 
     python -m pytest -q tier2
@@ -22,12 +23,13 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]   # tests/ for op_grids
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]   # tests/ for the oracles
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 import chshq.field  # noqa: E402
+import field_oracle  # noqa: E402
 from chshq import cli  # noqa: E402
 from chshq.boxes import StrategyBox, monte_carlo_win, regularize  # noqa: E402
 from chshq.field import Field  # noqa: E402
@@ -58,6 +60,15 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_prime_field_roots_below_65536():
+    x = np.zeros((1, 1), dtype=np.int64)   # M_x for the modulus x
+    primes = [p for p in range(2, 1 << 16) if chshq.field.is_prime(p)]
+    assert len(primes) == 6542
+    wrong = [p for p in primes
+             if chshq.field._prime_root(p) != field_oracle._primitive_root(p, 1, x)[0]]
+    assert not wrong, f"prime-field g differs from the oracle for p = {wrong}"
 
 
 def test_sweep_at_q7_and_q8():
