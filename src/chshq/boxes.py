@@ -22,9 +22,8 @@ from math import log10
 import numpy as np
 
 from .errors import CapExceeded, InvalidInput
-from .field import OP_TABLE_Q_CAP, Field
-from .game import (Strategy, win_count, bias_from_p_win, p_win_from_bias,
-                   _check_strategy)
+from .field import Field, check_int, check_op_cap
+from .game import Strategy, win_count, bias_from_p_win, p_win_from_bias, strategy_tables
 
 POW_DIGITS_CAP = 4300   # Python's default int-to-str digit limit
 
@@ -38,11 +37,6 @@ def parse_fraction(value) -> Fraction:
         raise InvalidInput(f"cannot parse rational {value!r}") from None
 
 
-def _check_int(name: str, value, low: int = 1) -> None:
-    if not isinstance(value, int) or value < low:
-        raise InvalidInput(f"{name} = {value!r} must be an integer >= {low}")
-
-
 @dataclass(frozen=True)
 class ErrorDist:
     """Exact pmf of a regular error over F_q: Pr[e = 0] = p0 and
@@ -52,7 +46,7 @@ class ErrorDist:
     p1: Fraction
 
     def __post_init__(self):
-        _check_int("q", self.q, 2)
+        check_int("q", self.q, 2)
         if self.p0 < 0 or self.p1 < 0:
             raise InvalidInput("pmf entries must be nonnegative")
         if self.p0 + (self.q - 1) * self.p1 != 1:
@@ -76,7 +70,7 @@ class RegularBox:
     bias: Fraction
 
     def __post_init__(self):
-        _check_int("q", self.q, 2)
+        check_int("q", self.q, 2)
         E = parse_fraction(self.bias)
         object.__setattr__(self, "bias", E)
         if not -Fraction(1, self.q - 1) <= E <= 1:
@@ -150,7 +144,7 @@ def compose_m(field: Field, box: RegularBox, m: int) -> ErrorDist:
 
     Refused before any step when E^m could not be printed: x^m, x the
     larger of E's numerator and denominator, would reach 10^POW_DIGITS_CAP."""
-    _check_int("m", m)
+    check_int("m", m)
     x = max(abs(box.bias.numerator), box.bias.denominator)
     if x > 1 and m >= POW_DIGITS_CAP / log10(x):   # no float of a huge m
         raise CapExceeded(f"E^m would have more than {POW_DIGITS_CAP} digits")
@@ -170,7 +164,7 @@ def compose_m(field: Field, box: RegularBox, m: int) -> ErrorDist:
 
 def compose_closed_form(q: int, E: Fraction, m: int) -> ErrorDist:
     """p(0) = 1/q + (q-1)E^m/q, p(k != 0) = 1/q - E^m/q."""
-    _check_int("m", m)
+    check_int("m", m)
     return RegularBox(q, RegularBox(q, E).bias ** m).error_dist()
 
 
@@ -204,15 +198,13 @@ def monte_carlo_win(field: Field, box, game: str = "base",
 
     The draws are index arrays, combined elementwise by `field.vec`, so no
     q x q table is built.  Refused above OP_TABLE_Q_CAP, before any draw."""
-    _check_int("samples", samples)
-    _check_int("seed", seed, 0)
+    check_int("samples", samples)
+    check_int("seed", seed, 0)
     if game not in ("base", "dist"):
         raise InvalidInput(f"unknown game {game!r}")
     q = field.q
-    if q > OP_TABLE_Q_CAP:
-        raise CapExceeded(f"Monte Carlo games capped at q <= {OP_TABLE_Q_CAP}")
+    check_op_cap(field, "Monte Carlo games")
     rng = np.random.default_rng(seed)
-    add, mul = field.vec.add, field.vec.mul
 
     if isinstance(box, RegularBox):
         if box.q != q:
@@ -226,10 +218,10 @@ def monte_carlo_win(field: Field, box, game: str = "base",
         else:
             e1 = rng.choice(q, size=samples, p=pmf)
             e2 = rng.choice(q, size=samples, p=pmf)
-            success = add(e1, e2) == 0
+            success = field.vec.add(e1, e2) == 0
     elif isinstance(box, StrategyBox):
-        _check_strategy(field, box.strategy)
-        f, g = (np.asarray(t, dtype=np.intp) for t in box.strategy)
+        f, g = strategy_tables(field, box.strategy)
+        add, mul = field.vec.add, field.vec.mul
         if game == "base":
             x = rng.integers(0, q, size=samples)
             y = rng.integers(0, q, size=samples)

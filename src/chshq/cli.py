@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .errors import InvalidInput, InvariantViolation, CapExceeded
-from .field import Field, field_new, field_from_q
+from .field import Field, as_elements, field_new, field_from_q
 from . import game, geometry, boxes, infotheory, fourier
 from .boxes import parse_fraction
 
@@ -79,10 +79,9 @@ def config_from_json(d: dict) -> tuple[Field, geometry.Config]:
     except (KeyError, TypeError, ValueError) as e:
         raise InvalidInput(f"malformed config json: {e}")
     field = field_from_q(q)
-    for pairs, what in ((points, "point coordinates"), (lines, "line parameters")):
-        if not all(0 <= u < field.q and 0 <= v < field.q for u, v in pairs):
-            raise InvalidInput(f"{what} outside the field")
-    return field, geometry.make_config(points, lines)
+    points = as_elements(field, points, "point coordinates outside the field")
+    lines = as_elements(field, lines, "line parameters outside the field")
+    return field, geometry.make_config(points.reshape(-1, 2), lines.reshape(-1, 2))
 
 
 def _write(text: str, out) -> None:

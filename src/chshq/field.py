@@ -459,6 +459,34 @@ def field_from_q(q: int) -> Field:
 
 
 # ---------------------------------------------------------------------------
+# input checks, one of each for every module
+# ---------------------------------------------------------------------------
+
+def as_elements(field: Field, values, message: str) -> np.ndarray:
+    """`values` (a table, config rows or index vectors) as an intp array of
+    GF(q) elements, range-checked before the cast; InvalidInput(message) for a
+    ragged or object array, a non-integer dtype or an entry outside [0, q)."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:   # ragged
+        raise InvalidInput(message) from None
+    if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= field.q):
+        raise InvalidInput(message)
+    return arr.astype(np.intp, copy=False)
+
+
+def check_op_cap(field: Field, what: str) -> None:
+    """Refuse q x q work above OP_TABLE_Q_CAP; `Field.vec` refuses nothing."""
+    if field.q > OP_TABLE_Q_CAP:
+        raise CapExceeded(f"{what} capped at q <= {OP_TABLE_Q_CAP}")
+
+
+def check_int(name: str, value, low: int = 1) -> None:
+    if not isinstance(value, int) or value < low:
+        raise InvalidInput(f"{name} = {value!r} must be an integer >= {low}")
+
+
+# ---------------------------------------------------------------------------
 # characters
 # ---------------------------------------------------------------------------
 

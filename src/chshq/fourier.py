@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceeded, InvalidInput
-from .field import OP_TABLE_Q_CAP, Field, AdditiveCharacter, block_rows
+from .field import OP_TABLE_Q_CAP, Field, AdditiveCharacter, block_rows, check_op_cap
 
 NORM_TOL = 1e-10
 BOUND_TOL = 1e-9
@@ -139,10 +139,8 @@ def fourier_matrix(field: Field) -> np.ndarray:
     lands every product with a zero factor in the zero tail, on chi(0).  The
     rows are filled in blocks of `block_rows(q)`, one take into the output
     each, so no q x q index array is formed.  Refused above OP_TABLE_Q_CAP."""
-    q = field.q
-    if q > OP_TABLE_Q_CAP:
-        raise CapExceeded(f"character matrices capped at q <= {OP_TABLE_Q_CAP}")
-    vec = field.vec
+    check_op_cap(field, "character matrices")
+    q, vec = field.q, field.vec
     c = vec.antilog(np.array(AdditiveCharacter(field).table) / np.sqrt(q))
     log = vec.log(np.arange(q))
     out = np.empty((q, q), dtype=c.dtype)

@@ -15,16 +15,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInput, CapExceeded
-from .field import OP_TABLE_Q_CAP, Field, block_rows
+from .field import Field, as_elements, block_rows, check_int, check_op_cap
 
 EXACT_Q_CAP = 9        # exhaustive classical value is q^(q-2)/(q-1) * q^2 work
-PAIRS_Q_CAP = 4        # full double enumeration is q^(2q) * q^2 work
 
 
 class Strategy(NamedTuple):
@@ -53,32 +51,22 @@ def p_win_from_bias(q: int, bias: Fraction) -> Fraction:
     return Fraction(1, q) + Fraction(q - 1, q) * bias
 
 
-def _check_table(field: Field, table):
-    q = field.q
-    try:   # a table without a length, such as None or a number, is no table
-        ok = len(table) == q and all(isinstance(v, (int, np.integer)) and 0 <= v < q
-                                     for v in table)
-    except TypeError:
-        ok = False
-    if not ok:
-        raise InvalidInput("strategy tables must map all of GF(q) into GF(q) by integers")
+def _table(field: Field, table) -> np.ndarray:
+    """`table` as an intp array of q GF(q) elements."""
+    message = "strategy tables must map all of GF(q) into GF(q) by integers"
+    arr = as_elements(field, table, message)
+    if arr.shape != (field.q,):
+        raise InvalidInput(message)
+    return arr
 
 
-def _check_strategy(field: Field, strategy: Strategy):
+def strategy_tables(field: Field, strategy: Strategy) -> tuple[np.ndarray, np.ndarray]:
+    """(f, g) as intp arrays: the check of every function that takes a strategy."""
     try:
-        tables = tuple(strategy)
-    except TypeError:
-        tables = ()
-    if len(tables) != 2:
-        raise InvalidInput("a strategy must be two tables (f, g)")
-    for table in tables:
-        _check_table(field, table)
-
-
-def _check_cap(field: Field, what: str) -> None:
-    # vec refuses nothing: the blocked counts below keep the cap on q x q work
-    if field.q > OP_TABLE_Q_CAP:
-        raise CapExceeded(f"{what} capped at q <= {OP_TABLE_Q_CAP}")
+        f, g = strategy
+    except (TypeError, ValueError):
+        raise InvalidInput("a strategy must be two tables (f, g)") from None
+    return _table(field, f), _table(field, g)
 
 
 def win_count(field: Field, strategy: Strategy) -> GameValue:
@@ -87,10 +75,9 @@ def win_count(field: Field, strategy: Strategy) -> GameValue:
     Counted in blocks of `block_rows(q)` inputs x, each x against every y
     at once as f(x) + g(y) = x * y, so no q x q array is formed.  Refused
     above OP_TABLE_Q_CAP."""
-    _check_strategy(field, strategy)
-    _check_cap(field, "win counts")
+    f, g = strategy_tables(field, strategy)
+    check_op_cap(field, "win counts")
     q, vec = field.q, field.vec
-    f, g = (np.asarray(t, dtype=np.intp) for t in strategy)
     r = np.arange(q)
     step = block_rows(q)
     wins = sum(np.count_nonzero(vec.add(f[x0:x0 + step, None], g)
@@ -100,8 +87,8 @@ def win_count(field: Field, strategy: Strategy) -> GameValue:
 
 
 def _grid(field: Field, op: str) -> np.ndarray:
-    """The q x q table of `field.vec`'s "add", "sub" or "mul", for the
-    searches that only run at small q (EXACT_Q_CAP, PAIRS_Q_CAP)."""
+    """The q x q table of `field.vec`'s "sub" or "mul", for the exact
+    search, which only runs at small q (EXACT_Q_CAP)."""
     r = np.arange(field.q)
     return getattr(field.vec, op)(r[:, None], r)
 
@@ -158,7 +145,7 @@ def _responder(field: Field):
     every call; otherwise each call gathers each block again, so no call
     holds more than one block of rows.
     """
-    _check_cap(field, "best responses")
+    check_op_cap(field, "best responses")
     q, vec = field.q, field.vec
     n = q - 1
     x = np.arange(q)
@@ -188,18 +175,9 @@ def _responder(field: Field):
 
 def best_response_g(field: Field, f) -> tuple[tuple[int, ...], int]:
     """Optimal g against a fixed f, with wins; ties pick the smallest encoding."""
-    _check_table(field, f)
-    g, wins = _responder(field)(np.asarray(f, dtype=np.intp))
+    f = _table(field, f)
+    g, wins = _responder(field)(f)
     return tuple(g.tolist()), wins
-
-
-def _better(cand, best):
-    # maximize wins; break ties toward the lexicographically smallest witness
-    if best is None:
-        return True
-    if cand[0] != best[0]:
-        return cand[0] > best[0]
-    return (cand[1], cand[2]) < (best[1], best[2])
 
 
 def exact_classical_value(field: Field) -> tuple[GameValue, Strategy]:
@@ -262,35 +240,9 @@ def _gauge_tables(q: int, chunk: int):
             yield F
 
 
-def exhaustive_pairs_value(field: Field) -> tuple[GameValue, Strategy]:
-    """Classical value by enumerating every (f, g) pair.  Slow; q <= 4 only.
-
-    Exists as an independent check on the symmetry-reduced search.
-    """
-    q = field.q
-    if q > PAIRS_Q_CAP:
-        raise CapExceeded(f"pair enumeration capped at q <= {PAIRS_Q_CAP}")
-    mul, add = _grid(field, "mul").tolist(), _grid(field, "add").tolist()
-    best = None
-    for f in product(range(q), repeat=q):
-        for g in product(range(q), repeat=q):
-            wins = 0
-            for x in range(q):
-                fx = f[x]
-                mx = mul[x]
-                for y in range(q):
-                    if add[fx][g[y]] == mx[y]:
-                        wins += 1
-            cand = (wins, f, g)
-            if _better(cand, best):
-                best = cand
-    wins, f, g = best
-    return GameValue.from_wins(q, wins), Strategy(f, g)
-
-
 def normalize_shift(field: Field, strategy: Strategy) -> Strategy:
     """Canonical representative under (f, g) -> (f + c, g - c): force f(0) = 0."""
-    f, g = strategy
+    f, g = (t.tolist() for t in strategy_tables(field, strategy))
     c = field.neg(f[0])
     return Strategy(
         tuple(field.add(v, c) for v in f),
@@ -315,8 +267,7 @@ def local_search(field: Field, seed: int, max_rounds: int = 100) -> SearchResult
     point: f's half-step would return f and its count again.  f and g stay
     intp arrays until the end; refused above OP_TABLE_Q_CAP.
     """
-    if max_rounds < 1:
-        raise InvalidInput(f"max_rounds = {max_rounds} must be >= 1")
+    check_int("max_rounds", max_rounds)
     respond = _responder(field)
     q = field.q
     rng = random.Random(seed)
@@ -343,16 +294,11 @@ def local_search(field: Field, seed: int, max_rounds: int = 100) -> SearchResult
 
 def search_with_restarts(field: Field, seed: int, restarts: int = 8,
                          max_rounds: int = 100) -> SearchResult:
-    """Best local_search outcome over several seeded restarts."""
-    if restarts < 1:
-        raise InvalidInput(f"restarts = {restarts} must be >= 1")
-    best = None
-    for i in range(restarts):
-        r = local_search(field, seed * 1000003 + i, max_rounds)
-        cand = (r.value.wins, r.strategy.f, r.strategy.g)
-        if best is None or _better(cand, (best.value.wins, best.strategy.f, best.strategy.g)):
-            best = r
-    return best
+    """Best local_search outcome over several seeded restarts: the most
+    wins, ties to the lexicographically smallest (f, g), then the first."""
+    check_int("restarts", restarts)
+    return min((local_search(field, seed * 1000003 + i, max_rounds) for i in range(restarts)),
+               key=lambda r: (-r.value.wins, r.strategy))
 
 
 def tsirelson_bound(q: int) -> float:

@@ -22,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapExceeded, InvalidInput, InvariantViolation
-from .field import Field, block_rows
-from .game import Strategy
+from .field import Field, as_elements, block_rows
+from .game import Strategy, strategy_tables
 
 
 class Line(NamedTuple):
@@ -53,16 +53,25 @@ def make_config(points, lines) -> Config:
 
 
 def _distinct_rows(pairs) -> np.ndarray:
-    """The distinct pairs in lex order as a read-only intp (n, 2) array:
-    lexsort, then drop adjacent repeats."""
-    if not isinstance(pairs, np.ndarray):
-        pairs = list(pairs)
-        if any(n != 2 for n in map(len, pairs)):
+    """The distinct pairs in lex order as a read-only intp (n, 2) array: lexsort,
+    then drop adjacent repeats.  A list refuses None, text and ints beyond intp;
+    an array is cast, so its floats truncate and its wide ints wrap."""
+    integers = "points and lines must be pairs of integers"
+    try:
+        if not isinstance(pairs, np.ndarray):
+            pairs = list(pairs)
+            if any(n != 2 for n in map(len, pairs)):
+                raise InvalidInput("points and lines must be pairs")
+            if np.asarray(pairs).dtype.kind not in "biuf":   # text such as "1" parses below
+                raise InvalidInput(integers)
+            pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise InvalidInput("points and lines must be pairs")
-        pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise InvalidInput("points and lines must be pairs")
-    arr = pairs.astype(np.intp, copy=False)   # cast first: a cast may reorder or merge rows
+        arr = pairs.astype(np.intp, copy=False)   # cast first: a cast may reorder or merge rows
+    except InvalidInput:
+        raise
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(integers) from None
     arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
     fresh = np.ones(len(arr), dtype=bool)
     fresh[1:] = (arr[1:] != arr[:-1]).any(axis=1)
@@ -71,16 +80,18 @@ def _distinct_rows(pairs) -> np.ndarray:
     return arr
 
 
-def _check_in_field(field: Field, c: Config) -> None:
-    """Refuse a coordinate outside [0, q) as InvalidInput."""
-    for rows, what in ((c.points, "point coordinates"), (c.lines, "line parameters")):
-        if rows.size and (rows.min() < 0 or rows.max() >= field.q):
-            raise InvalidInput(f"{what} outside the field")
+def _rows(field: Field, c: Config) -> tuple[np.ndarray, np.ndarray]:
+    """The points and lines of `c` as intp arrays of GF(q) elements."""
+    return (as_elements(field, c.points, "point coordinates outside the field"),
+            as_elements(field, c.lines, "line parameters outside the field"))
+
+
+def _legal(points: np.ndarray, lines: np.ndarray) -> bool:
+    return all(np.bincount(rows[:, 0]).max(initial=0) <= 1 for rows in (points, lines))
 
 
 def is_legal(field: Field, c: Config) -> bool:
-    _check_in_field(field, c)   # so no more than q distinct x or slopes
-    return all(np.bincount(rows[:, 0]).max(initial=0) <= 1 for rows in (c.points, c.lines))
+    return _legal(*_rows(field, c))   # in the field, so at most q distinct x or slopes
 
 
 SWEEP_Q_CAP = 9   # the exhaustive PGL_3 sweep refuses larger fields
@@ -96,12 +107,12 @@ def incidences(field: Field, c: Config) -> int:
     `field.vec`, in blocks of `block_rows(w)` lines, and the hits are
     counted.  On a raw Config a repeated line counts twice and a repeated
     point once."""
-    _check_in_field(field, c)
-    if not len(c.points) or not len(c.lines):
+    points, lines = _rows(field, c)
+    if not len(points) or not len(lines):
         return 0
     q, vec = field.q, field.vec
-    x, y = c.points.T
-    a, b = c.lines.T[:, :, None]     # (lines, 1) each
+    x, y = points.T
+    a, b = lines.T[:, :, None]     # (lines, 1) each
     seen = np.zeros(q, dtype=bool)
     seen[x] = True
     xs = np.flatnonzero(seen)
@@ -128,7 +139,7 @@ def incidences(field: Field, c: Config) -> int:
 
 def strategy_to_config(field: Field, s: Strategy) -> Config:
     """Points (x, f(x)) and lines l_{y, g(y)}; incidences equal game wins."""
-    f, g = s
+    f, g = strategy_tables(field, s)
     x = np.arange(field.q)
     return make_config(np.column_stack((x, f)), np.column_stack((x, g)))
 
@@ -139,11 +150,12 @@ def config_to_strategy(field: Field, c: Config) -> Strategy:
     Padding never removes an incidence among the original pairs, so the
     resulting strategy wins at least incidences(c) input pairs.
     """
-    if not is_legal(field, c):
+    points, lines = _rows(field, c)
+    if not _legal(points, lines):
         raise InvalidInput("config is not legal (sizes or duplicate x/slope)")
     f, g = np.zeros((2, field.q), dtype=np.intp)
-    f[c.points[:, 0]] = c.points[:, 1]
-    g[c.lines[:, 0]] = c.lines[:, 1]
+    f[points[:, 0]] = points[:, 1]
+    g[lines[:, 0]] = lines[:, 1]
     return Strategy(tuple(f.tolist()), tuple(g.tolist()))
 
 
@@ -360,10 +372,10 @@ def points_on_line(field: Field, line: tuple[int, int, int]) -> list[tuple[int, 
 def lift_config(field: Field, c: Config) -> tuple[np.ndarray, np.ndarray]:
     """Affine -> projective: (x, y) -> (x:y:1); l_{a,b} -> coefficients
     (a:-1:-b), as two canonical intp (n, 3) arrays, row for row with `c`."""
-    _check_in_field(field, c)
-    a, b = c.lines.T
+    points, lines = _rows(field, c)
+    a, b = lines.T
     lns = np.column_stack((a, np.full_like(a, field.neg(1)), field.vec.neg(b)))
-    return canonical_rows(field, np.insert(c.points, 2, 1, axis=1)), canonical_rows(field, lns)
+    return canonical_rows(field, np.insert(points, 2, 1, axis=1)), canonical_rows(field, lns)
 
 
 def projective_incidences(field: Field, pts, lns) -> int:

@@ -14,7 +14,7 @@ from math import log2
 import numpy as np
 
 from .errors import InvalidInput, InvariantViolation, CapExceeded
-from .field import OP_TABLE_Q_CAP, Field
+from .field import Field, as_elements, check_int, check_op_cap
 from .boxes import RegularBox, ErrorDist, compose_m, parse_fraction
 from .geometry import canonical_rows, proj_points
 
@@ -31,6 +31,8 @@ def check_joint(table) -> np.ndarray:
         raise InvalidInput("joint table has negative entries")
     if not abs(t.sum() - 1.0) <= 1e-12:   # False on NaN
         raise InvalidInput("joint table does not sum to 1")
+    if t.ndim != 2:
+        raise InvalidInput("joint table must be 2-d")
     return t
 
 
@@ -44,8 +46,6 @@ def entropy(dist) -> float:
 def mutual_information(joint) -> float:
     """I(X;Y) = H(X) + H(Y) - H(X,Y) for a 2-d joint table."""
     t = check_joint(joint)
-    if t.ndim != 2:
-        raise InvalidInput("joint table must be 2-d")
     v = entropy(t.sum(axis=1)) + entropy(t.sum(axis=0)) - entropy(t)
     if v < -1e-9:
         raise InvariantViolation("mutual information came out negative")
@@ -103,12 +103,11 @@ def pairwise_independence_check(task: HadamardTask) -> bool:
         xis = np.asarray(task.vectors)
     except ValueError:   # ragged rows
         xis = None
-    if xis is None or len(xis) and xis.shape[1:] != (m,):
+    if xis is None or xis.shape[:1] != (0,) and xis.shape[1:] != (m,):   # ragged, 0-d, misshapen
         raise InvalidInput(f"index vectors must have m = {m} coordinates")
     if not xis.size:
         return True
-    if xis.dtype.kind not in "iu" or xis.min() < 0 or xis.max() >= field.q:
-        raise InvalidInput(f"index vector entries must be integers in [0, {field.q})")
+    xis = as_elements(field, xis, f"index vector entries must be integers in [0, {field.q})")
     rows = canonical_rows(field, xis)
     rows = rows[np.lexsort(rows.T)]   # a zero row, the least, sorts first
     return bool(rows[0].any()) and not (rows[1:] == rows[:-1]).all(axis=1).any()
@@ -121,9 +120,8 @@ def pairwise_independence_check(task: HadamardTask) -> bool:
 def joint_from_error(field: Field, err: ErrorDist) -> np.ndarray:
     """Joint table of (X, Z) with X uniform and Z = X + e, e ~ err: e = 0
     exactly on the diagonal z = x."""
+    check_op_cap(field, "q x q joint tables")
     q = field.q
-    if q > OP_TABLE_Q_CAP:
-        raise CapExceeded(f"q x q joint tables capped at q <= {OP_TABLE_Q_CAP}")
     joint = np.full((q, q), float(err.p1))
     np.fill_diagonal(joint, float(err.p0))
     joint /= q
@@ -209,8 +207,6 @@ def binary_reduction_select(joint) -> BinaryReduction:
     j* has r_j*(1 - t_j*) >= s/|B|; f = [Y = j*] then achieves
     I(X; f(Y)) >= I(X;Y)/|B|."""
     t = check_joint(joint)
-    if t.ndim != 2:
-        raise InvalidInput("joint table must be 2-d")
     na, nb = t.shape
     row = t.sum(axis=1)
     if not np.allclose(row, 1.0 / na, atol=1e-9):
@@ -274,8 +270,7 @@ class ChannelProtocol:
 
 def copy_protocol(n: int) -> ChannelProtocol:
     """Noiseless protocol: message = input = output, X uniform on n symbols."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidInput(f"n = {n!r} must be an integer >= 1")
+    check_int("n", n)
     eye = tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
     return ChannelProtocol(x_dist=(1.0 / n,) * n, msg=eye, dec=eye)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from chshq.field import field_from_q
 from chshq.game import (
-    Strategy, exact_classical_value, exhaustive_pairs_value,
+    Strategy, exact_classical_value,
     normalize_shift, win_count, tsirelson_bound,
 )
 from chshq.geometry import (
@@ -42,6 +42,8 @@ from chshq.infotheory import (
 from chshq.fourier import (
     random_family, character_bilinear_sum, tight_family, maximize_sum,
 )
+
+from game_oracle import exhaustive_pairs_value
 
 
 def _load_by_path(name: str, path: Path):

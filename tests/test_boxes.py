@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from chshq.errors import CapExceeded, InvalidInput, InvariantViolation
 from chshq.field import Field, OP_TABLE_Q_CAP, block_rows, factorize, field_from_q
-from chshq.game import Strategy, win_count, bias_from_p_win, p_win_from_bias, _check_strategy
+from chshq.game import Strategy, win_count, bias_from_p_win, p_win_from_bias, strategy_tables
 from chshq.boxes import (
     ErrorDist, RegularBox, StrategyBox, regularize, convolve, compose_m,
     compose_closed_form, distribute, monte_carlo_win,
@@ -108,8 +108,7 @@ def error_counts(field, strategy: Strategy) -> np.ndarray:
     one reused buffer: one flat take from T and one bincount per slab.
     """
     q = field.q
-    _check_strategy(field, strategy)
-    f, g = (np.asarray(t, dtype=np.intp) for t in strategy)
+    f, g = strategy_tables(field, strategy)
     add, sub, mul = (op_grid(field, op) for op in ("add", "sub", "mul"))
     inv = field.vec.inv(np.arange(q))
     el, un = np.arange(q), np.arange(1, q)

@@ -16,11 +16,12 @@ from chshq.errors import InvalidInput, CapExceeded
 from chshq.field import field_from_q
 from chshq.game import (
     Strategy, GameValue, win_count, best_response_g,
-    exact_classical_value, exhaustive_pairs_value, normalize_shift,
+    exact_classical_value, normalize_shift,
     local_search, search_with_restarts, tsirelson_bound,
     bias_from_p_win, p_win_from_bias,
 )
 
+from game_oracle import exhaustive_pairs_value
 from op_grids import op_grid
 
 

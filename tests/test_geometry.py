@@ -202,6 +202,23 @@ def test_make_config_refuses_non_pairs():
             make_config([], bad)
 
 
+@pytest.mark.parametrize("bad", [10 ** 30, 2 ** 63, -(2 ** 63) - 1, "a", "1", None,
+                                 float("nan"), float("inf")])
+def test_make_config_refuses_non_integer_coordinates(bad):
+    # a list is converted exactly: nothing past intp, no text, no None
+    for pairs in ([(bad, 0)], [(0, 1), (0, bad)]):
+        with pytest.raises(InvalidInput, match="must be pairs of integers"):
+            make_config(pairs, [])
+        with pytest.raises(InvalidInput, match="must be pairs of integers"):
+            make_config([], pairs)
+
+
+@pytest.mark.parametrize("bad", [10 ** 30, None, "a"])
+def test_make_config_refuses_uncastable_object_arrays(bad):
+    with pytest.raises(InvalidInput, match="must be pairs of integers"):
+        make_config(np.array([(bad, 0)], dtype=object), [])
+
+
 def test_config_rows_are_read_only_intp_and_compare_by_value():
     pairs = [(3, 1), (0, 2), (3, 1)]
     c = make_config(pairs, [Line(a, b) for a, b in pairs])

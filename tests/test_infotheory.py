@@ -69,6 +69,16 @@ def test_check_joint_rejects_garbage():
         check_joint([[0.5, 0.1], [0.3, 0.3]])
 
 
+@pytest.mark.parametrize("table", [[0.5, 0.5], [[[0.5], [0.5]]], 1.0],
+                         ids=["1-d", "3-d", "0-d"])
+def test_check_joint_refuses_tables_that_are_not_2d(table):
+    # the one 2-d check of every joint table, read by mutual_information and
+    # binary_reduction_select
+    for call in (check_joint, mutual_information, binary_reduction_select):
+        with pytest.raises(InvalidInput, match="joint table must be 2-d"):
+            call(table)
+
+
 def test_mi_of_independent_is_zero():
     x = np.array([0.2, 0.3, 0.5])
     y = np.array([0.25, 0.75])
