@@ -46,7 +46,7 @@ class ErrorDist:
     p1: Fraction
 
     def __post_init__(self):
-        check_int("q", self.q, 2)
+        object.__setattr__(self, "q", check_int("q", self.q, 2))
         if self.p0 < 0 or self.p1 < 0:
             raise InvalidInput("pmf entries must be nonnegative")
         if self.p0 + (self.q - 1) * self.p1 != 1:
@@ -70,7 +70,7 @@ class RegularBox:
     bias: Fraction
 
     def __post_init__(self):
-        check_int("q", self.q, 2)
+        object.__setattr__(self, "q", check_int("q", self.q, 2))
         E = parse_fraction(self.bias)
         object.__setattr__(self, "bias", E)
         if not -Fraction(1, self.q - 1) <= E <= 1:
@@ -144,7 +144,7 @@ def compose_m(field: Field, box: RegularBox, m: int) -> ErrorDist:
 
     Refused before any step when E^m could not be printed: x^m, x the
     larger of E's numerator and denominator, would reach 10^POW_DIGITS_CAP."""
-    check_int("m", m)
+    m = check_int("m", m)
     x = max(abs(box.bias.numerator), box.bias.denominator)
     if x > 1 and m >= POW_DIGITS_CAP / log10(x):   # no float of a huge m
         raise CapExceeded(f"E^m would have more than {POW_DIGITS_CAP} digits")
@@ -164,7 +164,7 @@ def compose_m(field: Field, box: RegularBox, m: int) -> ErrorDist:
 
 def compose_closed_form(q: int, E: Fraction, m: int) -> ErrorDist:
     """p(0) = 1/q + (q-1)E^m/q, p(k != 0) = 1/q - E^m/q."""
-    check_int("m", m)
+    m = check_int("m", m)
     return RegularBox(q, RegularBox(q, E).bias ** m).error_dist()
 
 
@@ -198,8 +198,7 @@ def monte_carlo_win(field: Field, box, game: str = "base",
 
     The draws are index arrays, combined elementwise by `field.vec`, so no
     q x q table is built.  Refused above OP_TABLE_Q_CAP, before any draw."""
-    check_int("samples", samples)
-    check_int("seed", seed, 0)
+    samples, seed = check_int("samples", samples), check_int("seed", seed, 0)
     if game not in ("base", "dist"):
         raise InvalidInput(f"unknown game {game!r}")
     q = field.q

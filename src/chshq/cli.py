@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .errors import InvalidInput, InvariantViolation, CapExceeded
-from .field import Field, as_elements, field_new, field_from_q
+from .field import Field, as_elements, check_int, field_new, field_from_q
 from . import game, geometry, boxes, infotheory, fourier
 from .boxes import parse_fraction
 
@@ -222,8 +222,6 @@ def _sweep_rows(field: Field, E: Fraction, m_lo: int, m_hi: int):
 def cmd_ic_sweep(args) -> int:
     field = _field_from_args(args)
     E = parse_fraction(args.E)
-    if args.m_max - args.m_min < 2:
-        raise InvalidInput("sweep needs at least three m values")
     rows, verdict = _sweep_rows(field, E, args.m_min, args.m_max)
     text = _csv_text(f"# schema={SCHEMA} q={field.q} E={frac_str(E)}",
                      ["m", "n_indices", "per_index_mi", "total", "verdict"],
@@ -234,10 +232,9 @@ def cmd_ic_sweep(args) -> int:
 
 def cmd_fourier_verify(args) -> int:
     field = _field_from_args(args)
-    if args.trials < 1:
-        raise InvalidInput(f"trials = {args.trials} must be >= 1")
+    trials = check_int("trials", args.trials)
     worst = 0.0
-    for i in range(args.trials):
+    for i in range(trials):
         fam = fourier.random_family(field.q, args.n, seed=args.seed + i)
         s = fourier.character_bilinear_sum(field, fam)
         worst = max(worst, s)
@@ -245,7 +242,7 @@ def cmd_fourier_verify(args) -> int:
             raise InvariantViolation(
                 f"character-sum bound violated at trial {i}")
     _emit({
-        "schema": SCHEMA, "q": field.q, "n": args.n, "trials": args.trials,
+        "schema": SCHEMA, "q": field.q, "n": args.n, "trials": trials,
         "seed": args.seed, "max_sum": worst, "bound": field.q ** 1.5,
         "all_within_bound": True,
     }, args)

@@ -63,32 +63,9 @@ def block_rows(cells_per_row: int) -> int:
 # primality and factoring (small inputs only)
 # ---------------------------------------------------------------------------
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """By trial division (`factorize`); `Field` asks only for p <= Q_CAP."""
+    return n >= 2 and factorize(n) == [n]
 
 
 def factorize(n: int) -> list[int]:
@@ -298,14 +275,11 @@ class Field(_Arith):
     encoding, table and derived quantity."""
 
     def __init__(self, p: int, s: int):
-        if not isinstance(p, int) or not isinstance(s, int):
-            raise InvalidInput("p and s must be integers")
-        if p > Q_CAP:   # before is_prime: Miller-Rabin on a huge p takes seconds
+        p, s = check_int("p", p, 2), check_int("s", s)
+        if p > Q_CAP:   # before is_prime: trial division of a huge p never ends
             raise CapExceeded(f"p = {p} exceeds the supported cap {Q_CAP}")
         if not is_prime(p):
             raise InvalidInput(f"p = {p} is not prime")
-        if s < 1:
-            raise InvalidInput(f"s = {s} must be >= 1")
         if s >= Q_CAP.bit_length():   # p^s >= 2^s > Q_CAP, and p ** s may never finish
             raise CapExceeded(f"q = {p}^{s} exceeds the supported cap {Q_CAP}")
         q = p ** s
@@ -326,11 +300,6 @@ class Field(_Arith):
         if not 0 <= a < self.q:
             raise InvalidInput(f"encoding {a} outside [0, {self.q})")
         return tuple(_digits(a, self.p, self.s))
-
-    def from_coeffs(self, v) -> int:
-        if len(v) != self.s:
-            raise InvalidInput(f"expected {self.s} coefficients")
-        return sum((int(c) % self.p) * self.p ** i for i, c in enumerate(v))
 
     def elements(self) -> range:
         return range(self.q)
@@ -359,11 +328,6 @@ class Field(_Arith):
 
     # -- structure ----------------------------------------------------------
 
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise InvalidInput("order of zero")
-        return self._n // math.gcd(self._log[a], self._n)
-
     def primitive_element(self) -> int:
         """Smallest encoding whose multiplicative order is q - 1."""
         return self._g
@@ -374,7 +338,7 @@ class Field(_Arith):
 
     def subfield_elements(self, t: int) -> list[int]:
         """Encodings of the subfield GF(p^t), requires t | s.  Sorted."""
-        if t < 1 or self.s % t != 0:
+        if self.s % check_int("t", t):
             raise InvalidInput(f"t = {t} does not divide s = {self.s}")
         # the subfield is exactly the fixed points of x -> x^(p^t)
         x = np.arange(self.q)
@@ -462,17 +426,28 @@ def field_from_q(q: int) -> Field:
 # input checks, one of each for every module
 # ---------------------------------------------------------------------------
 
-def as_elements(field: Field, values, message: str) -> np.ndarray:
-    """`values` (a table, config rows or index vectors) as an intp array of
-    GF(q) elements, range-checked before the cast; InvalidInput(message) for a
-    ragged or object array, a non-integer dtype or an entry outside [0, q)."""
+def as_integers(values, message: str) -> np.ndarray:
+    """`values` as an intp array, checked before the cast; InvalidInput(message)
+    for a ragged or object array, a non-integer dtype (bool and float among
+    them) or an entry beyond intp.  An empty array passes whatever its dtype."""
     try:
         arr = np.asarray(values)
     except ValueError:   # ragged
         raise InvalidInput(message) from None
-    if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= field.q):
+    if arr.size and (arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.intp)
+                     and arr.max() > np.iinfo(np.intp).max):
         raise InvalidInput(message)
     return arr.astype(np.intp, copy=False)
+
+
+def as_elements(field: Field, values, message: str) -> np.ndarray:
+    """`values` (a table, config rows, index vectors or triples) as an intp
+    array of GF(q) elements: `as_integers`, then InvalidInput(message) for an
+    entry outside [0, q)."""
+    arr = as_integers(values, message)
+    if arr.size and (arr.min() < 0 or arr.max() >= field.q):
+        raise InvalidInput(message)
+    return arr
 
 
 def check_op_cap(field: Field, what: str) -> None:
@@ -481,9 +456,19 @@ def check_op_cap(field: Field, what: str) -> None:
         raise CapExceeded(f"{what} capped at q <= {OP_TABLE_Q_CAP}")
 
 
-def check_int(name: str, value, low: int = 1) -> None:
-    if not isinstance(value, int) or value < low:
-        raise InvalidInput(f"{name} = {value!r} must be an integer >= {low}")
+def check_int(name: str, value, low: int = 1) -> int:
+    """`value` as a Python int: whatever `operator.index` takes (numpy integer
+    scalars among them) except a bool; InvalidInput for anything else and for
+    a value below `low`."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if n >= low:
+                return n
+    raise InvalidInput(f"{name} = {value!r} must be an integer >= {low}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceeded, InvalidInput
-from .field import OP_TABLE_Q_CAP, Field, AdditiveCharacter, block_rows, check_op_cap
+from .field import (OP_TABLE_Q_CAP, Field, AdditiveCharacter, block_rows, check_int,
+                    check_op_cap)
 
 NORM_TOL = 1e-10
 BOUND_TOL = 1e-9
@@ -59,10 +60,7 @@ class VectorFamily:
 
 def random_family(q: int, n: int, seed: int) -> VectorFamily:
     """Rows drawn as complex gaussians and normalized; deterministic per seed."""
-    if n < 1:
-        raise InvalidInput(f"dimension n = {n} must be >= 1")
-    if seed < 0:   # numpy's generators take no negative seed
-        raise InvalidInput(f"seed = {seed} must be >= 0")
+    n, seed = check_int("n", n), check_int("seed", seed, 0)   # numpy takes no negative seed
     if q * n > OP_TABLE_Q_CAP ** 2:
         raise CapExceeded(f"random families capped at q * n <= {OP_TABLE_Q_CAP ** 2}")
     rng = np.random.default_rng(seed)
@@ -172,8 +170,7 @@ def maximize_sum(field: Field, n: int, seed: int, rounds: int = 50) -> MaximizeR
     parallel to t_y = sum_x chi(xy) u_x; each half-step maximizes the sum
     with the other side fixed, so the objective never decreases.  Rows
     with a zero update keep their previous vector."""
-    if rounds < 1:
-        raise InvalidInput("rounds must be >= 1")
+    rounds = check_int("rounds", rounds)
     K = _character_transform(field)
     fam = random_family(field.q, n, seed)
     blocks = _column_blocks(field, n)
@@ -209,6 +206,4 @@ def _renorm_into(target: np.ndarray, fallback: np.ndarray) -> np.ndarray:
 
 def implied_bias_ceiling(q: int) -> float:
     """The bound forces every box bias to satisfy E <= q^(-1/2)."""
-    if q < 2:
-        raise InvalidInput("q must be at least 2")
-    return q ** -0.5
+    return check_int("q", q, 2) ** -0.5

@@ -267,7 +267,7 @@ def local_search(field: Field, seed: int, max_rounds: int = 100) -> SearchResult
     point: f's half-step would return f and its count again.  f and g stay
     intp arrays until the end; refused above OP_TABLE_Q_CAP.
     """
-    check_int("max_rounds", max_rounds)
+    max_rounds = check_int("max_rounds", max_rounds)
     respond = _responder(field)
     q = field.q
     rng = random.Random(seed)
@@ -296,13 +296,12 @@ def search_with_restarts(field: Field, seed: int, restarts: int = 8,
                          max_rounds: int = 100) -> SearchResult:
     """Best local_search outcome over several seeded restarts: the most
     wins, ties to the lexicographically smallest (f, g), then the first."""
-    check_int("restarts", restarts)
+    restarts = check_int("restarts", restarts)
     return min((local_search(field, seed * 1000003 + i, max_rounds) for i in range(restarts)),
                key=lambda r: (-r.value.wins, r.strategy))
 
 
 def tsirelson_bound(q: int) -> float:
     """Upper bound 1/q + (q-1)/(q*sqrt(q)) on the entangled win probability."""
-    if q < 2:
-        raise InvalidInput("q must be at least 2")
+    q = check_int("q", q, 2)
     return 1.0 / q + (q - 1) / (q * math.sqrt(q))

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapExceeded, InvalidInput, InvariantViolation
-from .field import Field, as_elements, block_rows
+from .field import Field, as_elements, as_integers, block_rows, check_int
 from .game import Strategy, strategy_tables
 
 
@@ -54,29 +54,29 @@ def make_config(points, lines) -> Config:
 
 def _distinct_rows(pairs) -> np.ndarray:
     """The distinct pairs in lex order as a read-only intp (n, 2) array: lexsort,
-    then drop adjacent repeats.  A list refuses None, text and ints beyond intp;
-    an array is cast, so its floats truncate and its wide ints wrap."""
+    then drop adjacent repeats.  Lists and arrays pass the one integer check,
+    `field.as_integers`, so a float, a bool or an int beyond intp is refused."""
     integers = "points and lines must be pairs of integers"
     try:
-        if not isinstance(pairs, np.ndarray):
-            pairs = list(pairs)
-            if any(n != 2 for n in map(len, pairs)):
-                raise InvalidInput("points and lines must be pairs")
-            if np.asarray(pairs).dtype.kind not in "biuf":   # text such as "1" parses below
-                raise InvalidInput(integers)
-            pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise InvalidInput("points and lines must be pairs")
-        arr = pairs.astype(np.intp, copy=False)   # cast first: a cast may reorder or merge rows
-    except InvalidInput:
-        raise
-    except (TypeError, ValueError, OverflowError):
+        arr = as_integers(pairs if isinstance(pairs, np.ndarray) else list(pairs), integers)
+    except TypeError:   # not iterable
         raise InvalidInput(integers) from None
+    arr = _as_rows(arr, 2, "points and lines must be pairs")
     arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
     fresh = np.ones(len(arr), dtype=bool)
     fresh[1:] = (arr[1:] != arr[:-1]).any(axis=1)
     arr = arr[fresh]
     arr.flags.writeable = False
+    return arr
+
+
+def _as_rows(arr: np.ndarray, width: int, message: str) -> np.ndarray:
+    """`arr` as (n, width) rows, an empty sequence as n = 0; InvalidInput(message)
+    for any other shape."""
+    if arr.shape == (0,):
+        return arr.reshape(0, width)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise InvalidInput(message)
     return arr
 
 
@@ -223,18 +223,7 @@ def subspace_construction(field: Field, seed: int = 0) -> Config:
     probability 1/d, d = p or p^2 (seeded).  For s = 3k+2 the count is
     already right and no thinning happens.
     """
-    s = field.s
-    if s % 2 == 0 or s < 3:
-        raise InvalidInput("subspace construction needs odd s >= 3")
-    p = field.p
-    k, r = divmod(s, 3)
-    if r == 0:
-        b, d = 2 * k, p
-    elif r == 1:
-        b, d = 2 * k + 1, p * p
-    else:
-        b, d = 2 * k + 1, 1
-    a = s - b
+    a, b, d = _subspace_dims(field)
     A = _span(field, a)
     B = _span(field, b)
     C = _span(field, b - a + 1)
@@ -248,13 +237,21 @@ def subspace_construction(field: Field, seed: int = 0) -> Config:
 
 def subspace_cardinalities(field: Field) -> tuple[int, int, int]:
     """(|A|, |B|, |C|) for the subspace construction; |C| = p^(2b-s+1)."""
+    a, b, _ = _subspace_dims(field)
+    p = field.p
+    return p ** a, p ** b, p ** (b - a + 1)
+
+
+def _subspace_dims(field: Field) -> tuple[int, int, int]:
+    """(a, b, d) of the subspace construction: dim A = a = s - b, dim B = b
+    with b = 2k for s = 3k and 2k + 1 otherwise, and the thinning divisor d:
+    p for s = 3k, p^2 for s = 3k + 1 and 1 for s = 3k + 2."""
     s, p = field.s, field.p
     if s % 2 == 0 or s < 3:
         raise InvalidInput("subspace construction needs odd s >= 3")
     k, r = divmod(s, 3)
-    b = 2 * k if r == 0 else 2 * k + 1
-    a = s - b
-    return p ** a, p ** b, p ** (2 * b - s + 1)
+    b = 2 * k + (r > 0)
+    return s - b, b, (p, p * p, 1)[r]
 
 
 def _span(field: Field, dim: int) -> list[int]:
@@ -271,8 +268,7 @@ def _span(field: Field, dim: int) -> list[int]:
 
 def trivial_incidence_bound(n_points: int, n_lines: int) -> float:
     """The counting bound |P|^(3/4) |L|^(3/4) + |P| + |L|."""
-    if n_points < 0 or n_lines < 0:
-        raise InvalidInput("counts must be nonnegative")
+    n_points, n_lines = check_int("n_points", n_points, 0), check_int("n_lines", n_lines, 0)
     return n_points ** 0.75 * n_lines ** 0.75 + n_points + n_lines
 
 
@@ -288,10 +284,19 @@ def canonical_rows(field: Field, rows: np.ndarray) -> np.ndarray:
     return field.vec.mul(field.vec.inv(lead)[:, None], rows)
 
 
+def _triples(field: Field, rows) -> np.ndarray:
+    """`rows`, a sequence of triples or an (n, 3) array, as an intp (n, 3)
+    array of GF(q) elements through `field.as_elements`; an empty sequence
+    gives n = 0.  InvalidInput for anything else."""
+    message = f"projective triples must be triples of integers in [0, {field.q})"
+    return _as_rows(as_elements(field, rows, message), 3, message)
+
+
 def proj_canonical(field: Field, v: tuple[int, int, int]) -> tuple[int, int, int]:
-    if not any(v):
+    rows = _triples(field, [v])
+    if not rows.any():
         raise InvalidInput("zero triple has no projective class")
-    return tuple(canonical_rows(field, np.array([v]))[0].tolist())
+    return tuple(canonical_rows(field, rows)[0].tolist())
 
 
 def proj_points(field: Field, m: int) -> np.ndarray:
@@ -335,7 +340,7 @@ def _cross(field: Field, u, v):
 
 def proj_cross(field: Field, u, v) -> tuple[int, int, int]:
     """Cross product; as triples, the line through two points (or dually)."""
-    c = _cross(field, u, v)
+    c = _cross(field, *_triples(field, [u, v]).tolist())
     if c == (0, 0, 0):
         raise InvalidInput("triples are proportional; no unique join/meet")
     return proj_canonical(field, c)
@@ -351,7 +356,7 @@ def point_on_line(field: Field, line: tuple[int, int, int],
     line (l0, 0, 0) holds (0, 1, z) for every z and (0, 0, 1).
     """
     f, q = field, field.q
-    l0, l1, l2 = line
+    l0, l1, l2 = _triples(field, [line])[0].tolist()
     if not 0 <= i <= q:
         raise InvalidInput(f"index {i} outside the {q + 1} points of a line")
     if l2:
@@ -381,7 +386,7 @@ def lift_config(field: Field, c: Config) -> tuple[np.ndarray, np.ndarray]:
 def projective_incidences(field: Field, pts, lns) -> int:
     """|{(p, l): l . p = 0}|, each copy of a repeated row counted, for (n, 3)
     arrays or sequences of triples: the zeros of one `proj_dot` grid."""
-    P, L = (np.asarray(v, dtype=np.intp).reshape(-1, 3).T for v in (pts, lns))
+    P, L = (_triples(field, v).T for v in (pts, lns))
     return int(np.count_nonzero(proj_dot(field.vec, L[:, :, None], P[:, None, :]) == 0))
 
 
@@ -395,9 +400,10 @@ class ProjTransform:
     """
 
     def __init__(self, field: Field, rows):
-        self.rows = tuple(tuple(int(c) for c in row) for row in rows)
-        if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
+        matrix = _triples(field, rows)
+        if len(matrix) != 3:
             raise InvalidInput("transform needs a 3x3 matrix")
+        self.rows = tuple(map(tuple, matrix.tolist()))
         det, self.adj = _det_adjugate(field, self.rows)
         if det == 0:
             raise InvalidInput("transform matrix is singular")

@@ -68,8 +68,7 @@ class HadamardTask:
 
 
 def build_U_m(field: Field, m: int) -> HadamardTask:
-    if m < 1:
-        raise InvalidInput("m must be >= 1")
+    m = check_int("m", m)
     q = field.q
     # q >= 2 puts every m past log2(QM_CAP) over the cap, so the power is
     # taken at most that far: q ** m for a huge m would not finish
@@ -96,9 +95,7 @@ def pairwise_independence_check(task: HadamardTask) -> bool:
     scalar multiples: the rows of `geometry.canonical_rows` must be nonzero
     and pairwise distinct.
     """
-    field, m = task.field, task.m
-    if m < 1:
-        raise InvalidInput("m must be >= 1")
+    field, m = task.field, check_int("m", task.m)
     try:
         xis = np.asarray(task.vectors)
     except ValueError:   # ragged rows
@@ -128,14 +125,15 @@ def joint_from_error(field: Field, err: ErrorDist) -> np.ndarray:
     return joint
 
 
-def _check_m(q: int, m: int) -> None:
-    """Refuse m < 1, and m whose index count (q^m - 1)/(q - 1) is past float
-    range, judged from logs: q ** m for a huge m would not finish."""
-    if m < 1:
-        raise InvalidInput("m must be >= 1")
+def _check_m(q: int, m: int) -> int:
+    """m as an int: refuse a non-integer or m < 1, and m whose index count
+    (q^m - 1)/(q - 1) is past float range, judged from logs: q ** m for a
+    huge m would not finish."""
+    m = check_int("m", m)
     if min(m, 1025) * log2(q) - log2(q - 1) >= 1024:   # every q >= 2 past m = 1024
         raise CapExceeded(f"IC index count (q^m - 1)/(q - 1) at m = {m} "
                           f"exceeds float range")
+    return m
 
 
 @dataclass(frozen=True)
@@ -152,7 +150,7 @@ def ic_sum(field: Field, m: int, E) -> IcSumResult:
     E = parse_fraction(E)
     if not 0 <= E <= 1:
         raise InvalidInput("bias must be in [0, 1] for the IC sum")
-    _check_m(field.q, m)
+    m = _check_m(field.q, m)
     err = compose_m(field, RegularBox(field.q, E), m)
     mi = mutual_information(joint_from_error(field, err))
     n = (field.q ** m - 1) // (field.q - 1)
@@ -173,8 +171,7 @@ def ic_dichotomy_experiment(field: Field, E, m_range) -> DichotomyResult:
     sits at q E^2 = 1, i.e. E = q^(-1/2)."""
     ms = []
     for m in m_range:   # a range past the cap is refused before it is listed
-        _check_m(field.q, m)
-        ms.append(m)
+        ms.append(_check_m(field.q, m))
     if len(ms) < 3:
         raise InvalidInput("need at least three m values to classify")
     rows = tuple(ic_sum(field, m, E) for m in ms)
@@ -270,7 +267,7 @@ class ChannelProtocol:
 
 def copy_protocol(n: int) -> ChannelProtocol:
     """Noiseless protocol: message = input = output, X uniform on n symbols."""
-    check_int("n", n)
+    n = check_int("n", n)
     eye = tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
     return ChannelProtocol(x_dist=(1.0 / n,) * n, msg=eye, dec=eye)
 
@@ -292,8 +289,7 @@ def simulate_cstar(protocol: ChannelProtocol, samples: int = 10 ** 5,
     """Run the reduction: draw a shared uniform guess at the message,
     hand over the prepared output only when the guess matches, otherwise
     output uniform noise.  Deterministic per seed."""
-    if samples < 1:
-        raise InvalidInput("samples must be >= 1")
+    samples, seed = check_int("samples", samples), check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     na = len(protocol.x_dist)
     sigma = protocol.n_messages

@@ -1,24 +1,31 @@
 """The shared input checks of `chshq.field`: every caller of the element-array
 check refuses the same malformed inputs, every q x q entry point refuses
-through the one cap, and the search counts go through the one int check."""
+through the one cap, and every count and size goes through the one int check."""
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import chshq.field
+from chshq import cli
 from chshq.boxes import RegularBox, StrategyBox, monte_carlo_win, regularize
 from chshq.errors import CapExceeded, InvalidInput
 from chshq.field import Field
-from chshq.fourier import fourier_matrix, tight_family
+from chshq.fourier import (fourier_matrix, implied_bias_ceiling, maximize_sum, random_family,
+                           tight_family)
 from chshq.game import (Strategy, best_response_g, local_search, normalize_shift,
-                        search_with_restarts, win_count)
-from chshq.geometry import (Config, config_to_strategy, incidences, is_legal, lift_config,
-                            strategy_to_config)
-from chshq.infotheory import HadamardTask, joint_from_error, pairwise_independence_check
+                        search_with_restarts, tsirelson_bound, win_count)
+from chshq.geometry import (Config, ProjTransform, config_to_strategy, incidences, is_legal,
+                            lift_config, point_on_line, proj_canonical, proj_cross,
+                            projective_incidences, strategy_to_config, trivial_incidence_bound)
+from chshq.infotheory import (HadamardTask, build_U_m, copy_protocol, ic_dichotomy_experiment,
+                              ic_sum, joint_from_error, pairwise_independence_check,
+                              simulate_cstar)
 
 
 def malformed(q: int):
@@ -113,3 +120,114 @@ def test_search_counts_must_be_integers(kwargs):
     if "max_rounds" in kwargs:
         with pytest.raises(InvalidInput, match="must be an integer >= 1"):
             local_search(field, seed=0, **kwargs)
+
+
+F3 = Field(3, 1)
+
+
+def _fourier_verify(trials, capsys):
+    args = argparse.Namespace(p=3, s=1, n=2, trials=trials, seed=0, format="json", out=None)
+    assert cli.cmd_fourier_verify(args) == 0
+    return capsys.readouterr().out
+
+
+# argument: (call on the value, a valid value); each call goes through check_int
+COUNTS = {
+    "random_family-n": (lambda v: random_family(3, v, 0), 2),
+    "random_family-seed": (lambda v: random_family(3, 2, v), 0),
+    "maximize_sum-rounds": (lambda v: maximize_sum(F3, 2, 0, rounds=v), 2),
+    "implied_bias_ceiling-q": (implied_bias_ceiling, 5),
+    "tsirelson_bound-q": (tsirelson_bound, 5),
+    "build_U_m-m": (lambda v: build_U_m(F3, v), 2),
+    "pairwise_independence_check-m":
+        (lambda v: pairwise_independence_check(HadamardTask(F3, v, build_U_m(F3, 2).vectors)), 2),
+    "ic_sum-m": (lambda v: ic_sum(F3, v, Fraction(1, 2)), 2),
+    "ic_dichotomy_experiment-m":
+        (lambda v: ic_dichotomy_experiment(F3, Fraction(1, 2), [v, 2, 3]), 1),
+    "simulate_cstar-samples": (lambda v: simulate_cstar(copy_protocol(2), samples=v), 50),
+    "simulate_cstar-seed": (lambda v: simulate_cstar(copy_protocol(2), 50, seed=v), 0),
+    "trivial_incidence_bound-n_points": (lambda v: trivial_incidence_bound(v, 3), 0),
+    "trivial_incidence_bound-n_lines": (lambda v: trivial_incidence_bound(3, v), 2),
+    "Field-p": (lambda v: Field(v, 2), 3),
+    "Field-s": (lambda v: Field(3, v), 2),
+    "subfield_elements-t": (lambda v: Field(2, 4).subfield_elements(v), 2),
+    "cli-trials": (None, 2),
+}
+
+
+def _plain(x):
+    """x with its arrays, dataclasses and fields spelled out, types kept, so
+    that an np.int64 left in a result shows."""
+    if isinstance(x, Field):
+        return "Field", _plain(x.p), _plain(x.s), _plain(x.q)
+    if isinstance(x, np.ndarray):
+        return "array", x.dtype.str, x.tolist()
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, {k: _plain(v) for k, v in vars(x).items()}
+    if isinstance(x, (list, tuple)):
+        return tuple(map(_plain, x))
+    return type(x).__name__, x
+
+
+@pytest.mark.parametrize("argument", COUNTS)
+def test_every_count_goes_through_check_int(argument, capsys):
+    call, valid = COUNTS[argument]
+    if call is None:
+        def call(v):
+            return _fourier_verify(v, capsys)
+    for bad in (1.5, True, "2", None):
+        with pytest.raises(InvalidInput, match=rf"^\w+ = {bad!r} must be an integer >= \d$"):
+            call(bad)
+    # a numpy integer is the same count, and nothing of its type leaks out
+    assert _plain(call(np.int64(valid))) == _plain(call(valid))
+
+
+@pytest.mark.parametrize("value, low", [(0, 0), (-1, 0), (1, 1), (np.int32(7), 7)])
+def test_check_int_returns_a_python_int(value, low):
+    if value < low:
+        with pytest.raises(InvalidInput, match=f"must be an integer >= {low}$"):
+            chshq.field.check_int("k", value, low)
+    else:
+        out = chshq.field.check_int("k", value, low)
+        assert type(out) is int and out == value
+    for bad in (np.True_, np.float64(2.0), Fraction(2), np.array([2])):
+        with pytest.raises(InvalidInput):
+            chshq.field.check_int("k", bad, low)
+
+
+# one malformed triple or matrix over GF(5): -1 must not wrap to 4, 7 must
+# not index past the tables, and no shape may be read as another
+BAD_TRIPLES = {"minus-one": (1, -1, 0), "seven": (1, 7, 0), "two-entries": (1, 0),
+               "3x2": ((1, 0), (0, 1), (0, 0))}
+TRIPLE_CALLERS = {
+    "projective_incidences-points": lambda F, t: projective_incidences(F, [t], [(0, 0, 1)]),
+    "projective_incidences-lines": lambda F, t: projective_incidences(F, [(0, 0, 1)], [t]),
+    "ProjTransform": lambda F, t: ProjTransform(F, ((1, 0, 0), (0, 0, 1), t)),
+    "proj_canonical": proj_canonical,
+    "proj_cross-u": lambda F, t: proj_cross(F, t, (0, 0, 1)),
+    "proj_cross-v": lambda F, t: proj_cross(F, (0, 0, 1), t),
+    "point_on_line": lambda F, t: point_on_line(F, t, 0),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_TRIPLES)
+@pytest.mark.parametrize("caller", TRIPLE_CALLERS)
+def test_projective_triples_are_checked(caller, bad):
+    field = Field(5, 1)
+    with pytest.raises(InvalidInput):
+        TRIPLE_CALLERS[caller](field, BAD_TRIPLES[bad])
+    # -1 is refused, not wrapped: its residue, (1, 4, 0), passes
+    TRIPLE_CALLERS[caller](field, (1, 4, 0))
+
+
+def test_projective_arrays_must_be_n_by_3():
+    # a reshape would read the six entries of a 3x2 matrix as two triples
+    field, matrix = Field(5, 1), np.array(BAD_TRIPLES["3x2"])
+    for pts, lns in ((matrix, []), ([], matrix), (matrix, matrix.T)):
+        with pytest.raises(InvalidInput, match="must be triples of integers in"):
+            projective_incidences(field, pts, lns)
+    with pytest.raises(InvalidInput):
+        ProjTransform(field, matrix)
+    with pytest.raises(InvalidInput, match="transform needs a 3x3 matrix"):
+        ProjTransform(field, matrix.T)
+    assert projective_incidences(field, [], []) == 0

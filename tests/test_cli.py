@@ -301,7 +301,7 @@ def test_exit_code_nonpositive_max_rounds(capsys, rounds):
         "verify-trials-neg", "verify-trials-zero"])
 def test_exit_code_fourier_bad_sizes(capsys, argv):
     assert run(argv) == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    assert "must be an integer >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -501,7 +501,7 @@ def test_local_search_at_op_table_cap(capsys):
 def test_exit_code_fourier_negative_seed(capsys, command):
     # numpy's generators refuse negative seeds with a ValueError
     assert run(["fourier", command, "--p", "3", "--n", "2", "--seed", "-1"]) == 2
-    assert "seed = -1 must be >= 0" in capsys.readouterr().err
+    assert "seed = -1 must be an integer >= 0" in capsys.readouterr().err
 
 
 def test_fourier_verify_sums_once_per_trial(monkeypatch, capsys):

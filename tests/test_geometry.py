@@ -236,15 +236,24 @@ def test_config_rows_are_read_only_intp_and_compare_by_value():
     assert empty.points.shape == empty.lines.shape == (0, 2)
 
 
-def test_make_config_casts_before_sorting():
-    # the cast to intp can merge or reorder rows, so it comes before the sort
-    floats = np.array([(1.2, 1), (1.5, 0), (1.7, 0)])
-    assert make_config(floats, floats[:0]).points.tolist() == [[1, 0], [1, 1]]
-    big = np.array([(2 ** 63 + 1, 0), (1, 0), (1, 0)], dtype=np.uint64)
-    rows = make_config(big, []).points
-    assert rows.tolist() == [[1 - 2 ** 63, 0], [1, 0]]
+def test_make_config_refuses_floats_bools_and_wide_uints():
+    # no cast, as lists and as arrays: a float would truncate, a bool read as
+    # 0/1 and a uint64 at or above 2^63 wrap negative
+    bad = [np.array([(1.2, 1), (1.7, 0)]), np.array([(True, False)]),
+           np.array([(2 ** 63, 0), (1, 0)], dtype=np.uint64),
+           np.array([(2 ** 64 - 1, 0)], dtype=np.uint64)]
+    for pairs in bad + [rows.tolist() for rows in bad]:
+        with pytest.raises(InvalidInput, match="must be pairs of integers"):
+            make_config(pairs, [])
+        with pytest.raises(InvalidInput, match="must be pairs of integers"):
+            make_config([], pairs)
+    # every unsigned row below 2^63 is kept, exactly
+    wide = np.array([(2 ** 63 - 1, 0), (1, 0), (1, 0)], dtype=np.uint64)
+    for pairs in (wide, wide.tolist()):
+        rows = make_config(pairs, []).points
+        assert rows.dtype == np.intp and rows.tolist() == [[1, 0], [2 ** 63 - 1, 0]]
     with pytest.raises(InvalidInput, match="point coordinates outside the field"):
-        incidences(Field(5, 1), make_config(big, []))
+        incidences(Field(5, 1), make_config(wide, []))
 
 
 @pytest.mark.parametrize("bad", [-1, 5, 10 ** 6])

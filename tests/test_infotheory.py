@@ -341,7 +341,7 @@ def test_pairwise_check_needs_no_codeword_table(q, m):
 @pytest.mark.parametrize("m, vectors", [(0, ()), (0, ((),)), (-1, ())],
                          ids=["m0-empty", "m0-empty-vector", "m-negative"])
 def test_pairwise_check_refuses_m_below_one(m, vectors):
-    with pytest.raises(InvalidInput, match="m must be >= 1"):
+    with pytest.raises(InvalidInput, match=r"^m = -?\d+ must be an integer >= 1$"):
         pairwise_independence_check(HadamardTask(field_from_q(3), m, vectors))
 
 
