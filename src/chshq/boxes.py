@@ -138,16 +138,19 @@ def convolve(field: Field, d1: ErrorDist, d2: ErrorDist) -> ErrorDist:
                      p0 * r1 + p1 * r0 + (q - 2) * p1 * r1)
 
 
-def compose_m(field: Field, box: RegularBox, m: int) -> ErrorDist:
-    """Error of m independent uses summed over F_q (m-fold convolution),
-    in O(log m) steps.
-
-    Refused before any step when E^m could not be printed: x^m, x the
-    larger of E's numerator and denominator, would reach 10^POW_DIGITS_CAP."""
-    m = check_int("m", m)
+def check_pow_digits(box: RegularBox, m: int) -> None:
+    """Refuse an m at which E^m could not be printed: x^m, x the larger of
+    E's numerator and denominator, would reach 10^POW_DIGITS_CAP."""
     x = max(abs(box.bias.numerator), box.bias.denominator)
     if x > 1 and m >= POW_DIGITS_CAP / log10(x):   # no float of a huge m
         raise CapExceeded(f"E^m would have more than {POW_DIGITS_CAP} digits")
+
+
+def compose_m(field: Field, box: RegularBox, m: int) -> ErrorDist:
+    """Error of m independent uses summed over F_q (m-fold convolution),
+    in O(log m) steps; refused by `check_pow_digits` before any step."""
+    m = check_int("m", m)
+    check_pow_digits(box, m)
     if box.q != field.q:
         raise InvalidInput("distribution/field size mismatch")
     # convolution is exact, associative and commutative, so square-and-multiply

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -345,7 +346,12 @@ def _write_table(outdir: str, name: str, seed: int, columns, rows) -> str:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `chshq` parser, built on the first call and shared after it, once
+    per process: `parse_args` leaves a parser unchanged, so every `run` in one
+    process parses as a fresh parser would.  Only a process that calls `run`
+    more than once saves anything; a `chshq` command builds it once, as before."""
     top = argparse.ArgumentParser(
         prog="chshq",
         description="Classical values, incidence constructions, and box "
@@ -439,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Parse and execute; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CapExceeded, InvariantViolation, InvalidInput, OSError) as e:

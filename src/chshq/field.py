@@ -297,7 +297,8 @@ class Field(_Arith):
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Polynomial-basis coefficients of an encoded element, low degree first."""
-        if not 0 <= a < self.q:
+        a = check_int("a", a, 0)
+        if a >= self.q:
             raise InvalidInput(f"encoding {a} outside [0, {self.q})")
         return tuple(_digits(a, self.p, self.s))
 

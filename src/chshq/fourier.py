@@ -60,7 +60,8 @@ class VectorFamily:
 
 def random_family(q: int, n: int, seed: int) -> VectorFamily:
     """Rows drawn as complex gaussians and normalized; deterministic per seed."""
-    n, seed = check_int("n", n), check_int("seed", seed, 0)   # numpy takes no negative seed
+    q, n = check_int("q", q, 2), check_int("n", n)
+    seed = check_int("seed", seed, 0)   # numpy takes no negative seed
     if q * n > OP_TABLE_Q_CAP ** 2:
         raise CapExceeded(f"random families capped at q * n <= {OP_TABLE_Q_CAP ** 2}")
     rng = np.random.default_rng(seed)

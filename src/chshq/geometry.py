@@ -313,8 +313,8 @@ def proj_points(field: Field, m: int) -> np.ndarray:
 def proj_point(field: Field, i: int) -> tuple[int, int, int]:
     """The i-th canonical triple of PG(2,q): (1, y, z) in lex order, then
     (0, 1, z), then (0, 0, 1)."""
-    q = field.q
-    if not 0 <= i <= q * q + q:
+    q, i = field.q, check_int("i", i, 0)
+    if i > q * q + q:
         raise InvalidInput(f"index {i} outside PG(2,{q})")
     if i < q * q:
         return (1, i // q, i % q)
@@ -357,7 +357,8 @@ def point_on_line(field: Field, line: tuple[int, int, int],
     """
     f, q = field, field.q
     l0, l1, l2 = _triples(field, [line])[0].tolist()
-    if not 0 <= i <= q:
+    i = check_int("i", i, 0)
+    if i > q:
         raise InvalidInput(f"index {i} outside the {q + 1} points of a line")
     if l2:
         m = f.neg(f.inv(l2))

@@ -9,13 +9,15 @@ with long messages.  All logs are base 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import log2
 
 import numpy as np
 
 from .errors import InvalidInput, InvariantViolation, CapExceeded
 from .field import Field, as_elements, check_int, check_op_cap
-from .boxes import RegularBox, ErrorDist, compose_m, parse_fraction
+from .boxes import (RegularBox, ErrorDist, check_pow_digits, compose_m, convolve,
+                    parse_fraction)
 from .geometry import canonical_rows, proj_points
 
 QM_CAP = 1 << 20   # largest input space q^m whose U_m is listed
@@ -144,17 +146,26 @@ class IcSumResult:
     total: float
 
 
-def ic_sum(field: Field, m: int, E) -> IcSumResult:
-    """|U_m| times the MI of the m-fold composed channel, from first
-    principles (joint table), not from any closed-form shortcut."""
+def _check_bias(E) -> Fraction:
     E = parse_fraction(E)
     if not 0 <= E <= 1:
         raise InvalidInput("bias must be in [0, 1] for the IC sum")
-    m = _check_m(field.q, m)
-    err = compose_m(field, RegularBox(field.q, E), m)
+    return E
+
+
+def _ic_row(field: Field, m: int, err: ErrorDist) -> IcSumResult:
+    """The IC sum at m from the m-fold composed error `err`."""
     mi = mutual_information(joint_from_error(field, err))
     n = (field.q ** m - 1) // (field.q - 1)
     return IcSumResult(m=m, n_indices=n, per_index_mi=mi, total=n * mi)
+
+
+def ic_sum(field: Field, m: int, E) -> IcSumResult:
+    """|U_m| times the MI of the m-fold composed channel, from first
+    principles (joint table), not from any closed-form shortcut."""
+    E = _check_bias(E)
+    m = _check_m(field.q, m)
+    return _ic_row(field, m, compose_m(field, RegularBox(field.q, E), m))
 
 
 @dataclass(frozen=True)
@@ -164,7 +175,16 @@ class DichotomyResult:
 
 
 def ic_dichotomy_experiment(field: Field, E, m_range) -> DichotomyResult:
-    """Sweep ic_sum over m and classify the tail of the totals.
+    """The rows of `ic_sum` over m, in the order of m_range, and the verdict
+    on the tail of the totals.
+
+    The distinct m are composed as one ascending chain: E^m is E^m' (the
+    previous m) convolved with E^(m - m'), one convolution per m, where
+    `ic_sum` composes each E^m anew.  Exact convolution is associative, so
+    every row equals `ic_sum`'s, which is kept as the oracle.  The chain
+    starts from the error of E = 1 (no error).  Before it starts, q is
+    refused above OP_TABLE_Q_CAP, as `ic_sum`'s joint table would refuse it,
+    and the largest m by `check_pow_digits`, as `ic_sum` at that m would.
 
     "bounded": last three totals nonincreasing; "growing": last three
     strictly increasing with ratio >= 1.1 at each step.  The crossover
@@ -174,7 +194,14 @@ def ic_dichotomy_experiment(field: Field, E, m_range) -> DichotomyResult:
         ms.append(_check_m(field.q, m))
     if len(ms) < 3:
         raise InvalidInput("need at least three m values to classify")
-    rows = tuple(ic_sum(field, m, E) for m in ms)
+    box = RegularBox(field.q, _check_bias(E))
+    check_op_cap(field, "q x q joint tables")
+    check_pow_digits(box, max(ms))
+    by_m, err, prev = {}, RegularBox(field.q, 1).error_dist(), 0
+    for m in sorted(set(ms)):
+        err = convolve(field, err, compose_m(field, box, m - prev))
+        by_m[m], prev = _ic_row(field, m, err), m
+    rows = tuple(by_m[m] for m in ms)
     t = [r.total for r in rows[-3:]]
     if t[0] >= t[1] >= t[2]:
         verdict = "bounded"

@@ -22,7 +22,8 @@ from chshq.game import (Strategy, best_response_g, local_search, normalize_shift
                         search_with_restarts, tsirelson_bound, win_count)
 from chshq.geometry import (Config, ProjTransform, config_to_strategy, incidences, is_legal,
                             lift_config, point_on_line, proj_canonical, proj_cross,
-                            projective_incidences, strategy_to_config, trivial_incidence_bound)
+                            proj_point, projective_incidences, strategy_to_config,
+                            trivial_incidence_bound)
 from chshq.infotheory import (HadamardTask, build_U_m, copy_protocol, ic_dichotomy_experiment,
                               ic_sum, joint_from_error, pairwise_independence_check,
                               simulate_cstar)
@@ -135,6 +136,7 @@ def _fourier_verify(trials, capsys):
 COUNTS = {
     "random_family-n": (lambda v: random_family(3, v, 0), 2),
     "random_family-seed": (lambda v: random_family(3, 2, v), 0),
+    "random_family-q": (lambda v: random_family(v, 2, 0), 3),
     "maximize_sum-rounds": (lambda v: maximize_sum(F3, 2, 0, rounds=v), 2),
     "implied_bias_ceiling-q": (implied_bias_ceiling, 5),
     "tsirelson_bound-q": (tsirelson_bound, 5),
@@ -151,6 +153,9 @@ COUNTS = {
     "Field-p": (lambda v: Field(v, 2), 3),
     "Field-s": (lambda v: Field(3, v), 2),
     "subfield_elements-t": (lambda v: Field(2, 4).subfield_elements(v), 2),
+    "coeffs-a": (lambda v: Field(3, 2).coeffs(v), 5),
+    "proj_point-i": (lambda v: proj_point(F3, v), 7),
+    "point_on_line-i": (lambda v: point_on_line(F3, (1, 2, 0), v), 2),
     "cli-trials": (None, 2),
 }
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import time
 
 import pytest
@@ -177,6 +178,42 @@ def test_csv_format_option(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "key,value"
     assert any(row == "p_win,3/4" for row in out)
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    rep = tmp_path / "rep"
+    calls = [
+        ["construct", "--kind", "bogus", "--p", "3"],   # usage error, exit 2
+        ["report", "--all", "--seed", "7", "--out", str(rep)],
+        ["construct", "--kind", "grid", "--p", "5", "--seed", "4"],
+        ["ic-sweep", "--p", "3", "--E", "1/2", "--m-max", "5"],
+    ]
+
+    def outcome(argv):
+        shutil.rmtree(rep, ignore_errors=True)
+        try:
+            code = run(argv)
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(rep.glob("*"))}
+        return code, out.out, out.err, files
+
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()   # a fresh parser, as in a new process
+        alone.append(outcome(argv))
+    cli.build_parser.cache_clear()
+    shared = [outcome(argv) for argv in calls]
+    assert shared == alone
+    assert [o[0] for o in shared] == [2, 0, 0, 0]
+    # a namespace holds its own subcommand's flags and nothing of another's
+    for argv in calls[1:]:
+        fresh = vars(cli.build_parser.__wrapped__().parse_args(argv))
+        assert vars(cli.build_parser().parse_args(argv)) == fresh
+    assert set(vars(cli.build_parser().parse_args(calls[2]))) == {
+        "command", "kind", "p", "s", "seed", "out", "format", "func"}
 
 
 # ---------------------------------------------------------------------------

@@ -500,9 +500,10 @@ def test_proj_point_and_points_on_line_reject_bad_input():
             proj_point(field, i)
     with pytest.raises(InvalidInput):
         points_on_line(field, (0, 0, 0))
-    for i in (-1, 4):
-        with pytest.raises(InvalidInput, match="outside the 4 points"):
-            point_on_line(field, (1, 2, 0), i)
+    with pytest.raises(InvalidInput, match=r"^i = -1 must be an integer >= 0$"):
+        point_on_line(field, (1, 2, 0), -1)
+    with pytest.raises(InvalidInput, match="outside the 4 points"):
+        point_on_line(field, (1, 2, 0), 4)
     with pytest.raises(InvalidInput):
         point_on_line(field, (0, 0, 0), 0)
 

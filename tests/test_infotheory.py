@@ -446,6 +446,39 @@ def test_dichotomy_needs_three_points():
         ic_dichotomy_experiment(field, Fraction(1, 2), range(2, 4))
 
 
+@pytest.mark.parametrize("ms", [range(1, 9), [5, 2, 7, 3], [9, 2, 5], [3, 2, 3, 2, 4]],
+                         ids=["consecutive", "unsorted", "gapped", "repeated"])
+@pytest.mark.parametrize("E", [0, Fraction(1, 2), Fraction(13, 20), 1],
+                         ids=["0", "1/2", "13/20", "1"])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_sweep_rows_match_ic_sum(q, E, ms):
+    # the sweep composes one ascending chain; ic_sum composes each m anew
+    field = field_from_q(q)
+    rows = ic_dichotomy_experiment(field, E, ms).rows
+    assert rows == tuple(ic_sum(field, m, E) for m in ms)
+
+
+def test_sweep_refuses_the_digit_cap_before_composing():
+    # E^m has 100 m digits, so m = 43 is the first past the 4300-digit cap;
+    # every m up to 199 passes _check_m on GF(3)
+    field, E = field_from_q(3), Fraction(10 ** 100 - 1, 10 ** 100)
+    assert len(ic_dichotomy_experiment(field, E, range(40, 43)).rows) == 3
+    with pytest.raises(CapExceeded, match="more than 4300 digits"):
+        ic_sum(field, 199, E)
+    with pytest.raises(CapExceeded, match="more than 4300 digits"):
+        ic_dichotomy_experiment(field, E, range(2, 200))
+
+
+def test_sweep_refuses_the_op_cap_before_the_digit_cap():
+    # q = 8192 is past OP_TABLE_Q_CAP and m = 60 past the digit cap (both
+    # pass _check_m); ic_sum at the first m refuses the joint table first
+    field, E = field_from_q(8192), Fraction(10 ** 100 - 1, 10 ** 100)
+    with pytest.raises(CapExceeded, match="q x q joint tables"):
+        ic_sum(field, 2, E)
+    with pytest.raises(CapExceeded, match="q x q joint tables"):
+        ic_dichotomy_experiment(field, E, range(2, 61))
+
+
 def test_critical_bias_grows_like_constant():
     # at E = q^(-1/2) the per-index MI decay exactly cancels the index growth
     field = field_from_q(3)
