@@ -279,8 +279,8 @@ def _csv_text(header_comment: str, columns: list[str], rows) -> str:
 def cmd_report(args) -> int:
     if not args.all:
         raise InvalidInput("report currently only supports --all")
+    seed = check_int("seed", args.seed, 0)   # before any file is written
     os.makedirs(args.out, exist_ok=True)
-    seed = args.seed
     wrote = []
 
     rows = []

@@ -93,18 +93,18 @@ def _grid(field: Field, op: str) -> np.ndarray:
     return getattr(field.vec, op)(r[:, None], r)
 
 
-def _value_counts(mul, sub, F, keys=None) -> np.ndarray:
+def _value_counts(mul, sub, F, keys) -> np.ndarray:
     """Value-major tally for a (B, q) batch of tables f, as a (q, q*B) array:
     counts[v, y*B + b] is the number of x with sub[mul[x, y], F[b, x]] = v,
     the answers g(y) = v that win on (x, y) against table b.
 
     The keys v*q*B + y*B + b are laid out (y, x, b), tables innermost, in
-    `keys`, a flat intp buffer of at least B*q^2 entries (allocated when not
-    given): one broadcast add writes x*y*q + F[b, x], one flat take from the
-    sub table premultiplied by q*B maps it to v*q*B in place, and one more
-    in-place add and one bincount tally the cells.  Max and argmax then
-    reduce over the leading (value) axis, along whole rows.  mul and sub are
-    the q x q tables of `_grid`, built once per search.
+    `keys`, a flat intp buffer of at least B*q^2 entries: one broadcast add
+    writes x*y*q + F[b, x], one flat take from the sub table premultiplied
+    by q*B maps it to v*q*B in place, and one more in-place add and one
+    bincount tally the cells.  Max and argmax then reduce over the leading
+    (value) axis, along whole rows.  mul and sub are the q x q tables of
+    `_grid`, built once per search.
 
     Only the exact search tallies here.  A tally of the same batches on the
     antilog windows of `_responder` took 2.3x as long at q = 7 (2.5 against
@@ -113,8 +113,6 @@ def _value_counts(mul, sub, F, keys=None) -> np.ndarray:
     q = len(mul)
     F = np.asarray(F, dtype=np.intp)
     n = q * len(F)
-    if keys is None:
-        keys = np.empty(n * q, dtype=np.intp)
     keys = keys[:n * q].reshape(q, q, len(F))
     np.add(mul.T[:, :, None] * q, F.T[None], out=keys)
     sub_n = sub.ravel() * np.intp(n)
@@ -270,7 +268,7 @@ def local_search(field: Field, seed: int, max_rounds: int = 100) -> SearchResult
     max_rounds = check_int("max_rounds", max_rounds)
     respond = _responder(field)
     q = field.q
-    rng = random.Random(seed)
+    rng = random.Random(check_int("seed", seed, 0))
     f = np.array([rng.randrange(q) for _ in range(q)], dtype=np.intp)
     g = np.array([rng.randrange(q) for _ in range(q)], dtype=np.intp)
     history = []
@@ -296,7 +294,7 @@ def search_with_restarts(field: Field, seed: int, restarts: int = 8,
                          max_rounds: int = 100) -> SearchResult:
     """Best local_search outcome over several seeded restarts: the most
     wins, ties to the lexicographically smallest (f, g), then the first."""
-    restarts = check_int("restarts", restarts)
+    seed, restarts = check_int("seed", seed, 0), check_int("restarts", restarts)
     return min((local_search(field, seed * 1000003 + i, max_rounds) for i in range(restarts)),
                key=lambda r: (-r.value.wins, r.strategy))
 

@@ -223,11 +223,11 @@ def subspace_construction(field: Field, seed: int = 0) -> Config:
     probability 1/d, d = p or p^2 (seeded).  For s = 3k+2 the count is
     already right and no thinning happens.
     """
+    rng = random.Random(check_int("seed", seed, 0))
     a, b, d = _subspace_dims(field)
     A = _span(field, a)
     B = _span(field, b)
     C = _span(field, b - a + 1)
-    rng = random.Random(seed)
     # one draw per (c, e) in row-major order; random() is k / 2^53: the
     # product is exact when k * d < 2^53 and rounds to at least 1 otherwise,
     # so this is random() < 1/d exactly (always, for d = 1)
@@ -299,11 +299,19 @@ def proj_canonical(field: Field, v: tuple[int, int, int]) -> tuple[int, int, int
     return tuple(canonical_rows(field, rows)[0].tolist())
 
 
+QM_CAP = 1 << 20   # largest space F_q^m whose canonical vectors are listed
+
+
 def proj_points(field: Field, m: int) -> np.ndarray:
     """The canonical vectors of F_q^m (first nonzero coordinate 1) as a read-only
     intp (k, m) array, by the position of the leading 1, then lex on the rest: the
-    base-q codes q^r .. 2q^r - 1 for r = m - 1 down to 0.  PG(2,q) for m = 3."""
-    q = field.q
+    base-q codes q^r .. 2q^r - 1 for r = m - 1 down to 0.  PG(2,q) for m = 3.
+    CapExceeded when q^m > QM_CAP."""
+    q, m = field.q, check_int("m", m)
+    # q >= 2 puts every m past log2(QM_CAP) over the cap, so the power is
+    # taken at most that far: q ** m for a huge m would not finish
+    if q ** min(m, QM_CAP.bit_length()) > QM_CAP:
+        raise CapExceeded(f"q^m exceeds enumeration cap {QM_CAP}")
     codes = np.concatenate([np.arange(q ** r, 2 * q ** r) for r in range(m - 1, -1, -1)])
     rows = codes[:, None] // q ** np.arange(m - 1, -1, -1) % q
     rows.flags.writeable = False
@@ -389,51 +397,6 @@ def projective_incidences(field: Field, pts, lns) -> int:
     arrays or sequences of triples: the zeros of one `proj_dot` grid."""
     P, L = (_triples(field, v).T for v in (pts, lns))
     return int(np.count_nonzero(proj_dot(field.vec, L[:, :, None], P[:, None, :]) == 0))
-
-
-class ProjTransform:
-    """Invertible 3x3 matrix acting on PG(2,q).
-
-    Points transform by v -> M v and lines by u -> u adj(M).  Since
-    adj(M) = det(M) M^(-1), u . v only picks up the nonzero scalar det(M),
-    so incidence counts are preserved exactly, and the canonical image
-    line is the one u M^(-1) would give.
-    """
-
-    def __init__(self, field: Field, rows):
-        matrix = _triples(field, rows)
-        if len(matrix) != 3:
-            raise InvalidInput("transform needs a 3x3 matrix")
-        self.rows = tuple(map(tuple, matrix.tolist()))
-        det, self.adj = _det_adjugate(field, self.rows)
-        if det == 0:
-            raise InvalidInput("transform matrix is singular")
-
-    @classmethod
-    def from_chart(cls, field: Field, l_inf, v_inf) -> "ProjTransform":
-        """Transform sending l_inf to the standard line at infinity {z=0}
-        and v_inf (a point on l_inf) to the vertical direction (0:1:0)."""
-        if proj_dot(field, l_inf, v_inf) != 0:
-            raise InvalidInput("v_inf must lie on l_inf")
-        w = next(p for p in (point_on_line(field, l_inf, i) for i in (0, 1)) if p != v_inf)
-        n = field.q * field.q + field.q + 1
-        u = next(p for p in (proj_point(field, i) for i in range(n))
-                 if proj_dot(field, l_inf, p) != 0)
-        # columns of B are the preimages of the standard frame e1, e2, e3;
-        # adj(B) is a nonzero multiple of B^(-1), the same projective map
-        B = tuple(zip(w, v_inf, u))
-        return cls(field, _det_adjugate(field, B)[1])
-
-
-def _det_adjugate(field: Field, m):
-    """det(m) and adj(m), so that adj(m) m = m adj(m) = det(m) I.
-
-    For rows m0, m1, m2 the columns of adj(m) are m1 x m2, m2 x m0 and
-    m0 x m1, and det(m) = m0 . (m1 x m2).
-    """
-    cols = (_cross(field, m[1], m[2]), _cross(field, m[2], m[0]),
-            _cross(field, m[0], m[1]))
-    return proj_dot(field, m[0], cols[0]), tuple(zip(*cols))
 
 
 def _code_tables(field: Field):
@@ -568,15 +531,21 @@ def random_projective_regularize(field: Field, c: Config, seed: int
     """Push an arbitrary configuration into legal position by a random chart.
 
     Steps: downsample so |P|, |L| <= q/2; draw a uniform line l_inf and a
-    uniform point v_inf on it; send the points (x : y : 1) and lines
-    (a : -1 : -b) through the chart T that makes l_inf the line at infinity
-    and v_inf the vertical direction.  Images (X : Y : Z) with Z = 0 (on
+    uniform point v_inf on it; take the frame B = (w | v_inf | u), with w
+    the first other point of `points_on_line(l_inf)` and u the first point
+    of `proj_point` order off l_inf.  The chart B^(-1) sends w, v_inf, u to
+    the standard frame, so l_inf becomes the line at infinity {z = 0} and
+    v_inf the vertical direction (0 : 1 : 0).  It moves a point
+    p = (x : y : 1) by the rows of adj(B), to ((v_inf x u) . p, (u x w) . p,
+    (w x v_inf) . p), and a line l = (a : -1 : -b) to
+    l B = (l . w, l . v_inf, l . u).  Images (X : Y : Z) with Z = 0 (on
     l_inf) and (L : M : N) with M = 0 (through v_inf, so vertical) are
     dropped; of the rest keep the smallest y per x and the smallest b per
-    slope.  T preserves incidence, so kept incidences are counted on the
-    kept points' and lines' preimages."""
+    slope.  The chart preserves incidence, since (l B) . (adj(B) p) =
+    det(B) l . p, so kept incidences are counted on the kept points' and
+    lines' preimages."""
     q, vec = field.q, field.vec
-    rng = random.Random(seed)
+    rng = random.Random(check_int("seed", seed, 0))
     in_inc = incidences(field, c)
 
     def sample(rows):   # random.sample picks positions from the length alone
@@ -587,7 +556,9 @@ def random_projective_regularize(field: Field, c: Config, seed: int
 
     l_inf = proj_point(field, rng.randrange(q * q + q + 1))   # lines share the triples
     v_inf = point_on_line(field, l_inf, rng.randrange(q + 1))
-    T = ProjTransform.from_chart(field, l_inf, v_inf)
+    w = next(p for p in (point_on_line(field, l_inf, i) for i in (0, 1)) if p != v_inf)
+    u = next(p for p in (proj_point(field, i) for i in range(q * q + q + 1))
+             if proj_dot(field, l_inf, p) != 0)
 
     def first_per_key(k, v, d):
         # indices of the images with d != 0, one per key k/d: the smallest v/d
@@ -600,10 +571,11 @@ def random_projective_regularize(field: Field, c: Config, seed: int
         return live[keep], code[keep]
 
     P, A = sampled.points, sampled.lines
-    X, Y, Z = (proj_dot(vec, row, (P[:, 0], P[:, 1], 1)) for row in T.rows)
+    X, Y, Z = (proj_dot(vec, _cross(field, *pair), (P[:, 0], P[:, 1], 1))
+               for pair in ((v_inf, u), (u, w), (w, v_inf)))
     kp, pcodes = first_per_key(X, Y, Z)
     U = (A[:, 0], field.neg(1), vec.neg(A[:, 1]))
-    L, M, N = (proj_dot(vec, U, col) for col in zip(*T.adj))
+    L, M, N = (proj_dot(vec, U, col) for col in (w, v_inf, u))
     kl, lcodes = first_per_key(vec.neg(L), N, M)   # l x + m y + n = 0: y = a x - b
 
     out = make_config(np.column_stack(np.divmod(pcodes, q)),

@@ -20,8 +20,6 @@ from .boxes import (RegularBox, ErrorDist, check_pow_digits, compose_m, convolve
                     parse_fraction)
 from .geometry import canonical_rows, proj_points
 
-QM_CAP = 1 << 20   # largest input space q^m whose U_m is listed
-
 
 # ---------------------------------------------------------------------------
 # entropy and mutual information on explicit tables
@@ -70,13 +68,8 @@ class HadamardTask:
 
 
 def build_U_m(field: Field, m: int) -> HadamardTask:
-    m = check_int("m", m)
-    q = field.q
-    # q >= 2 puts every m past log2(QM_CAP) over the cap, so the power is
-    # taken at most that far: q ** m for a huge m would not finish
-    if q ** min(m, QM_CAP.bit_length()) > QM_CAP:
-        raise CapExceeded(f"q^m exceeds enumeration cap {QM_CAP}")
-    vectors = proj_points(field, m)
+    vectors = proj_points(field, m)   # checks m and the q^m cap
+    q, m = field.q, vectors.shape[1]
     if len(vectors) != (q ** m - 1) // (q - 1):
         raise InvariantViolation("subcode has wrong size")
     return HadamardTask(field, m, vectors)

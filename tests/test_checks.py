@@ -20,10 +20,11 @@ from chshq.fourier import (fourier_matrix, implied_bias_ceiling, maximize_sum, r
                            tight_family)
 from chshq.game import (Strategy, best_response_g, local_search, normalize_shift,
                         search_with_restarts, tsirelson_bound, win_count)
-from chshq.geometry import (Config, ProjTransform, config_to_strategy, incidences, is_legal,
-                            lift_config, point_on_line, proj_canonical, proj_cross,
-                            proj_point, projective_incidences, strategy_to_config,
-                            trivial_incidence_bound)
+from chshq.geometry import (Config, config_to_strategy, incidences, is_legal, lift_config,
+                            make_config, point_on_line, proj_canonical, proj_cross,
+                            proj_point, proj_points, projective_incidences,
+                            random_projective_regularize, strategy_to_config,
+                            subspace_construction, trivial_incidence_bound)
 from chshq.infotheory import (HadamardTask, build_U_m, copy_protocol, ic_dichotomy_experiment,
                               ic_sum, joint_from_error, pairwise_independence_check,
                               simulate_cstar)
@@ -124,6 +125,7 @@ def test_search_counts_must_be_integers(kwargs):
 
 
 F3 = Field(3, 1)
+F27 = Field(3, 3)   # s = 3: the subspace construction thins its lines with seeded draws
 
 
 def _fourier_verify(trials, capsys):
@@ -155,6 +157,14 @@ COUNTS = {
     "subfield_elements-t": (lambda v: Field(2, 4).subfield_elements(v), 2),
     "coeffs-a": (lambda v: Field(3, 2).coeffs(v), 5),
     "proj_point-i": (lambda v: proj_point(F3, v), 7),
+    "proj_points-m": (lambda v: proj_points(F3, v), 2),
+    "local_search-seed": (lambda v: local_search(F3, v, max_rounds=2), 0),
+    "search_with_restarts-seed":
+        (lambda v: search_with_restarts(F3, v, restarts=2, max_rounds=2), 0),
+    "subspace_construction-seed": (lambda v: subspace_construction(F27, v), 0),
+    "random_projective_regularize-seed":
+        (lambda v: random_projective_regularize(
+            F3, make_config([(0, 0), (1, 1), (2, 0)], [(1, 0), (2, 1)]), v), 0),
     "point_on_line-i": (lambda v: point_on_line(F3, (1, 2, 0), v), 2),
     "cli-trials": (None, 2),
 }
@@ -207,7 +217,6 @@ BAD_TRIPLES = {"minus-one": (1, -1, 0), "seven": (1, 7, 0), "two-entries": (1, 0
 TRIPLE_CALLERS = {
     "projective_incidences-points": lambda F, t: projective_incidences(F, [t], [(0, 0, 1)]),
     "projective_incidences-lines": lambda F, t: projective_incidences(F, [(0, 0, 1)], [t]),
-    "ProjTransform": lambda F, t: ProjTransform(F, ((1, 0, 0), (0, 0, 1), t)),
     "proj_canonical": proj_canonical,
     "proj_cross-u": lambda F, t: proj_cross(F, t, (0, 0, 1)),
     "proj_cross-v": lambda F, t: proj_cross(F, (0, 0, 1), t),
@@ -231,8 +240,4 @@ def test_projective_arrays_must_be_n_by_3():
     for pts, lns in ((matrix, []), ([], matrix), (matrix, matrix.T)):
         with pytest.raises(InvalidInput, match="must be triples of integers in"):
             projective_incidences(field, pts, lns)
-    with pytest.raises(InvalidInput):
-        ProjTransform(field, matrix)
-    with pytest.raises(InvalidInput, match="transform needs a 3x3 matrix"):
-        ProjTransform(field, matrix.T)
     assert projective_incidences(field, [], []) == 0

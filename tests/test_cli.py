@@ -541,6 +541,22 @@ def test_exit_code_fourier_negative_seed(capsys, command):
     assert "seed = -1 must be an integer >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classical-value", "--p", "3", "--search"],
+    ["construct", "--kind", "subspace", "--p", "3", "--s", "3"],
+    ["regularize", "--in", "{config}"],
+    ["report", "--all", "--out", "{out}"],
+], ids=["classical-value", "construct", "regularize", "report"])
+def test_exit_code_negative_seed(capsys, tmp_path, argv):
+    # random.Random would take -1 (and None, a fresh draw per call)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"q": 5, "points": [[0, 0]], "lines": [[1, 0]]}))
+    argv = [a.format(config=config, out=tmp_path / "report") for a in argv]
+    assert run(argv + ["--seed", "-1"]) == 2
+    assert "seed = -1 must be an integer >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()   # refused before any table is written
+
+
 def test_fourier_verify_sums_once_per_trial(monkeypatch, capsys):
     calls = []
     real = fourier.character_bilinear_sum

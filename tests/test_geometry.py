@@ -29,11 +29,11 @@ from chshq.geometry import (
     canonical_rows, proj_canonical, proj_points, proj_point, proj_dot,
     proj_cross, point_on_line, points_on_line,
     lift_config, projective_incidences,
-    ProjTransform,
     verify_incidence_preservation_exhaustive, SWEEP_Q_CAP,
     RegularizationStats, random_projective_regularize, slope_collision_probability,
-    _cross, _det_adjugate, _code_tables, _span,
+    _cross, _code_tables, _span,
 )
+from proj_oracle import ProjTransform, _det_adjugate
 
 
 def plane(field) -> list[tuple[int, int, int]]:
@@ -1224,7 +1224,7 @@ def config_at_infinity(field, seed: int, rng: random.Random):
     return c, len(pts & on_l), len(lns & thru)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 101])
 def test_regularize_matches_loop_oracle(q):
     field = field_from_q(q)
     rng = random.Random(q)

@@ -15,10 +15,10 @@ import chshq.field
 from chshq.errors import InvalidInput, InvariantViolation, CapExceeded
 from chshq.field import field_from_q
 from chshq.boxes import RegularBox
-from chshq.geometry import proj_points
+from chshq.geometry import QM_CAP, proj_points
 from chshq.infotheory import (
     HadamardTask, check_joint, entropy, mutual_information,
-    QM_CAP, build_U_m, pairwise_independence_check,
+    build_U_m, pairwise_independence_check,
     joint_from_error, ic_sum,
     ic_dichotomy_experiment, binary_reduction_select,
     ChannelProtocol, copy_protocol, simulate_cstar,
@@ -325,9 +325,11 @@ def test_u_m_cap():
 
 @pytest.mark.parametrize("q, m", [(2, 21), (3, 10 ** 9)])
 def test_u_m_cap_refuses_huge_m_at_once(q, m):
-    # refused before q ** m is formed, which for m = 10^9 would not finish
-    with pytest.raises(CapExceeded):
-        build_U_m(field_from_q(q), m)
+    # refused before q ** m is formed, which for m = 10^9 would not finish;
+    # the cap is proj_points' own, so it holds outside build_U_m too
+    for build in (build_U_m, proj_points):
+        with pytest.raises(CapExceeded):
+            build(field_from_q(q), m)
 
 
 @pytest.mark.parametrize("q, m", [(2, 11), (101, 2), (101, 3)])
