@@ -31,6 +31,8 @@ POW_DIGITS_CAP = 4300   # Python's default int-to-str digit limit
 def parse_fraction(value) -> Fraction:
     """value (an int, float, Fraction or text such as "13/20") as an exact
     Fraction; InvalidInput for anything that is not a finite rational."""
+    if type(value) is Fraction:   # immutable, so returned as it is
+        return value
     try:
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -40,13 +42,16 @@ def parse_fraction(value) -> Fraction:
 @dataclass(frozen=True)
 class ErrorDist:
     """Exact pmf of a regular error over F_q: Pr[e = 0] = p0 and
-    Pr[e = k] = p1 for each of the q - 1 values k != 0."""
+    Pr[e = k] = p1 for each of the q - 1 values k != 0, held as the exact
+    Fractions `parse_fraction` reads."""
     q: int
     p0: Fraction
     p1: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "q", check_int("q", self.q, 2))
+        object.__setattr__(self, "p0", parse_fraction(self.p0))
+        object.__setattr__(self, "p1", parse_fraction(self.p1))
         if self.p0 < 0 or self.p1 < 0:
             raise InvalidInput("pmf entries must be nonnegative")
         if self.p0 + (self.q - 1) * self.p1 != 1:

@@ -119,16 +119,12 @@ def _read_json(path: str) -> dict:
             raise InvalidInput(f"{path} nests JSON too deeply to read")
 
 
-def _field_from_args(args) -> Field:
-    return field_new(args.p, args.s)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
 def cmd_classical_value(args) -> int:
-    field = _field_from_args(args)
+    field = field_new(args.p, args.s)
     if args.search:
         r = game.search_with_restarts(field, seed=args.seed,
                                       restarts=args.restarts,
@@ -149,7 +145,7 @@ def cmd_classical_value(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    field = _field_from_args(args)
+    field = field_new(args.p, args.s)
     if args.kind == "subfield":
         cfg = geometry.subfield_construction(field)
     elif args.kind == "grid":
@@ -188,11 +184,10 @@ def cmd_regularize(args) -> int:
 
 def cmd_box_compose(args) -> int:
     field = field_from_q(args.q)
-    E = parse_fraction(args.E)
-    box = boxes.RegularBox(field.q, E)
+    box = boxes.RegularBox(field.q, args.E)   # parses the bias
     dist = boxes.compose_m(field, box, args.m)
     _emit({
-        "schema": SCHEMA, "q": field.q, "E": frac_str(E), "m": args.m,
+        "schema": SCHEMA, "q": field.q, "E": frac_str(box.bias), "m": args.m,
         "pmf": pmf_strs(dist),
         "p_win": frac_str(dist.p_win()),
         "bias": frac_str(dist.bias()),
@@ -215,24 +210,22 @@ def cmd_box_distribute(args) -> int:
 
 def _sweep_rows(field: Field, E: Fraction, m_lo: int, m_hi: int):
     result = infotheory.ic_dichotomy_experiment(field, E, range(m_lo, m_hi + 1))
-    rows = [[r.m, r.n_indices, repr(r.per_index_mi), repr(r.total), result.verdict]
+    return [[r.m, r.n_indices, repr(r.per_index_mi), repr(r.total), result.verdict]
             for r in result.rows]
-    return rows, result.verdict
 
 
 def cmd_ic_sweep(args) -> int:
-    field = _field_from_args(args)
+    field = field_new(args.p, args.s)
     E = parse_fraction(args.E)
-    rows, verdict = _sweep_rows(field, E, args.m_min, args.m_max)
     text = _csv_text(f"# schema={SCHEMA} q={field.q} E={frac_str(E)}",
                      ["m", "n_indices", "per_index_mi", "total", "verdict"],
-                     rows)
+                     _sweep_rows(field, E, args.m_min, args.m_max))
     _write(text, args.out)
     return 0
 
 
 def cmd_fourier_verify(args) -> int:
-    field = _field_from_args(args)
+    field = field_new(args.p, args.s)
     trials = check_int("trials", args.trials)
     worst = 0.0
     for i in range(trials):
@@ -251,7 +244,7 @@ def cmd_fourier_verify(args) -> int:
 
 
 def cmd_fourier_maximize(args) -> int:
-    field = _field_from_args(args)
+    field = field_new(args.p, args.s)
     r = fourier.maximize_sum(field, n=args.n, seed=args.seed, rounds=args.rounds)
     _emit({
         "schema": SCHEMA, "q": field.q, "n": args.n, "seed": args.seed,
@@ -279,7 +272,6 @@ def _csv_text(header_comment: str, columns: list[str], rows) -> str:
 def cmd_report(args) -> int:
     if not args.all:
         raise InvalidInput("report currently only supports --all")
-    seed = check_int("seed", args.seed, 0)   # before any file is written
     os.makedirs(args.out, exist_ok=True)
     wrote = []
 
@@ -291,7 +283,7 @@ def cmd_report(args) -> int:
                      frac_str(value.bias),
                      " ".join(map(str, strategy.f)),
                      " ".join(map(str, strategy.g))])
-    wrote.append(_write_table(args.out, "classical_values.csv", seed,
+    wrote.append(_write_table(args.out, "classical_values.csv", args.seed,
                               ["q", "p", "s", "wins", "p_win", "bias", "f", "g"],
                               rows))
 
@@ -299,7 +291,7 @@ def cmd_report(args) -> int:
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
         rows.append([q, repr(game.tsirelson_bound(q)),
                      repr(fourier.implied_bias_ceiling(q))])
-    wrote.append(_write_table(args.out, "tsirelson.csv", seed,
+    wrote.append(_write_table(args.out, "tsirelson.csv", args.seed,
                               ["q", "win_prob_bound", "bias_ceiling"], rows))
 
     rows = []
@@ -314,24 +306,21 @@ def cmd_report(args) -> int:
         rows.append(["grid", q, len(cfg.points), len(cfg.lines),
                      geometry.incidences(field, cfg)])
     field = field_from_q(243)
-    cfg = geometry.subspace_construction(field, seed=seed)
+    cfg = geometry.subspace_construction(field, seed=args.seed)
     rows.append(["subspace", 243, len(cfg.points), len(cfg.lines),
                  geometry.incidences(field, cfg)])
-    wrote.append(_write_table(args.out, "constructions.csv", seed,
+    wrote.append(_write_table(args.out, "constructions.csv", args.seed,
                               ["kind", "q", "n_points", "n_lines", "incidences"],
                               rows))
 
     field = field_new(3, 1)
-    rows = []
-    for E in (Fraction(1, 2), Fraction(13, 20)):
-        sweep, verdict = _sweep_rows(field, E, 2, 8)
-        for r in sweep:
-            rows.append([frac_str(E)] + r)
-    wrote.append(_write_table(args.out, "ic_sweep.csv", seed,
+    rows = [[frac_str(E)] + r for E in (Fraction(1, 2), Fraction(13, 20))
+            for r in _sweep_rows(field, E, 2, 8)]
+    wrote.append(_write_table(args.out, "ic_sweep.csv", args.seed,
                               ["E", "m", "n_indices", "per_index_mi", "total",
                                "verdict"], rows))
 
-    print(json.dumps({"schema": SCHEMA, "seed": seed, "out": args.out,
+    print(json.dumps({"schema": SCHEMA, "seed": args.seed, "out": args.out,
                       "files": wrote}, sort_keys=True))
     return 0
 
@@ -447,6 +436,8 @@ def run(argv=None) -> int:
     """Parse and execute; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
+        if "seed" in vars(args):   # every --seed, recorded or drawn from, before any output
+            check_int("seed", args.seed, 0)
         return args.func(args)
     except (CapExceeded, InvariantViolation, InvalidInput, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

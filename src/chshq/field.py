@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from functools import cached_property
 
@@ -427,18 +428,41 @@ def field_from_q(q: int) -> Field:
 # input checks, one of each for every module
 # ---------------------------------------------------------------------------
 
-def as_integers(values, message: str) -> np.ndarray:
-    """`values` as an intp array, checked before the cast; InvalidInput(message)
-    for a ragged or object array, a non-integer dtype (bool and float among
-    them) or an entry beyond intp.  An empty array passes whatever its dtype."""
+def _as_array(values, message: str, kinds: str) -> np.ndarray:
+    """`values` as an array, InvalidInput(message) for a ragged table or a
+    dtype kind outside `kinds`.  An empty array passes whatever its dtype."""
     try:
         arr = np.asarray(values)
     except ValueError:   # ragged
         raise InvalidInput(message) from None
-    if arr.size and (arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.intp)
-                     and arr.max() > np.iinfo(np.intp).max):
+    if arr.size and arr.dtype.kind not in kinds:
+        raise InvalidInput(message)
+    return arr
+
+
+def as_integers(values, message: str) -> np.ndarray:
+    """`values` as an intp array, checked before the cast; InvalidInput(message)
+    for a ragged or object array, a non-integer dtype (bool and float among
+    them) or an entry beyond intp."""
+    arr = _as_array(values, message, "iu")
+    if arr.size and not np.can_cast(arr.dtype, np.intp) and arr.max() > np.iinfo(np.intp).max:
         raise InvalidInput(message)
     return arr.astype(np.intp, copy=False)
+
+
+def as_floats(values, message: str, complex_: bool = False) -> np.ndarray:
+    """`values` as a float64 (complex128, with complex_) array, not copied if
+    it is one: `_as_array`'s test with the real (complex) kinds, and an object
+    array (Fraction entries) only of real (complex) numbers other than a bool."""
+    arr = _as_array(values, message, "iufcO" if complex_ else "iufO")
+    number = numbers.Complex if complex_ else numbers.Real
+    if arr.dtype.kind == "O" and not all(isinstance(v, number) and not isinstance(v, bool)
+                                         for v in arr.flat):
+        raise InvalidInput(message)
+    try:
+        return arr.astype(np.complex128 if complex_ else np.float64, copy=False)
+    except OverflowError:   # an int or Fraction past float range
+        raise InvalidInput(message) from None
 
 
 def as_elements(field: Field, values, message: str) -> np.ndarray:

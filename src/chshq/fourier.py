@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceeded, InvalidInput
-from .field import (OP_TABLE_Q_CAP, Field, AdditiveCharacter, block_rows, check_int,
-                    check_op_cap)
+from .field import (OP_TABLE_Q_CAP, Field, AdditiveCharacter, as_floats, block_rows,
+                    check_int, check_op_cap)
 
 NORM_TOL = 1e-10
 BOUND_TOL = 1e-9
@@ -37,13 +37,12 @@ class VectorFamily:
     v: np.ndarray
 
     def __post_init__(self):
-        u, v = np.asarray(self.u, dtype=complex), np.asarray(self.v, dtype=complex)
+        u, v = (as_floats(a, "u and v must be tables of complex numbers", complex_=True)
+                for a in (self.u, self.v))
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        if u.shape != v.shape or u.ndim != 2:
-            raise InvalidInput("u and v must both be (q, n) arrays")
-        if 0 in u.shape:
-            raise InvalidInput(f"family shape {u.shape} is empty")
+        if u.shape != v.shape or u.ndim != 2 or 0 in u.shape:
+            raise InvalidInput("u and v must both be nonempty (q, n) arrays")
         for arr in (u, v):
             norms = np.sqrt(np.vecdot(arr, arr).real)   # vecdot conjugates arr
             if not (np.abs(norms - 1.0) <= NORM_TOL).all():   # False on NaN
@@ -123,6 +122,8 @@ def _column_blocks(field: Field, n: int) -> list[slice]:
 def character_bilinear_sum(field: Field, fam: VectorFamily) -> float:
     """| sum over x, y of chi(-xy) <u_x, v_y> | = | <u, K v> |, accumulated
     over column blocks without holding K v whole."""
+    if not isinstance(fam, VectorFamily):
+        raise InvalidInput("character_bilinear_sum takes a VectorFamily")
     if fam.q != field.q:
         raise InvalidInput("family size does not match the field")
     K = _character_transform(field)

@@ -15,7 +15,7 @@ from math import log2
 import numpy as np
 
 from .errors import InvalidInput, InvariantViolation, CapExceeded
-from .field import Field, as_elements, check_int, check_op_cap
+from .field import Field, as_elements, as_floats, check_int, check_op_cap
 from .boxes import (RegularBox, ErrorDist, check_pow_digits, compose_m, convolve,
                     parse_fraction)
 from .geometry import canonical_rows, proj_points
@@ -26,7 +26,7 @@ from .geometry import canonical_rows, proj_points
 # ---------------------------------------------------------------------------
 
 def check_joint(table) -> np.ndarray:
-    t = np.asarray(table, dtype=float)
+    t = as_floats(table, "joint table must be a table of real numbers")
     if (t < 0).any():
         raise InvalidInput("joint table has negative entries")
     if not abs(t.sum() - 1.0) <= 1e-12:   # False on NaN
@@ -38,7 +38,7 @@ def check_joint(table) -> np.ndarray:
 
 def entropy(dist) -> float:
     """Shannon entropy in bits; 0 log 0 = 0."""
-    p = np.asarray(dist, dtype=float).ravel()
+    p = as_floats(dist, "a distribution must be a table of real numbers").ravel()
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum())
 
@@ -58,12 +58,11 @@ def mutual_information(joint) -> float:
 
 @dataclass(frozen=True, eq=False)
 class HadamardTask:
-    """Index vectors as the rows of a (k, m) integer array: `build_U_m` gives
-    `geometry.proj_points(field, m)`, one vector per projective direction.
-    A task built directly holds what it is given, as `geometry.Config` does;
-    tasks compare by identity."""
+    """Index vectors in F_q^m as the rows of a (k, m) integer array: `build_U_m`
+    gives `geometry.proj_points(field, m)`, one vector per projective
+    direction.  A task built directly holds what it is given, as
+    `geometry.Config` does; tasks compare by identity."""
     field: Field
-    m: int
     vectors: np.ndarray
 
 
@@ -72,7 +71,7 @@ def build_U_m(field: Field, m: int) -> HadamardTask:
     q, m = field.q, vectors.shape[1]
     if len(vectors) != (q ** m - 1) // (q - 1):
         raise InvariantViolation("subcode has wrong size")
-    return HadamardTask(field, m, vectors)
+    return HadamardTask(field, vectors)
 
 
 def pairwise_independence_check(task: HadamardTask) -> bool:
@@ -88,18 +87,16 @@ def pairwise_independence_check(task: HadamardTask) -> bool:
     line {(a, c a)}, which is not all of F_q^2 (for m = 1 every pair is
     dependent).  So the task passes iff no vector is zero and no two are
     scalar multiples: the rows of `geometry.canonical_rows` must be nonzero
-    and pairwise distinct.
+    and pairwise distinct.  A task with no vectors passes.
     """
-    field, m = task.field, check_int("m", task.m)
-    try:
-        xis = np.asarray(task.vectors)
-    except ValueError:   # ragged rows
-        xis = None
-    if xis is None or xis.shape[:1] != (0,) and xis.shape[1:] != (m,):   # ragged, 0-d, misshapen
-        raise InvalidInput(f"index vectors must have m = {m} coordinates")
-    if not xis.size:
+    field = task.field
+    message = f"index vectors must be the rows of a (k, m) array of integers in [0, {field.q})"
+    xis = as_elements(field, task.vectors, message)
+    if xis.shape[:1] == (0,):   # no vectors, () among them
         return True
-    xis = as_elements(field, xis, f"index vector entries must be integers in [0, {field.q})")
+    if xis.ndim != 2:
+        raise InvalidInput(message)
+    check_int("m", xis.shape[1])
     rows = canonical_rows(field, xis)
     rows = rows[np.lexsort(rows.T)]   # a zero row, the least, sorts first
     return bool(rows[0].any()) and not (rows[1:] == rows[:-1]).all(axis=1).any()
@@ -182,9 +179,7 @@ def ic_dichotomy_experiment(field: Field, E, m_range) -> DichotomyResult:
     "bounded": last three totals nonincreasing; "growing": last three
     strictly increasing with ratio >= 1.1 at each step.  The crossover
     sits at q E^2 = 1, i.e. E = q^(-1/2)."""
-    ms = []
-    for m in m_range:   # a range past the cap is refused before it is listed
-        ms.append(_check_m(field.q, m))
+    ms = [_check_m(field.q, m) for m in m_range]   # a range past the cap is never listed
     if len(ms) < 3:
         raise InvalidInput("need at least three m values to classify")
     box = RegularBox(field.q, _check_bias(E))
@@ -233,17 +228,11 @@ def binary_reduction_select(joint) -> BinaryReduction:
     if hx == 0.0:
         return BinaryReduction(f=(0,) * nb, achieved_mi=0.0, source_mi=source)
     r = t.sum(axis=0)
-    score = np.full(nb, -1.0)
-    for j in range(nb):
-        if r[j] <= 0:
-            continue
-        tj = entropy(t[:, j] / r[j]) / hx
-        score[j] = r[j] * (1.0 - tj)
+    score = [r[j] * (1.0 - entropy(t[:, j] / r[j]) / hx) if r[j] > 0 else -1.0
+             for j in range(nb)]
     j_star = int(np.argmax(score))
     f = tuple(1 if j == j_star else 0 for j in range(nb))
-    collapsed = np.stack([t[:, [j for j in range(nb) if f[j] == 0]].sum(axis=1),
-                          t[:, [j for j in range(nb) if f[j] == 1]].sum(axis=1)],
-                         axis=1)
+    collapsed = np.stack([np.delete(t, j_star, axis=1).sum(axis=1), t[:, j_star]], axis=1)
     return BinaryReduction(f=f, achieved_mi=mutual_information(collapsed),
                            source_mi=source)
 
@@ -252,44 +241,35 @@ def binary_reduction_select(joint) -> BinaryReduction:
 # message-guessing reduction (one shared uniform guess at the message)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelProtocol:
     """A one-round classical protocol: X ~ x_dist, message alpha ~ msg[x],
-    receiver output z ~ dec[alpha]."""
-    x_dist: tuple[float, ...]
-    msg: tuple[tuple[float, ...], ...]    # |A| x |Sigma| rows
-    dec: tuple[tuple[float, ...], ...]    # |Sigma| x |Lambda| rows
+    receiver output z ~ dec[alpha].  Each slot is the float64 array that
+    `field.as_floats` reads, so |A|, |Sigma| and |Lambda| are the shapes of
+    msg and dec; protocols compare by identity."""
+    x_dist: np.ndarray    # |A|
+    msg: np.ndarray       # |A| x |Sigma| rows
+    dec: np.ndarray       # |Sigma| x |Lambda| rows
 
     def __post_init__(self):
-        if len(self.msg) != len(self.x_dist):
-            raise InvalidInput("msg needs one row per input symbol")
-        widths = {len(r) for r in self.msg}
-        if len(widths) != 1 or widths.pop() != len(self.dec):
-            raise InvalidInput("msg columns must match dec rows")
-        for dist in (self.x_dist, *self.msg, *self.dec):
-            if any(v < 0 for v in dist) or not abs(sum(dist) - 1.0) <= 1e-12:   # False on NaN
+        for name in ("x_dist", "msg", "dec"):
+            object.__setattr__(self, name, as_floats(getattr(self, name),
+                                                     f"{name} must be a table of real numbers"))
+        x, msg, dec = self.x_dist, self.msg, self.dec
+        if dec.ndim != 2 or x.ndim != 1 or msg.shape != (len(x), len(dec)):
+            raise InvalidInput("msg must have one row per input symbol and one column per dec row")
+        for dist in (x, msg, dec):   # the sum test is False on NaN
+            if (dist < 0).any() or not (abs(dist.sum(axis=-1) - 1.0) <= 1e-12).all():
                 raise InvalidInput("protocol rows must be distributions")
 
-    @property
-    def n_messages(self) -> int:
-        return len(self.dec)
-
-    @property
-    def n_outputs(self) -> int:
-        return len(self.dec[0])
-
     def joint_xz(self) -> np.ndarray:
-        x = np.array(self.x_dist)
-        m = np.array(self.msg)
-        d = np.array(self.dec)
-        return x[:, None] * (m @ d)
+        return self.x_dist[:, None] * (self.msg @ self.dec)
 
 
 def copy_protocol(n: int) -> ChannelProtocol:
     """Noiseless protocol: message = input = output, X uniform on n symbols."""
     n = check_int("n", n)
-    eye = tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
-    return ChannelProtocol(x_dist=(1.0 / n,) * n, msg=eye, dec=eye)
+    return ChannelProtocol(x_dist=np.full(n, 1.0 / n), msg=np.eye(n), dec=np.eye(n))
 
 
 @dataclass(frozen=True)
@@ -309,24 +289,24 @@ def simulate_cstar(protocol: ChannelProtocol, samples: int = 10 ** 5,
     """Run the reduction: draw a shared uniform guess at the message,
     hand over the prepared output only when the guess matches, otherwise
     output uniform noise.  Deterministic per seed."""
+    if not isinstance(protocol, ChannelProtocol):
+        raise InvalidInput("simulate_cstar takes a ChannelProtocol")
     samples, seed = check_int("samples", samples), check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    na = len(protocol.x_dist)
-    sigma = protocol.n_messages
-    nl = protocol.n_outputs
+    (na, sigma), nl = protocol.msg.shape, protocol.dec.shape[1]
 
-    x = rng.choice(na, size=samples, p=np.array(protocol.x_dist))
+    x = rng.choice(na, size=samples, p=protocol.x_dist)
     guess = rng.integers(0, sigma, size=samples)
     alpha = np.empty(samples, dtype=np.int64)
     for xv in range(na):                      # fixed order keeps this seeded
         mask = x == xv
         alpha[mask] = rng.choice(sigma, size=int(mask.sum()),
-                                 p=np.array(protocol.msg[xv]))
+                                 p=protocol.msg[xv])
     z_bar = np.empty(samples, dtype=np.int64)
     for av in range(sigma):
         mask = guess == av
         z_bar[mask] = rng.choice(nl, size=int(mask.sum()),
-                                 p=np.array(protocol.dec[av]))
+                                 p=protocol.dec[av])
     matched = alpha == guess
     z = np.where(matched, z_bar, rng.integers(0, nl, size=samples))
 
@@ -351,8 +331,7 @@ def simulate_cstar(protocol: ChannelProtocol, samples: int = 10 ** 5,
 def _llr_std(joint: np.ndarray) -> float:
     """Std of log2(p(x,z)/(p(x)p(z))) under the joint: the per-sample
     fluctuation of the plug-in MI estimate (zero for a noiseless copy)."""
-    px = joint.sum(axis=1)
-    pz = joint.sum(axis=0)
+    px, pz = joint.sum(axis=1), joint.sum(axis=0)
     mask = joint > 0
     llr = np.zeros_like(joint)
     llr[mask] = np.log2(joint[mask] / (px[:, None] * pz[None, :])[mask])

@@ -13,11 +13,11 @@ import pytest
 
 import chshq.field
 from chshq import cli
-from chshq.boxes import RegularBox, StrategyBox, monte_carlo_win, regularize
+from chshq.boxes import ErrorDist, RegularBox, StrategyBox, monte_carlo_win, regularize
 from chshq.errors import CapExceeded, InvalidInput
 from chshq.field import Field
-from chshq.fourier import (fourier_matrix, implied_bias_ceiling, maximize_sum, random_family,
-                           tight_family)
+from chshq.fourier import (VectorFamily, character_bilinear_sum, fourier_matrix,
+                           implied_bias_ceiling, maximize_sum, random_family, tight_family)
 from chshq.game import (Strategy, best_response_g, local_search, normalize_shift,
                         search_with_restarts, tsirelson_bound, win_count)
 from chshq.geometry import (Config, config_to_strategy, incidences, is_legal, lift_config,
@@ -25,8 +25,10 @@ from chshq.geometry import (Config, config_to_strategy, incidences, is_legal, li
                             proj_point, proj_points, projective_incidences,
                             random_projective_regularize, strategy_to_config,
                             subspace_construction, trivial_incidence_bound)
-from chshq.infotheory import (HadamardTask, build_U_m, copy_protocol, ic_dichotomy_experiment,
-                              ic_sum, joint_from_error, pairwise_independence_check,
+from chshq.infotheory import (ChannelProtocol, HadamardTask, binary_reduction_select,
+                              build_U_m, check_joint, copy_protocol, entropy,
+                              ic_dichotomy_experiment, ic_sum, joint_from_error,
+                              mutual_information, pairwise_independence_check,
                               simulate_cstar)
 
 
@@ -66,7 +68,7 @@ CALLERS = {
     "lift_config": lambda F, t, r: lift_config(F, _config(r)),
     "config_to_strategy": lambda F, t, r: config_to_strategy(F, _config(r)),
     "pairwise_independence_check":
-        lambda F, t, r: pairwise_independence_check(HadamardTask(F, 2, r)),
+        lambda F, t, r: pairwise_independence_check(HadamardTask(F, r)),
 }
 
 
@@ -77,6 +79,74 @@ def test_every_caller_refuses_malformed_elements(caller):
         with pytest.raises(InvalidInput):
             CALLERS[caller](field, table, rows)
     assert "vec" not in vars(field)
+
+
+# one defect in a real or complex table; a text table reads as numbers
+# through np.asarray(..., dtype=float), and None as NaN
+BAD_TABLES = {
+    "ragged": [[0.5, 0.5], [1.0]],
+    "text": [["0.5", "0"], ["0", "0.5"]],
+    "bool": [[True, False], [False, True]],
+    "none": None,
+    "none-entry": [[None, 0.5], [0.5, 0.0]],
+    "object": [[object(), 0.5], [0.5, 0.0]],
+}
+HALF, EYE = [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]]
+# caller: each puts the table t into one slot of a valid call
+TABLE_CALLERS = {
+    "check_joint": check_joint,
+    "entropy": entropy,
+    "mutual_information": mutual_information,
+    "binary_reduction_select": binary_reduction_select,
+    "ChannelProtocol-x_dist": lambda t: ChannelProtocol(x_dist=t, msg=EYE, dec=EYE),
+    "ChannelProtocol-msg": lambda t: ChannelProtocol(x_dist=HALF, msg=t, dec=EYE),
+    "ChannelProtocol-dec": lambda t: ChannelProtocol(x_dist=HALF, msg=EYE, dec=t),
+    "VectorFamily-u": lambda t: VectorFamily(u=t, v=EYE),
+    "VectorFamily-v": lambda t: VectorFamily(u=EYE, v=t),
+    "ErrorDist-p0": lambda t: ErrorDist(2, t, Fraction(1, 2)),
+    "ErrorDist-p1": lambda t: ErrorDist(2, Fraction(1, 2), t),
+}
+
+
+@pytest.mark.parametrize("caller", TABLE_CALLERS)
+def test_every_caller_refuses_malformed_tables(caller):
+    for name, table in BAD_TABLES.items():
+        with pytest.raises(InvalidInput):
+            TABLE_CALLERS[caller](table)
+
+
+def test_int_and_fraction_tables_are_read_as_numbers():
+    half = Fraction(1, 2)
+    joint = np.array([[0.5, 0.0], [0.0, 0.5]])
+    assert check_joint(joint) is joint   # a float64 table is not copied
+    for table in ([[1, 0], [0, 0]], [[half, 0], [0, half]]):
+        assert check_joint(table).dtype == np.float64
+        assert entropy(table) in (0.0, 1.0)
+    assert binary_reduction_select([[half, 0], [0, half]]).source_mi == 1.0
+    proto = ChannelProtocol(x_dist=[half, half], msg=[[1, 0], [0, 1]], dec=EYE)
+    for arr in (proto.x_dist, proto.msg, proto.dec):
+        assert type(arr) is np.ndarray and arr.dtype == np.float64
+    assert proto.joint_xz().tolist() == copy_protocol(2).joint_xz().tolist()
+    a, b = Fraction(3, 5), Fraction(4, 5)   # exact unit rows
+    fam = VectorFamily(u=[[1, 0], [0, 1]], v=[[a, b], [b, -a]])
+    assert fam.u.dtype == fam.v.dtype == np.complex128
+    # ErrorDist keeps its entries exact, whatever number or text they are given as
+    for p0, p1 in ((0.5, 0.25), ("1/2", "1/4"), (half, Fraction(1, 4))):
+        err = ErrorDist(3, p0, p1)
+        assert (err.p0, err.p1) == (half, Fraction(1, 4)) and type(err.p0) is Fraction
+        assert err.bias() == Fraction(1, 4)
+    assert ErrorDist(3, "1", "0").bias() == 1
+
+
+def test_wrong_argument_types_are_refused():
+    # as regularize refuses anything but a StrategyBox
+    field = Field(3, 1)
+    for call in (lambda: character_bilinear_sum(field, None),
+                 lambda: character_bilinear_sum(field, (np.eye(3), np.eye(3))),
+                 lambda: simulate_cstar(None, samples=10),
+                 lambda: simulate_cstar(copy_protocol(2).joint_xz(), samples=10)):
+        with pytest.raises(InvalidInput, match="takes a"):
+            call()
 
 
 def _q_by_q_calls(field):
@@ -143,8 +213,6 @@ COUNTS = {
     "implied_bias_ceiling-q": (implied_bias_ceiling, 5),
     "tsirelson_bound-q": (tsirelson_bound, 5),
     "build_U_m-m": (lambda v: build_U_m(F3, v), 2),
-    "pairwise_independence_check-m":
-        (lambda v: pairwise_independence_check(HadamardTask(F3, v, build_U_m(F3, 2).vectors)), 2),
     "ic_sum-m": (lambda v: ic_sum(F3, v, Fraction(1, 2)), 2),
     "ic_dichotomy_experiment-m":
         (lambda v: ic_dichotomy_experiment(F3, Fraction(1, 2), [v, 2, 3]), 1),

@@ -546,9 +546,14 @@ def test_exit_code_fourier_negative_seed(capsys, command):
     ["construct", "--kind", "subspace", "--p", "3", "--s", "3"],
     ["regularize", "--in", "{config}"],
     ["report", "--all", "--out", "{out}"],
-], ids=["classical-value", "construct", "regularize", "report"])
+    ["construct", "--kind", "grid", "--p", "3"],
+    ["construct", "--kind", "subfield", "--p", "2", "--s", "2"],
+    ["classical-value", "--p", "3"],
+], ids=["classical-value", "construct", "regularize", "report", "construct-grid",
+        "construct-subfield", "classical-value-exact"])
 def test_exit_code_negative_seed(capsys, tmp_path, argv):
-    # random.Random would take -1 (and None, a fresh draw per call)
+    # random.Random would take -1 (and None, a fresh draw per call); a command
+    # that draws nothing would still record the seed in its payload
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"q": 5, "points": [[0, 0]], "lines": [[1, 0]]}))
     argv = [a.format(config=config, out=tmp_path / "report") for a in argv]

@@ -172,7 +172,7 @@ def test_scaled_index_pair_is_not_uniform():
     xi = (1, 0)
     double = (2, 0)
     for pair, expected in (((xi, double), False), ((xi, (1, 1)), True)):
-        task = HadamardTask(field, 2, pair)
+        task = HadamardTask(field, pair)
         assert pairwise_independence_check(task) is pairwise_scan(task) is expected
 
 
@@ -215,13 +215,13 @@ def test_index_entries_outside_the_field_are_refused(bad):
     # was truncated to 1
     field = field_from_q(4)
     with pytest.raises(InvalidInput, match=r"integers in \[0, 4\)"):
-        pairwise_independence_check(HadamardTask(field, 2, ((1, 0), bad)))
+        pairwise_independence_check(HadamardTask(field, ((1, 0), bad)))
 
 
 def pairwise_scan(task) -> bool:
     # exhaustive reference: every marginal and every pair's joint histogram
-    # over all q^m inputs, one bincount each
-    field, m = task.field, task.m
+    # over all q^m inputs, one bincount each; m is the width of the rows
+    field, m = task.field, np.shape(task.vectors)[1]
     q, n = field.q, field.q ** m
     values = codeword_values_op_tables(field, m, task.vectors)
     for v in values:
@@ -238,7 +238,7 @@ def pairwise_scan(task) -> bool:
 def pairwise_onehot_q(task) -> bool:
     # exhaustive reference by one float64 product: all q values one-hot,
     # every joint cell compared, marginals by bincount
-    field, m = task.field, task.m
+    field, m = task.field, np.shape(task.vectors)[1]
     q, n = field.q, field.q ** m
     values = codeword_values_op_tables(field, m, task.vectors)
     for v in values:
@@ -265,7 +265,8 @@ def hadamard_tasks(draw):
         copies = draw(st.lists(st.tuples(st.sampled_from(vectors), st.integers(0, q - 1)),
                                max_size=3))
         vectors += [tuple(field.mul(c, x) for x in xi) for xi, c in copies]
-    return HadamardTask(field, m, tuple(draw(st.permutations(vectors))))
+    rows = np.array(draw(st.permutations(vectors)), dtype=np.intp).reshape(-1, m)
+    return HadamardTask(field, rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -281,9 +282,9 @@ def test_pairwise_check_matches_oracles_at_each_q(q):
     # U_2 passes; with a multiple of its vector (1, 1) added, or at m = 1, it fails
     field = field_from_q(q)
     u2 = build_U_m(field, 2).vectors
-    for task, expected in ((HadamardTask(field, 2, u2), True),
-                           (HadamardTask(field, 2, np.vstack((u2, (q - 1, q - 1)))), False),
-                           (HadamardTask(field, 1, ((1,), (1,))), False)):
+    for task, expected in ((HadamardTask(field, u2), True),
+                           (HadamardTask(field, np.vstack((u2, (q - 1, q - 1)))), False),
+                           (HadamardTask(field, ((1,), (1,))), False)):
         assert pairwise_scan(task) is pairwise_onehot_q(task) is expected
         assert pairwise_independence_check(task) is expected
 
@@ -303,15 +304,15 @@ def test_pairwise_check_matches_pair_scan(q, m):
 def test_pairwise_check_finds_dependent_vectors(monkeypatch, block_cells, vectors):
     # the rank test reads no batch size, so no BLOCK_CELLS may move its answer
     monkeypatch.setattr(chshq.field, "BLOCK_CELLS", block_cells)
-    task = HadamardTask(field_from_q(3), 2, vectors)
+    task = HadamardTask(field_from_q(3), vectors)
     assert pairwise_independence_check(task) is pairwise_scan(task) is False
 
 
 def test_pairwise_check_rejects_wrong_length_vectors():
-    # ragged rows, and rows of one width other than m
-    for vectors in (((1, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0))):
-        task = HadamardTask(field_from_q(3), 2, vectors)
-        with pytest.raises(InvalidInput, match="must have m = 2 coordinates"):
+    # ragged rows, and vectors that are not the rows of a 2-d array
+    for vectors in (((1, 0), (0, 1, 0)), (1, 0), (((1, 0),), ((0, 1),)), 1):
+        task = HadamardTask(field_from_q(3), vectors)
+        with pytest.raises(InvalidInput, match=r"must be the rows of a \(k, m\) array"):
             pairwise_independence_check(task)
 
 
@@ -340,15 +341,16 @@ def test_pairwise_check_needs_no_codeword_table(q, m):
     assert pairwise_independence_check(build_U_m(field_from_q(q), m)) is True
 
 
-@pytest.mark.parametrize("m, vectors", [(0, ()), (0, ((),)), (-1, ())],
-                         ids=["m0-empty", "m0-empty-vector", "m-negative"])
-def test_pairwise_check_refuses_m_below_one(m, vectors):
-    with pytest.raises(InvalidInput, match=r"^m = -?\d+ must be an integer >= 1$"):
-        pairwise_independence_check(HadamardTask(field_from_q(3), m, vectors))
+@pytest.mark.parametrize("vectors", [((), ()), ((),)], ids=["m0-empty", "m0-empty-vector"])
+def test_pairwise_check_refuses_m_below_one(vectors):
+    # m is the width of the rows: vectors with no coordinates are refused
+    with pytest.raises(InvalidInput, match=r"^m = 0 must be an integer >= 1$"):
+        pairwise_independence_check(HadamardTask(field_from_q(3), vectors))
 
 
 def test_pairwise_check_passes_an_empty_task():
-    assert pairwise_independence_check(HadamardTask(field_from_q(3), 2, ())) is True
+    for vectors in ((), np.zeros((0, 2), dtype=np.intp)):
+        assert pairwise_independence_check(HadamardTask(field_from_q(3), vectors)) is True
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +533,11 @@ def cstar_exact(protocol: ChannelProtocol):
     """Analytic facts about the guessing reduction: match probability is
     exactly 1/|Sigma|; given a match the joint of (X, Z~) is the original
     channel joint; given a miss, Z~ is uniform and independent of X."""
-    sigma = protocol.n_messages
+    sigma, n_out = protocol.dec.shape
     p1 = Fraction(1, sigma)
     cond1 = protocol.joint_xz()
     x = np.array(protocol.x_dist)
-    cond0 = np.repeat(x[:, None] / protocol.n_outputs, protocol.n_outputs, axis=1)
+    cond0 = np.repeat(x[:, None] / n_out, n_out, axis=1)
     return p1, cond1, cond0
 
 

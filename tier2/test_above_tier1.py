@@ -103,7 +103,7 @@ def test_rank_test_matches_exhaustive_oracles(p, s, m, oracles):
     u = build_U_m(field, m)
     scaled = field.vec.mul(field.q - 1, u.vectors[len(u.vectors) // 2])
     for task, expected in ((u, True),
-                           (HadamardTask(field, m, np.vstack((u.vectors, scaled))), False)):
+                           (HadamardTask(field, np.vstack((u.vectors, scaled))), False)):
         assert pairwise_independence_check(task) is expected
         for name in oracles:
             assert getattr(ORACLES, name)(task) is expected, name
