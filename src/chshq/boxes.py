@@ -30,13 +30,15 @@ POW_DIGITS_CAP = 4300   # Python's default int-to-str digit limit
 
 def parse_fraction(value) -> Fraction:
     """value (an int, float, Fraction or text such as "13/20") as an exact
-    Fraction; InvalidInput for anything that is not a finite rational."""
+    Fraction; InvalidInput for a bool or anything not a finite rational."""
     if type(value) is Fraction:   # immutable, so returned as it is
         return value
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise InvalidInput(f"cannot parse rational {value!r}") from None
+    if not isinstance(value, bool):   # Fraction(True) would be 1
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise InvalidInput(f"cannot parse rational {value!r}")
 
 
 @dataclass(frozen=True)

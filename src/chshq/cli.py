@@ -57,32 +57,18 @@ def config_to_json(q: int, c: geometry.Config) -> dict:
     }
 
 
-def _json_int(v) -> int:
-    # bool is an int subclass; floats (4.7, 1e400) and strings are refused
-    if type(v) is not int:
-        raise InvalidInput(f"{v!r} is not an integer")
-    return v
-
-
-def _json_pair(v) -> tuple[int, int]:
-    x, y = map(_json_int, v)
-    return x, y
-
-
 def config_from_json(d: dict) -> tuple[Field, geometry.Config]:
-    """The field and the normalized config of a config payload.  Every
-    coordinate is range-checked before the config is normalized, so any
-    integer, however large, is refused as InvalidInput."""
+    """The field and the normalized config of a config payload: q through
+    `field_from_q`, and each side through `as_elements`, which range-checks
+    every coordinate, however large, before `make_config` reads the pairs."""
     try:
-        q = _json_int(d["q"])
-        points = [_json_pair(p) for p in d["points"]]
-        lines = [_json_pair(l) for l in d["lines"]]
-    except (KeyError, TypeError, ValueError) as e:
+        q, points, lines = d["q"], d["points"], d["lines"]
+    except (KeyError, TypeError) as e:
         raise InvalidInput(f"malformed config json: {e}")
     field = field_from_q(q)
-    points = as_elements(field, points, "point coordinates outside the field")
-    lines = as_elements(field, lines, "line parameters outside the field")
-    return field, geometry.make_config(points.reshape(-1, 2), lines.reshape(-1, 2))
+    return field, geometry.make_config(
+        as_elements(field, points, "point coordinates outside the field"),
+        as_elements(field, lines, "line parameters outside the field"))
 
 
 def _write(text: str, out) -> None:

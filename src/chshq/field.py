@@ -413,8 +413,7 @@ def field_new(p: int, s: int) -> Field:
 
 def field_from_q(q: int) -> Field:
     """Construct GF(q) from a prime power, factoring q as p^s."""
-    if q < 2:
-        raise InvalidInput(f"q = {q} is not a prime power")
+    q = check_int("q", q, 2)
     if q > Q_CAP:   # before factoring: trial division of a huge q never ends
         raise CapExceeded(f"q = {q} exceeds the supported cap {Q_CAP}")
     primes = factorize(q)
@@ -429,13 +428,15 @@ def field_from_q(q: int) -> Field:
 # ---------------------------------------------------------------------------
 
 def _as_array(values, message: str, kinds: str) -> np.ndarray:
-    """`values` as an array, InvalidInput(message) for a ragged table or a
-    dtype kind outside `kinds`.  An empty array passes whatever its dtype."""
+    """`values` as an array, InvalidInput(message) for a ragged table, a dtype
+    kind outside `kinds` or a bool anywhere, which np.asarray hides among ints
+    or floats unless `values` is an ndarray.  An empty array always passes."""
     try:
         arr = np.asarray(values)
     except ValueError:   # ragged
         raise InvalidInput(message) from None
-    if arr.size and arr.dtype.kind not in kinds:
+    if arr.size and (arr.dtype.kind not in kinds or not isinstance(values, np.ndarray) and not
+                     {bool, np.bool_}.isdisjoint(map(type, np.asarray(values, object).flat))):
         raise InvalidInput(message)
     return arr
 
@@ -463,6 +464,15 @@ def as_floats(values, message: str, complex_: bool = False) -> np.ndarray:
         return arr.astype(np.complex128 if complex_ else np.float64, copy=False)
     except OverflowError:   # an int or Fraction past float range
         raise InvalidInput(message) from None
+
+
+def check_distribution(arr: np.ndarray, message: str, axis=None) -> np.ndarray:
+    """The float array `arr`; InvalidInput(message) unless it is nonnegative and
+    sums to 1 within 1e-12 over `axis` (the whole table by default).  Both
+    tests are False on NaN, and the sum test on an infinite entry."""
+    if not ((arr >= 0).all() and (abs(arr.sum(axis=axis) - 1.0) <= 1e-12).all()):
+        raise InvalidInput(message)
+    return arr
 
 
 def as_elements(field: Field, values, message: str) -> np.ndarray:

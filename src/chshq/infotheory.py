@@ -15,7 +15,7 @@ from math import log2
 import numpy as np
 
 from .errors import InvalidInput, InvariantViolation, CapExceeded
-from .field import Field, as_elements, as_floats, check_int, check_op_cap
+from .field import Field, as_elements, as_floats, check_distribution, check_int, check_op_cap
 from .boxes import (RegularBox, ErrorDist, check_pow_digits, compose_m, convolve,
                     parse_fraction)
 from .geometry import canonical_rows, proj_points
@@ -26,19 +26,21 @@ from .geometry import canonical_rows, proj_points
 # ---------------------------------------------------------------------------
 
 def check_joint(table) -> np.ndarray:
-    t = as_floats(table, "joint table must be a table of real numbers")
-    if (t < 0).any():
-        raise InvalidInput("joint table has negative entries")
-    if not abs(t.sum() - 1.0) <= 1e-12:   # False on NaN
-        raise InvalidInput("joint table does not sum to 1")
+    t = check_distribution(as_floats(table, "joint table must be a table of real numbers"),
+                           "joint table must be nonnegative and sum to 1")
     if t.ndim != 2:
         raise InvalidInput("joint table must be 2-d")
     return t
 
 
 def entropy(dist) -> float:
-    """Shannon entropy in bits; 0 log 0 = 0."""
-    p = as_floats(dist, "a distribution must be a table of real numbers").ravel()
+    """Shannon entropy in bits of a distribution table; 0 log 0 = 0."""
+    p = as_floats(dist, "a distribution must be a table of real numbers")
+    return _entropy(check_distribution(p, "a distribution must be nonnegative and sum to 1"))
+
+
+def _entropy(p: np.ndarray) -> float:
+    """`entropy` of a float table already checked, or derived from one that is."""
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum())
 
@@ -46,7 +48,7 @@ def entropy(dist) -> float:
 def mutual_information(joint) -> float:
     """I(X;Y) = H(X) + H(Y) - H(X,Y) for a 2-d joint table."""
     t = check_joint(joint)
-    v = entropy(t.sum(axis=1)) + entropy(t.sum(axis=0)) - entropy(t)
+    v = _entropy(t.sum(axis=1)) + _entropy(t.sum(axis=0)) - _entropy(t)
     if v < -1e-9:
         raise InvariantViolation("mutual information came out negative")
     return max(v, 0.0)   # clamp float cancellation on near-independent tables
@@ -228,7 +230,7 @@ def binary_reduction_select(joint) -> BinaryReduction:
     if hx == 0.0:
         return BinaryReduction(f=(0,) * nb, achieved_mi=0.0, source_mi=source)
     r = t.sum(axis=0)
-    score = [r[j] * (1.0 - entropy(t[:, j] / r[j]) / hx) if r[j] > 0 else -1.0
+    score = [r[j] * (1.0 - _entropy(t[:, j] / r[j]) / hx) if r[j] > 0 else -1.0
              for j in range(nb)]
     j_star = int(np.argmax(score))
     f = tuple(1 if j == j_star else 0 for j in range(nb))
@@ -258,9 +260,8 @@ class ChannelProtocol:
         x, msg, dec = self.x_dist, self.msg, self.dec
         if dec.ndim != 2 or x.ndim != 1 or msg.shape != (len(x), len(dec)):
             raise InvalidInput("msg must have one row per input symbol and one column per dec row")
-        for dist in (x, msg, dec):   # the sum test is False on NaN
-            if (dist < 0).any() or not (abs(dist.sum(axis=-1) - 1.0) <= 1e-12).all():
-                raise InvalidInput("protocol rows must be distributions")
+        for dist in (x, msg, dec):
+            check_distribution(dist, "protocol rows must be distributions", axis=-1)
 
     def joint_xz(self) -> np.ndarray:
         return self.x_dist[:, None] * (self.msg @ self.dec)

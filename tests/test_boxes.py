@@ -63,8 +63,10 @@ def test_regular_box_range():
     assert RegularBox(3, "1/2") == RegularBox(3, 0.5) == RegularBox(3, Fraction(1, 2))
 
 
-@pytest.mark.parametrize("E", [float("nan"), float("inf"), float("-inf"), None, "x", "1/0", 1j],
-                         ids=["nan", "inf", "-inf", "None", "text", "zero-denominator", "complex"])
+@pytest.mark.parametrize("E", [float("nan"), float("inf"), float("-inf"), None, "x", "1/0", 1j,
+                               True],
+                         ids=["nan", "inf", "-inf", "None", "text", "zero-denominator", "complex",
+                              "bool"])
 def test_non_rational_bias_is_invalid_input(E):
     with pytest.raises(InvalidInput, match="cannot parse rational"):
         RegularBox(3, E)

@@ -15,7 +15,7 @@ import chshq.field
 from chshq import cli
 from chshq.boxes import ErrorDist, RegularBox, StrategyBox, monte_carlo_win, regularize
 from chshq.errors import CapExceeded, InvalidInput
-from chshq.field import Field
+from chshq.field import Field, field_from_q
 from chshq.fourier import (VectorFamily, character_bilinear_sum, fourier_matrix,
                            implied_bias_ceiling, maximize_sum, random_family, tight_family)
 from chshq.game import (Strategy, best_response_g, local_search, normalize_shift,
@@ -39,6 +39,9 @@ def malformed(q: int):
     return [
         ("float", [0.0] * q, np.array([[0.0, 1.0]])),
         ("bool", [False] * q, np.array([[True, False]])),
+        # np.asarray promotes a bool among ints, so these pass the dtype test
+        ("bool-among-ints", [True] + zeros, [[True, 0]]),
+        ("np-bool-among-ints", [np.True_] + zeros, [[0, np.True_]]),
         ("q", [q] + zeros, np.array([[q, 0]])),
         ("minus-one", [-1] + zeros, np.array([[-1, 0]])),
         ("1e30", [10 ** 30] + zeros, [[10 ** 30, 0]]),
@@ -113,6 +116,40 @@ def test_every_caller_refuses_malformed_tables(caller):
     for name, table in BAD_TABLES.items():
         with pytest.raises(InvalidInput):
             TABLE_CALLERS[caller](table)
+
+
+# a valid call with one entry set to `one`: np.asarray promotes a bool among
+# ints or floats, so True or np.True_ there passes the dtype test, and must
+# still be refused where 1 is read
+ONE_ENTRY_CALLERS = {
+    "make_config-points": lambda one: make_config([(one, 2)], []),
+    "make_config-lines": lambda one: make_config([], [(0, 1), (2, one)]),
+    "point_on_line": lambda one: point_on_line(F3, (one, 2, 0), 1),
+    "check_joint": lambda one: check_joint([[one, 0], [0, 0]]),
+    "entropy": lambda one: entropy([0.0, one]),
+    "ChannelProtocol-x_dist": lambda one: ChannelProtocol(x_dist=[one, 0.0], msg=EYE, dec=EYE),
+    "ChannelProtocol-msg": lambda one: ChannelProtocol(x_dist=HALF, msg=[[0.0, one], [1.0, 0.0]],
+                                                       dec=EYE),
+    "ChannelProtocol-dec": lambda one: ChannelProtocol(x_dist=HALF, msg=EYE,
+                                                       dec=[[one, 0.0], [0.0, 1.0]]),
+    "VectorFamily-u": lambda one: VectorFamily(u=[[one], [1j]], v=[[1], [1]]),
+    "VectorFamily-v": lambda one: VectorFamily(u=[[1], [1]], v=[[1.0], [one]]),
+}
+
+
+@pytest.mark.parametrize("caller", ONE_ENTRY_CALLERS)
+def test_a_bool_among_numbers_is_refused(caller):
+    call = ONE_ENTRY_CALLERS[caller]
+    call(1)
+    for one in (True, np.True_):
+        with pytest.raises(InvalidInput):
+            call(one)
+
+
+@pytest.mark.parametrize("q", ["4", None, 4.0, True], ids=["text", "none", "float", "bool"])
+def test_field_from_q_reads_q_through_check_int(q):
+    with pytest.raises(InvalidInput, match=rf"^q = {q!r} must be an integer >= 2$"):
+        field_from_q(q)
 
 
 def test_int_and_fraction_tables_are_read_as_numbers():

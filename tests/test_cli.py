@@ -11,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import chshq.field
-from chshq import cli, fourier
-from chshq.boxes import compose_closed_form
+from chshq import cli, fourier, geometry
+from chshq.boxes import ErrorDist, compose_closed_form
 from chshq.cli import PMF_TEXT_CAP, run, parse_fraction, frac_str, pmf_strs
 from chshq.errors import CapExceeded, InvalidInput
 from chshq.field import Field
@@ -40,6 +40,13 @@ def test_fraction_io():
         parse_fraction("1/0")
     with pytest.raises(CapExceeded, match="too long to print"):
         frac_str(Fraction(1, 10 ** 4300))   # past Python's int-to-str limit
+
+
+def test_parse_fraction_refuses_a_bool():
+    # Fraction(True) is 1, so ErrorDist(2, True, False) would be a valid distribution
+    for call in (lambda: parse_fraction(True), lambda: ErrorDist(2, True, False)):
+        with pytest.raises(InvalidInput, match="cannot parse rational"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +258,17 @@ def test_exit_code_missing_file(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: (256, geometry.subfield_construction(Field(2, 8))),
+    lambda: (1009, geometry.grid_construction(Field(1009, 1))),
+    lambda: (5, geometry.make_config([], [])),
+], ids=["subfield-256", "grid-1009", "empty"])
+def test_config_json_round_trip(build):
+    q, config = build()
+    field, back = cli.config_from_json(json.loads(json.dumps(cli.config_to_json(q, config))))
+    assert (field.p ** field.s, back) == (q, config)
+
+
 def test_exit_code_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "chshq/1", "q": 4,
@@ -281,13 +299,13 @@ def test_exit_code_coordinate_out_of_range(tmp_path, capsys, command, value, slo
     (b"{bad", "not valid JSON"),
     (b"\xff\xfe{", "not valid JSON"),
     (b"", "not valid JSON"),
-    (b'{"q": 1e400, "points": [], "lines": []}', "not an integer"),
-    (b'{"q": 4.7, "points": [], "lines": []}', "not an integer"),
-    (b'{"q": true, "points": [], "lines": []}', "not an integer"),
-    (b'{"q": 5, "points": [[1.9, 0]], "lines": []}', "not an integer"),
-    (b'{"q": 5, "points": [], "lines": [[0, false]]}', "not an integer"),
-    (b'{"q": 5, "points": [[1, 2, 3]], "lines": []}', "malformed config json"),
-    (b'{"q": 5, "points": [1], "lines": []}', "malformed config json"),
+    (b'{"q": 1e400, "points": [], "lines": []}', "q = inf must be an integer >= 2"),
+    (b'{"q": 4.7, "points": [], "lines": []}', "q = 4.7 must be an integer >= 2"),
+    (b'{"q": true, "points": [], "lines": []}', "q = True must be an integer >= 2"),
+    (b'{"q": 5, "points": [[1.9, 0]], "lines": []}', "point coordinates outside the field"),
+    (b'{"q": 5, "points": [], "lines": [[0, false]]}', "line parameters outside the field"),
+    (b'{"q": 5, "points": [[1, 2, 3]], "lines": []}', "points and lines must be pairs"),
+    (b'{"q": 5, "points": [1], "lines": []}', "points and lines must be pairs"),
     (b"[]", "malformed config json"),
     (b"[" * 100000 + b"]" * 100000, "nests JSON too deeply"),
 ], ids=["syntax", "not-utf8", "empty", "q-overflow", "q-fraction", "q-bool",

@@ -49,6 +49,14 @@ def test_entropy_basics():
 NAN = float("nan")
 
 
+@pytest.mark.parametrize("dist", [[NAN, 1.0], [0.5, 0.7], [-0.5, 1.5], [float("inf"), 1.0]],
+                         ids=["nan", "sum-above-one", "negative", "inf"])
+def test_entropy_refuses_a_table_that_is_not_a_distribution(dist):
+    # unchecked, the p > 0 mask would drop a NaN and a negative entry give a negative entropy
+    with pytest.raises(InvalidInput, match="must be nonnegative and sum to 1"):
+        entropy(dist)
+
+
 @pytest.mark.parametrize("call", [
     lambda: check_joint([[NAN, 0.5], [0.25, 0.25]]),
     lambda: mutual_information([[NAN, 0.5], [0.25, 0.25]]),
@@ -426,8 +434,8 @@ def test_ic_sum_rejects_negative_bias():
         ic_sum(field, 2, "-1/2")
 
 
-@pytest.mark.parametrize("E", ["x", float("nan"), float("inf"), None, "1/0"],
-                         ids=["text", "nan", "inf", "None", "zero-denominator"])
+@pytest.mark.parametrize("E", ["x", float("nan"), float("inf"), None, "1/0", True],
+                         ids=["text", "nan", "inf", "None", "zero-denominator", "bool"])
 def test_non_rational_ic_bias_is_invalid_input(E):
     field = field_from_q(3)
     with pytest.raises(InvalidInput, match="cannot parse rational"):
