@@ -19,11 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import log10
 
-import numpy as np
-
 from .errors import CapExceeded, InvalidInput
-from .field import Field, check_int, check_op_cap
-from .game import Strategy, win_count, bias_from_p_win, p_win_from_bias, strategy_tables
+from .field import Field, check_int
+from .game import Strategy, win_count, bias_from_p_win, p_win_from_bias
 
 POW_DIGITS_CAP = 4300   # Python's default int-to-str digit limit
 
@@ -185,68 +183,9 @@ def distribute(field: Field, box: RegularBox) -> RegularBox:
     (alpha, delta) and (gamma, beta), outputs are corrected by alpha*gamma
     and beta*delta, and the players win iff the two errors cancel.  The
     resulting error e1 + e2 is again regular; its bias is extracted from
-    the convolution rather than assumed.
+    the convolution rather than assumed.  `game.distributed_win_count`
+    counts the same game on a strategy that is not wrapped.
     """
     err = box.error_dist()
     return RegularBox(field.q, convolve(field, err, err).bias())
 
-
-# ---------------------------------------------------------------------------
-# Monte Carlo sanity layer
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MonteCarloResult:
-    estimate: float
-    stderr: float
-    samples: int
-
-
-def monte_carlo_win(field: Field, box, game: str = "base",
-                    samples: int = 10 ** 5, seed: int = 0) -> MonteCarloResult:
-    """Estimate p_win by simulation; unbiased, deterministic per seed.
-
-    The draws are index arrays, combined elementwise by `field.vec`, so no
-    q x q table is built.  Refused above OP_TABLE_Q_CAP, before any draw."""
-    samples, seed = check_int("samples", samples), check_int("seed", seed, 0)
-    if game not in ("base", "dist"):
-        raise InvalidInput(f"unknown game {game!r}")
-    q = field.q
-    check_op_cap(field, "Monte Carlo games")
-    rng = np.random.default_rng(seed)
-
-    if isinstance(box, RegularBox):
-        if box.q != q:
-            raise InvalidInput("distribution/field size mismatch")
-        err = box.error_dist()
-        pmf = np.array([float(err.p0)] + [float(err.p1)] * (q - 1))
-        pmf = pmf / pmf.sum()   # guard float rounding in np.choice
-        if game == "base":
-            e = rng.choice(q, size=samples, p=pmf)
-            success = e == 0
-        else:
-            e1 = rng.choice(q, size=samples, p=pmf)
-            e2 = rng.choice(q, size=samples, p=pmf)
-            success = field.vec.add(e1, e2) == 0
-    elif isinstance(box, StrategyBox):
-        f, g = strategy_tables(field, box.strategy)
-        add, mul = field.vec.add, field.vec.mul
-        if game == "base":
-            x = rng.integers(0, q, size=samples)
-            y = rng.integers(0, q, size=samples)
-            success = add(f[x], g[y]) == mul(x, y)
-        else:
-            alpha = rng.integers(0, q, size=samples)
-            gamma = rng.integers(0, q, size=samples)
-            beta = rng.integers(0, q, size=samples)
-            delta = rng.integers(0, q, size=samples)
-            a = add(add(f[alpha], f[gamma]), mul(alpha, gamma))
-            b = add(add(g[delta], g[beta]), mul(beta, delta))
-            target = mul(add(alpha, beta), add(gamma, delta))
-            success = add(a, b) == target
-    else:
-        raise InvalidInput("box must be a RegularBox or StrategyBox")
-
-    est = float(success.mean())
-    stderr = float(np.sqrt(est * (1.0 - est) / samples))
-    return MonteCarloResult(estimate=est, stderr=stderr, samples=samples)

@@ -303,12 +303,6 @@ class Field(_Arith):
             raise InvalidInput(f"encoding {a} outside [0, {self.q})")
         return tuple(_digits(a, self.p, self.s))
 
-    def elements(self) -> range:
-        return range(self.q)
-
-    def units(self) -> range:
-        return range(1, self.q)
-
     # -- ring operations (add, sub, neg and mul come from _Arith) ----------
 
     def inv(self, a: int) -> int:

@@ -69,21 +69,38 @@ def strategy_tables(field: Field, strategy: Strategy) -> tuple[np.ndarray, np.nd
     return _table(field, f), _table(field, g)
 
 
-def win_count(field: Field, strategy: Strategy) -> GameValue:
-    """Exact number of winning input pairs for a deterministic strategy.
+def error_histogram(field: Field, strategy: Strategy) -> np.ndarray:
+    """The q counts N(v) = #{(x, y) : f(x) + g(y) - x*y = v}, by encoding v.
 
-    Counted in blocks of `block_rows(q)` inputs x, each x against every y
-    at once as f(x) + g(y) = x * y, so no q x q array is formed.  Refused
-    above OP_TABLE_Q_CAP."""
+    Tallied in blocks of `block_rows(q)` inputs x, each x against every y
+    at once, with one bincount per block, so no q x q array is formed.
+    Refused above OP_TABLE_Q_CAP."""
     f, g = strategy_tables(field, strategy)
     check_op_cap(field, "win counts")
     q, vec = field.q, field.vec
     r = np.arange(q)
     step = block_rows(q)
-    wins = sum(np.count_nonzero(vec.add(f[x0:x0 + step, None], g)
-                                == vec.mul(r[x0:x0 + step, None], r))
+    return sum(np.bincount(vec.sub(vec.add(f[x0:x0 + step, None], g),
+                                   vec.mul(r[x0:x0 + step, None], r)).ravel(), minlength=q)
                for x0 in range(0, q, step))
-    return GameValue.from_wins(q, int(wins))
+
+
+def win_count(field: Field, strategy: Strategy) -> GameValue:
+    """Exact number of winning input pairs for a deterministic strategy:
+    N(0) of `error_histogram`.  Refused above OP_TABLE_Q_CAP."""
+    return GameValue.from_wins(field.q, int(error_histogram(field, strategy)[0]))
+
+
+def distributed_win_count(field: Field, strategy: Strategy) -> int:
+    """Exact winning inputs, out of q^4, of the distributed game on (f, g).
+
+    Alice holds (alpha, gamma) and Bob (beta, delta), and they win iff
+    e(alpha, delta) + e(gamma, beta) = 0, e(x, y) = f(x) + g(y) - x*y.
+    The two input pairs are independent and uniform, so the count is
+    D = sum_v N(v) * N(-v) over the `error_histogram` N; no regularity is
+    assumed.  Refused above OP_TABLE_Q_CAP."""
+    n = error_histogram(field, strategy)
+    return int(n @ n[field.vec.neg(np.arange(field.q))])
 
 
 def _grid(field: Field, op: str) -> np.ndarray:

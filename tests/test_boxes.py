@@ -11,12 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from chshq.errors import CapExceeded, InvalidInput, InvariantViolation
 from chshq.field import Field, OP_TABLE_Q_CAP, block_rows, factorize, field_from_q
-from chshq.game import Strategy, win_count, bias_from_p_win, p_win_from_bias, strategy_tables
+from chshq.game import (Strategy, distributed_win_count, win_count, bias_from_p_win,
+                        p_win_from_bias, strategy_tables)
 from chshq.boxes import (
     ErrorDist, RegularBox, StrategyBox, regularize, convolve, compose_m,
-    compose_closed_form, distribute, monte_carlo_win,
+    compose_closed_form, distribute,
 )
 
+from mc_oracle import monte_carlo_win
 from op_grids import op_grid
 
 
@@ -195,19 +197,19 @@ def per_input_error_dists_scalar(field, box: StrategyBox) -> list[list[Fraction]
     q = field.q
     total = (q - 1) * (q - 1) * q * q
     out = []
-    for x in field.elements():
-        for y in field.elements():
+    for x in range(q):
+        for y in range(q):
             xy = field.mul(x, y)
             counts = [0] * q
-            for alpha in field.units():
+            for alpha in range(1, q):
                 ax = field.mul(alpha, x)
-                for beta in field.units():
+                for beta in range(1, q):
                     inv_ab = field.inv(field.mul(alpha, beta))
                     by = field.mul(beta, y)
-                    for gamma in field.elements():
+                    for gamma in range(q):
                         xt = field.add(ax, gamma)
                         bg_y = field.mul(gamma, by)
-                        for delta in field.elements():
+                        for delta in range(q):
                             yt = field.add(by, delta)
                             a_num = field.sub(f[xt],
                                               field.add(field.mul(delta, ax),
@@ -286,7 +288,7 @@ def test_regularize_refuses_what_is_not_a_strategy(box):
         regularize(field_from_q(3), box)
     if isinstance(box, StrategyBox):
         with pytest.raises(InvalidInput, match="strateg"):
-            monte_carlo_win(field_from_q(3), box, samples=10)
+            distributed_win_count(field_from_q(3), box.strategy)
 
 
 def test_regularize_at_op_table_cap():
@@ -506,15 +508,10 @@ F3, BOX3 = field_from_q(3), RegularBox(3, Fraction(1, 2))
     lambda: compose_closed_form(3, Fraction(1, 2), 0),
     lambda: compose_closed_form(3, 0, -1),
     lambda: compose_closed_form(3, Fraction(1, 2), 2.0),
-    lambda: monte_carlo_win(F3, BOX3, samples=2.5),
-    lambda: monte_carlo_win(F3, BOX3, samples=None),
-    lambda: monte_carlo_win(F3, BOX3, seed=-1),
-    lambda: monte_carlo_win(F3, BOX3, seed=1.5),
 ], ids=["compose-m-float", "compose-m-negative", "compose-m-text", "closed-form-m0",
-        "closed-form-m-negative", "closed-form-m-float", "samples-float", "samples-none",
-        "seed-negative", "seed-float"])
+        "closed-form-m-negative", "closed-form-m-float"])
 def test_integer_arguments_are_checked(call):
-    # m and samples are ints >= 1, seed an int >= 0; anything else is refused
+    # m is an int >= 1; anything else is refused
     with pytest.raises(InvalidInput, match="must be an integer >= "):
         call()
 
@@ -538,7 +535,7 @@ def test_distribute_of_perfect_box_is_perfect():
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo
+# the Monte Carlo oracle against the exact counts
 # ---------------------------------------------------------------------------
 
 def test_monte_carlo_perfect_box():
@@ -599,24 +596,35 @@ MONTE_CARLO_WINS = {
 }
 
 
+def frozen_boxes(q: int) -> dict:
+    return {"strategy": StrategyBox(Strategy(tuple((x * x + 1) % q for x in range(q)),
+                                             tuple((2 * y + 3) % q for y in range(q)))),
+            "regular": RegularBox(q, Fraction(1, 3))}
+
+
 @pytest.mark.parametrize("q", [7, 8, 9])
 def test_monte_carlo_reproduces_frozen_estimates(q):
     field = field_from_q(q)
-    boxes = {"strategy": StrategyBox(Strategy(tuple((x * x + 1) % q for x in range(q)),
-                                              tuple((2 * y + 3) % q for y in range(q)))),
-             "regular": RegularBox(q, Fraction(1, 3))}
+    boxes = frozen_boxes(q)
     for (q_, kind, game, seed), wins in MONTE_CARLO_WINS.items():
         if q_ == q:
             r = monte_carlo_win(field, boxes[kind], game=game, samples=3000, seed=seed)
             assert r.estimate == wins / 3000, (kind, game, seed)
 
 
-def test_monte_carlo_refused_above_cap_before_vec():
-    field = Field(4099, 1)   # the smallest prime above OP_TABLE_Q_CAP
-    box = StrategyBox(Strategy((0,) * field.q, (0,) * field.q))
-    with pytest.raises(CapExceeded, match=f"capped at q <= {OP_TABLE_Q_CAP}"):
-        monte_carlo_win(field, box, samples=10)
-    assert "vec" not in vars(field)
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_monte_carlo_agrees_with_every_exact_path(q):
+    # each sampled game against the library's exact count for it
+    field = field_from_q(q)
+    boxes = frozen_boxes(q)
+    s, box = boxes["strategy"].strategy, boxes["regular"]
+    exact = {("regular", "base"): box.p_win(),
+             ("regular", "dist"): distribute(field, box).p_win(),
+             ("strategy", "base"): win_count(field, s).p_win,
+             ("strategy", "dist"): Fraction(distributed_win_count(field, s), q ** 4)}
+    for (kind, game), p in exact.items():
+        r = monte_carlo_win(field, boxes[kind], game=game, samples=100_000, seed=q)
+        assert abs(r.estimate - float(p)) < 4 * r.stderr, (kind, game, r, p)
 
 
 def test_monte_carlo_rejects_bad_args():

@@ -13,13 +13,13 @@ import pytest
 
 import chshq.field
 from chshq import cli
-from chshq.boxes import ErrorDist, RegularBox, StrategyBox, monte_carlo_win, regularize
+from chshq.boxes import ErrorDist, RegularBox, StrategyBox, regularize
 from chshq.errors import CapExceeded, InvalidInput
 from chshq.field import Field, field_from_q
 from chshq.fourier import (VectorFamily, character_bilinear_sum, fourier_matrix,
                            implied_bias_ceiling, maximize_sum, random_family, tight_family)
-from chshq.game import (Strategy, best_response_g, local_search, normalize_shift,
-                        search_with_restarts, tsirelson_bound, win_count)
+from chshq.game import (Strategy, best_response_g, distributed_win_count, local_search,
+                        normalize_shift, search_with_restarts, tsirelson_bound, win_count)
 from chshq.geometry import (Config, config_to_strategy, incidences, is_legal, lift_config,
                             make_config, point_on_line, proj_canonical, proj_cross,
                             proj_point, proj_points, projective_incidences,
@@ -62,8 +62,7 @@ def _config(rows):
 CALLERS = {
     "win_count": lambda F, t, r: win_count(F, _strategy(t, F.q)),
     "best_response_g": lambda F, t, r: best_response_g(F, t),
-    "monte_carlo_win": lambda F, t, r: monte_carlo_win(F, StrategyBox(_strategy(t, F.q)),
-                                                       samples=10),
+    "distributed_win_count": lambda F, t, r: distributed_win_count(F, _strategy(t, F.q)),
     "strategy_to_config": lambda F, t, r: strategy_to_config(F, _strategy(t, F.q)),
     "normalize_shift": lambda F, t, r: normalize_shift(F, _strategy(t, F.q)),
     "incidences": lambda F, t, r: incidences(F, _config(r)),
@@ -196,7 +195,7 @@ def _q_by_q_calls(field):
         "search_with_restarts": lambda: search_with_restarts(field, seed=0, restarts=1,
                                                              max_rounds=1),
         "regularize": lambda: regularize(field, StrategyBox(strategy)),
-        "monte_carlo_win": lambda: monte_carlo_win(field, StrategyBox(strategy), samples=10),
+        "distributed_win_count": lambda: distributed_win_count(field, strategy),
         "joint_from_error": lambda: joint_from_error(
             field, RegularBox(field.q, Fraction(1, 2)).error_dist()),
         "fourier_matrix": lambda: fourier_matrix(field),

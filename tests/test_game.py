@@ -15,7 +15,7 @@ from chshq import game
 from chshq.errors import InvalidInput, CapExceeded
 from chshq.field import field_from_q
 from chshq.game import (
-    Strategy, GameValue, win_count, best_response_g,
+    Strategy, GameValue, win_count, error_histogram, distributed_win_count, best_response_g,
     exact_classical_value, normalize_shift,
     local_search, search_with_restarts, tsirelson_bound,
     bias_from_p_win, p_win_from_bias,
@@ -58,7 +58,7 @@ def loop_win_count(field, strategy: Strategy) -> int:
     # the scalar double loop that win_count replaced
     f, g = strategy
     return sum(field.add(f[x], g[y]) == field.mul(x, y)
-               for x in field.elements() for y in field.elements())
+               for x in range(field.q) for y in range(field.q))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
@@ -120,6 +120,75 @@ def test_best_response_refuses_tables_outside_the_field(f):
 
 
 # ---------------------------------------------------------------------------
+# the error histogram and the distributed game
+# ---------------------------------------------------------------------------
+
+# the frozen optimal witnesses of the exact goldens: q -> (wins, strategy)
+EXACT_WITNESSES = {
+    8: (24, Strategy((0, 0, 0, 0, 1, 2, 5, 3), (0, 3, 2, 6, 0, 5, 7, 0))),
+    9: (29, Strategy((0, 0, 0, 1, 3, 4, 3, 1, 4), (0, 1, 0, 3, 4, 7, 0, 5, 0))),
+}
+
+
+def square_plus_one(q: int) -> Strategy:
+    # f(x) = x^2 + 1, g(y) = 2y + 3 on encodings mod q
+    return Strategy(tuple((x * x + 1) % q for x in range(q)),
+                    tuple((2 * y + 3) % q for y in range(q)))
+
+
+def grid_error_histogram(field, strategy: Strategy) -> list[int]:
+    # e(x, y) = f(x) + g(y) - xy read from the whole op tables, then tallied
+    f, g = np.asarray(strategy.f), np.asarray(strategy.g)
+    add, sub, mul = (op_grid(field, op) for op in ("add", "sub", "mul"))
+    return np.bincount(sub[add[f][:, g], mul].ravel(), minlength=field.q).tolist()
+
+
+def loop_distributed_win_count(field, strategy: Strategy) -> int:
+    # the distributed game played on each of the q^4 inputs: Alice holds
+    # (alpha, gamma) and answers f(alpha) + f(gamma) + alpha*gamma, Bob holds
+    # (beta, delta) and answers g(delta) + g(beta) + beta*delta, and they win
+    # iff the answers sum to (alpha + beta)(gamma + delta)
+    f, g = strategy
+    add, mul = field.add, field.mul
+    return sum(add(add(add(f[a], f[c]), mul(a, c)), add(add(g[d], g[b]), mul(b, d)))
+               == mul(add(a, b), add(c, d))
+               for a, b, c, d in product(range(field.q), repeat=4))
+
+
+@pytest.mark.parametrize("q, square_plus_one_wins", [(2, 10), (3, 24), (4, 76), (5, 120)])
+def test_distributed_win_count_matches_q4_loop(q, square_plus_one_wins):
+    field = field_from_q(q)
+    assert distributed_win_count(field, square_plus_one(q)) == square_plus_one_wins
+    rng = random.Random(q)
+    for s in [square_plus_one(q)] + [random_strategy(q, rng) for _ in range(5)]:
+        assert distributed_win_count(field, s) == loop_distributed_win_count(field, s), s
+
+
+@pytest.mark.parametrize("block_cells", [None, 1000])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 64, 81, 125, 128, 256])
+def test_error_histogram_matches_op_tables(monkeypatch, q, block_cells):
+    # 1000 cells are 1000 // q rows a block, with a shorter last block
+    if block_cells:
+        monkeypatch.setattr(chshq.field, "BLOCK_CELLS", block_cells)
+    field = field_from_q(q)
+    rng = random.Random(q)
+    for s in [random_strategy(q, rng) for _ in range(3)]:
+        n = error_histogram(field, s)
+        assert n.sum() == q * q
+        assert n[0] == win_count(field, s).wins
+        assert n.tolist() == grid_error_histogram(field, s)
+
+
+@pytest.mark.parametrize("q", sorted(EXACT_WITNESSES))
+def test_error_histogram_zero_counts_the_frozen_witnesses(q):
+    field = field_from_q(q)
+    wins, s = EXACT_WITNESSES[q]
+    n = error_histogram(field, s)
+    assert n[0] == win_count(field, s).wins == wins
+    assert n.sum() == q * q and n.tolist() == grid_error_histogram(field, s)
+
+
+# ---------------------------------------------------------------------------
 # best responses
 # ---------------------------------------------------------------------------
 
@@ -175,6 +244,8 @@ def test_best_responses_and_counts_refuse_fields_above_cap():
     zeros = (0,) * field.q
     calls = [lambda: best_response_g(field, zeros),
              lambda: win_count(field, Strategy(zeros, zeros)),
+             lambda: error_histogram(field, Strategy(zeros, zeros)),
+             lambda: distributed_win_count(field, Strategy(zeros, zeros)),
              lambda: local_search(field, seed=0, max_rounds=1),
              lambda: search_with_restarts(field, seed=0, restarts=1, max_rounds=1)]
     for call in calls:
@@ -259,16 +330,14 @@ def test_exact_golden_q8():
     # frozen after a cross-check against the per-slice search it replaced
     field = field_from_q(8)
     v, s = exact_classical_value(field)
-    assert v.wins == 24 and v.p_win == Fraction(24, 64)
-    assert s == Strategy((0, 0, 0, 0, 1, 2, 5, 3), (0, 3, 2, 6, 0, 5, 7, 0))
+    assert (v.wins, s) == EXACT_WITNESSES[8] and v.p_win == Fraction(24, 64)
 
 
 def test_exact_golden_q9():
     # frozen after a cross-check against slice_exact_value (about 11 s)
     field = field_from_q(9)
     v, s = exact_classical_value(field)
-    assert v.wins == 29 and v.p_win == Fraction(29, 81)
-    assert s == Strategy((0, 0, 0, 1, 3, 4, 3, 1, 4), (0, 1, 0, 3, 4, 7, 0, 5, 0))
+    assert (v.wins, s) == EXACT_WITNESSES[9] and v.p_win == Fraction(29, 81)
 
 
 def slice_exact_value(field):
@@ -373,8 +442,8 @@ def test_linear_term_invariance_property(case):
     # (f(x) + a*x, g(y - a)): the symmetry behind the f(1) = 0 reduction
     field, s, a = case
     moved = Strategy(
-        tuple(field.add(s.f[x], field.mul(a, x)) for x in field.elements()),
-        tuple(s.g[field.sub(y, a)] for y in field.elements()))
+        tuple(field.add(s.f[x], field.mul(a, x)) for x in range(field.q)),
+        tuple(s.g[field.sub(y, a)] for y in range(field.q)))
     assert win_count(field, moved) == win_count(field, s)
 
 
@@ -386,7 +455,7 @@ def test_output_scale_invariance_property(case):
     u = u or 1
     scaled = Strategy(
         tuple(field.mul(u, v) for v in s.f),
-        tuple(field.mul(u, s.g[field.mul(y, field.inv(u))]) for y in field.elements()))
+        tuple(field.mul(u, s.g[field.mul(y, field.inv(u))]) for y in range(field.q)))
     assert win_count(field, scaled) == win_count(field, s)
 
 

@@ -475,7 +475,7 @@ def test_canonical_representatives_unique():
     for v in pts:
         assert proj_canonical(field, v) == v
         # rescaling collapses back to the same representative
-        for c in field.units():
+        for c in range(1, field.q):
             w = tuple(field.mul(c, vi) for vi in v)
             assert proj_canonical(field, w) == v
 

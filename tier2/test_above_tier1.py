@@ -3,9 +3,9 @@ pairwise rank test and strategy regularization against the exhaustive
 oracles of the Tier-1 tests, local search at the op-table cap against
 frozen results, the GF(65536) subfield configuration and character-sum
 probe through the CLI, the traced peaks of U_20, the character transform,
-the Fourier maximization, a q = 4096 search round, win count, Monte Carlo
-run and character matrix, the generator of every prime field against the
-matrix search, and `report --all` in two fresh interpreters.
+the Fourier maximization, a q = 4096 search round, win count, distributed
+win count and character matrix, the generator of every prime field against
+the matrix search, and `report --all` in two fresh interpreters.
 Outside the Tier-1 `testpaths`; run with
 
     python -m pytest -q tier2
@@ -31,11 +31,12 @@ import pytest  # noqa: E402
 import chshq.field  # noqa: E402
 import field_oracle  # noqa: E402
 from chshq import cli  # noqa: E402
-from chshq.boxes import StrategyBox, monte_carlo_win, regularize  # noqa: E402
+from chshq.boxes import StrategyBox, regularize  # noqa: E402
 from chshq.field import Field  # noqa: E402
 from chshq.fourier import (character_bilinear_sum, fourier_matrix, maximize_sum,  # noqa: E402
                            random_family)
-from chshq.game import Strategy, exact_classical_value, local_search, win_count  # noqa: E402
+from chshq.game import (Strategy, distributed_win_count, exact_classical_value,  # noqa: E402
+                        local_search, win_count)
 from chshq.geometry import make_config, verify_incidence_preservation_exhaustive  # noqa: E402
 from chshq.infotheory import HadamardTask, build_U_m, pairwise_independence_check  # noqa: E402
 
@@ -156,16 +157,15 @@ def test_search_round_and_win_count_peaks_at_q4096():
     assert peak <= 16 * 2 ** 20, peak
 
 
-def test_monte_carlo_peak_at_q4096():
-    # draws combined by vec: no q x q table (a 64 MB int32 pair at q = 4096)
+def test_distributed_win_count_peak_at_q4096():
+    # the error histogram runs on blocks of 2^16 cells: no q x q array
     field = Field(2, 12)
     field.vec   # built outside the traced call
     rng = random.Random(field.q)
-    box = StrategyBox(Strategy(*(tuple(rng.randrange(field.q) for _ in range(field.q))
-                                 for _ in range(2))))
-    for game in ("base", "dist"):
-        peak = traced_peak(lambda: monte_carlo_win(field, box, game=game, samples=1000))
-        assert peak <= 16 * 2 ** 20, (game, peak)
+    strategy = Strategy(*(tuple(rng.randrange(field.q) for _ in range(field.q))
+                          for _ in range(2)))
+    peak = traced_peak(lambda: distributed_win_count(field, strategy))
+    assert peak <= 16 * 2 ** 20, peak
 
 
 def test_fourier_matrix_peak_at_q4096():
