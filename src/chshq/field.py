@@ -21,17 +21,21 @@ of columns, reduced mod p in place; every value is an integer of at most
 s(p - 1)^2, small enough that the products and the floor of each quotient
 by p are exact (`_powers` gives the bound).
 
-Every field holds one set of tables, derived once by `_tables` in one
-sentinel scheme from the powers of g: log, antilog, neg and inv, so that mul,
-inv and pow are index arithmetic, and for addition (digit-wise mod p) a
-mod-q table for prime fields, nothing for p = 2 (XOR) and Zech logarithms
-for odd p with s > 1.  `_Arith` writes add, sub, neg and mul once over them,
-and two faces run those bodies: the scalar methods index compact uint16 and
-int32 tables as plain Python ints, and `Field.vec` gathers elementwise on
-integer arrays from intp widenings of the same tables.  No q x q table
-is kept: `vec.mul_window` reads the products x * g^j of a run of j as
-windows of the antilog table, and `vec.log` with `vec.antilog` reads any
-function of a product x * y at log x + log y.
+Every (p, s) has one set of tables, derived by `_tables` in one sentinel
+scheme from the powers of g: log, antilog, neg and inv, so that mul, inv
+and pow are index arithmetic, and for addition (digit-wise mod p) a mod-q
+table for prime fields, nothing for p = 2 (XOR) and Zech logarithms for odd
+p with s > 1.  `_field_tables` builds them once per process and every field
+of that (p, s) shares them, read-only, as does `Field.vec`, one per (p, s)
+(`_field_vec`); both caches are LRUs of FIELD_CACHE entries, at most about
+31 MiB of tables and 93 MiB of `vec` faces.  `_Arith` writes add, sub, neg
+and mul once over the tables, and two faces run those bodies: the scalar
+methods index compact uint16 and int32 tables as plain Python ints, and
+`Field.vec` gathers elementwise on integer arrays from intp widenings of
+the same tables.  No q x q table is kept: `vec.mul_window` reads the
+products x * g^j of a run of j as windows of the antilog table, and
+`vec.log` with `vec.antilog` reads any function of a product x * y at
+log x + log y.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import cmath
 import math
 import numbers
 import operator
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,6 +53,7 @@ from .errors import InvalidInput, InvariantViolation, CapExceeded
 Q_CAP = 1 << 16        # refuse fields larger than this
 OP_TABLE_Q_CAP = 1 << 12   # refuse q x q work above this q
 BLOCK_CELLS = 1 << 16  # cells of one block in every blocked numpy loop
+FIELD_CACHE = 16       # tables of this many (p, s), and as many `Field.vec`, kept
 
 # table item types: field elements are < q <= 2**16, logarithms lie in [-2q, 2q]
 _ELT, _LOG = np.uint16, np.int32
@@ -237,6 +242,26 @@ def _tables(p: int, s: int, powers: np.ndarray) -> dict[str, np.ndarray]:
     return tables
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """`arr`, made read-only: every cached table is shared between fields."""
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=FIELD_CACHE)
+def _field_tables(p: int, s: int) -> tuple[int, tuple[int, ...], dict[str, np.ndarray]]:
+    """g, the modulus and the read-only `_tables` of GF(p^s), for (p, s) as
+    `Field` checked them; built once per process and shared by every field
+    of that (p, s).  The largest entry, GF(251^2), holds 1.9 MiB, so a full
+    cache holds at most FIELD_CACHE * 1.9 MiB, about 31 MiB.  `__wrapped__`
+    is the uncached build."""
+    code, g = _CANONICAL[p, s] if s > 1 else (0, _prime_root(p))
+    modulus = (*_digits(code, p, s), 1)
+    mg = _mul_matrices(np.array([_digits(g, p, s)]), _x_matrix(modulus, p), p)[0]
+    tables = _tables(p, s, _powers(p, s, mg))
+    return g, modulus, {k: _frozen(t) for k, t in tables.items()}
+
+
 class _Arith:
     """add, sub, neg and mul, written once over the tables of `_tables`: the
     same bodies run on Python ints over memoryviews of the tables (`Field`)
@@ -287,12 +312,9 @@ class Field(_Arith):
         if q > Q_CAP:
             raise CapExceeded(f"q = {q} exceeds the supported cap {Q_CAP}")
         self.p, self.s, self.q = p, s, q
-        code, self._g = _CANONICAL[p, s] if s > 1 else (0, _prime_root(p))
-        self.modulus = (*_digits(code, p, s), 1)
-        mg = _mul_matrices(np.array([_digits(self._g, p, s)]), _x_matrix(self.modulus, p), p)[0]
-        powers = _powers(p, s, mg)
-        # memoryviews of the tables, whose items index as plain Python ints
-        self._bind(p, s, {k: memoryview(t) for k, t in _tables(p, s, powers).items()})
+        self._g, self.modulus, tables = _field_tables(p, s)
+        # memoryviews of the shared tables, whose items index as plain Python ints
+        self._bind(p, s, {k: memoryview(t) for k, t in tables.items()})
 
     # -- encoding -----------------------------------------------------------
 
@@ -319,8 +341,9 @@ class Field(_Arith):
 
     @cached_property
     def vec(self) -> "FieldVec":
-        """The elementwise face of this field, built on first use."""
-        return FieldVec(self)
+        """The elementwise face of GF(p^s), built on first use and shared by
+        every field of the same (p, s) (`_field_vec`)."""
+        return _field_vec(self.p, self.s)
 
     # -- structure ----------------------------------------------------------
 
@@ -345,12 +368,12 @@ class Field(_Arith):
 
 
 class FieldVec(_Arith):
-    """Elementwise GF(q) arithmetic on integer numpy arrays: branch-free
-    gathers from intp widenings of the field's tables.  inv(0) is 0 here."""
+    """Elementwise GF(p^s) arithmetic on integer numpy arrays: branch-free
+    gathers from intp widenings of the tables of `_field_tables`, read-only
+    like them.  inv(0) is 0 here."""
 
-    def __init__(self, field: Field):
-        p, s = field.p, field.s
-        self._bind(p, s, {k: np.asarray(t).astype(np.intp) for k, t in field._tables.items()})
+    def __init__(self, p: int, s: int):
+        self._bind(p, s, {k: _frozen(t.astype(np.intp)) for k, t in _field_tables(p, s)[2].items()})
         # Tr(b) = b + b^p + ... + b^(p^(s-1)) lies in F_p, encoded 0..p-1; it
         # is taken on the basis a^i (encoded p^i) alone, and Tr is F_p-linear,
         # so Tr(x) = sum_i d_i(x) Tr(a^i) mod p over the base-p digits d_i(x),
@@ -364,7 +387,7 @@ class FieldVec(_Arith):
         table, d = np.zeros(1, dtype=np.intp), np.arange(p)[:, None]
         for t in tr.tolist():
             table = ((d * t + table) % p).ravel()
-        self._tr = table
+        self._tr = _frozen(table)
 
     def inv(self, a):
         return self._inv[a]
@@ -398,6 +421,14 @@ class FieldVec(_Arith):
         exp = self._exp
         windows = np.ndarray((len(exp) - m + 1, m), exp.dtype, exp, 0, (exp.itemsize,) * 2)
         return windows[self._log[x] + j0]
+
+
+@lru_cache(maxsize=FIELD_CACHE)
+def _field_vec(p: int, s: int) -> FieldVec:
+    """The one `FieldVec` of GF(p^s) per process.  Its intp widenings and
+    trace table hold up to 5.8 MiB (GF(251^2)), so a full cache holds at
+    most FIELD_CACHE * 5.8 MiB, about 93 MiB."""
+    return FieldVec(p, s)
 
 
 def field_new(p: int, s: int) -> Field:

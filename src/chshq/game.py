@@ -73,15 +73,17 @@ def error_histogram(field: Field, strategy: Strategy) -> np.ndarray:
     """The q counts N(v) = #{(x, y) : f(x) + g(y) - x*y = v}, by encoding v.
 
     Tallied in blocks of `block_rows(q)` inputs x, each x against every y
-    at once, with one bincount per block, so no q x q array is formed.
+    at once, with one bincount per block, so no q x q array is formed; the
+    error is (f(x) + g(y)) + x*(-y), with -y negated once per call.
     Refused above OP_TABLE_Q_CAP."""
     f, g = strategy_tables(field, strategy)
     check_op_cap(field, "win counts")
     q, vec = field.q, field.vec
     r = np.arange(q)
+    neg_r = vec.neg(r)
     step = block_rows(q)
-    return sum(np.bincount(vec.sub(vec.add(f[x0:x0 + step, None], g),
-                                   vec.mul(r[x0:x0 + step, None], r)).ravel(), minlength=q)
+    return sum(np.bincount(vec.add(vec.add(f[x0:x0 + step, None], g),
+                                   vec.mul(r[x0:x0 + step, None], neg_r)).ravel(), minlength=q)
                for x0 in range(0, q, step))
 
 

@@ -6,7 +6,6 @@ import cmath
 import hashlib
 import json
 import random
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -224,10 +223,10 @@ def test_field_builds_match_frozen_golden():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_golden_field_builds_raise_no_runtime_warning():
+def test_golden_field_builds_raise_no_runtime_warning(fresh_caches):
     # a float matvec that encoded the digits in `_powers` once raised a
     # spurious "invalid value encountered in matmul"; every golden build runs
-    # here with RuntimeWarning an error
+    # here with RuntimeWarning an error, none of them served from the cache
     for p, s, *_ in FIELD_BUILDS:
         field_new(p, s)
 
@@ -592,6 +591,111 @@ def test_character_nontrivial():
 
 
 # ---------------------------------------------------------------------------
+# one set of tables per (p, s): the per-process cache
+# ---------------------------------------------------------------------------
+
+CACHES = (chshq.field._field_tables, chshq.field._field_vec)
+
+
+@pytest.fixture
+def fresh_caches():
+    # empty both caches around a test that patches a build step or must see
+    # every build run, so that no entry built before it or under its patch
+    # serves another test
+    for cache in CACHES:
+        cache.cache_clear()
+    yield
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+# q = 2, 3, 4, 9, 27, 243, 1009, 4096, 65521, 251^2, 3^10 and 2^16
+CACHE_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (3, 3), (3, 5), (1009, 1), (2, 12),
+                (65521, 1), (251, 2), (3, 10), (2, 16)]
+
+
+def assert_same_arrays(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for k, t in want.items():
+        assert got[k].dtype == t.dtype and np.array_equal(got[k], t), k
+
+
+@pytest.mark.parametrize("p,s", CACHE_FIELDS)
+def test_cached_build_matches_uncached_reference(p, s):
+    f = Field(p, s)
+    g, modulus, tables = chshq.field._field_tables.__wrapped__(p, s)
+    assert (f.primitive_element(), f.modulus) == (g, modulus)
+    assert_same_arrays(chshq.field._field_tables(p, s)[2], tables)
+    assert_same_arrays({k: np.asarray(t) for k, t in f._tables.items()}, tables)
+    ref = chshq.field._field_vec.__wrapped__(p, s)
+    assert ref is not f.vec
+    assert_same_arrays(f.vec._tables, ref._tables)
+    assert_same_arrays(f.vec._tables, {k: t.astype(np.intp) for k, t in tables.items()})
+    assert np.array_equal(f.vec.trace(np.arange(f.q)), ref.trace(np.arange(f.q)))
+
+
+@pytest.mark.parametrize("q", [2, 9, 64, 65521, 59049])
+def test_shared_tables_are_read_only(q):
+    f = field_from_q(q)
+    shared = [*chshq.field._field_tables(f.p, f.s)[2].values(), *f.vec._tables.values(),
+              f.vec._tr]
+    for t in shared:
+        assert not t.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            t[1] = 0
+    for view in f._tables.values():
+        assert view.readonly
+        with pytest.raises(TypeError):
+            view[1] = 0
+    assert f.mul(1, 1) == 1 and f.add(0, 1) == 1 and int(f.vec.mul(1, 1)) == 1
+
+
+def test_fields_of_one_pair_share_tables_and_vec():
+    a, b, c = Field(3, 4), Field(3, 4), field_from_q(81)
+    assert a is not b
+    for k, view in a._tables.items():
+        assert view.obj is b._tables[k].obj is c._tables[k].obj
+    assert a.vec is b.vec is c.vec
+    assert a._tables["exp"].obj is not Field(3, 2)._tables["exp"].obj
+
+
+def test_numpy_integer_arguments_hit_the_int_entry():
+    Field(3, 1)
+    before = chshq.field._field_tables.cache_info()
+    f = Field(np.int64(3), np.int64(1))
+    after = chshq.field._field_tables.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert type(f.p) is int and type(f.s) is int and f.vec is Field(3, 1).vec
+
+
+@pytest.mark.parametrize("p,s,error", [
+    (True, 1, InvalidInput), (3.0, 1, InvalidInput), (3, 1.0, InvalidInput),
+    (3, True, InvalidInput), (4, 1, InvalidInput), (Q_CAP + 1, 1, CapExceeded),
+    (2, 17, CapExceeded), (257, 2, CapExceeded)])
+def test_refusals_fire_before_the_cache(p, s, error):
+    for pair in [(2, 1), (3, 1), (2, 2), (2, 4)]:   # a warm cache
+        Field(*pair)
+    before = chshq.field._field_tables.cache_info()
+    with pytest.raises(error):
+        Field(p, s)
+    assert chshq.field._field_tables.cache_info() == before
+
+
+def test_oldest_entry_is_rebuilt_after_maxsize_more_fields(fresh_caches):
+    cache = chshq.field._field_tables
+    n = cache.cache_info().maxsize
+    assert n == chshq.field.FIELD_CACHE >= 11   # `report --all` reads 11 fields
+    pairs = [(p, 1) for p in PRIMES[:n + 1]]
+    for pair in pairs:
+        Field(*pair)
+    assert cache.cache_info()[1:] == (n + 1, n, n)   # misses, maxsize, currsize
+    Field(*pairs[-1])
+    assert cache.cache_info().hits == 1
+    Field(*pairs[0])   # evicted by the last pair, built again
+    assert cache.cache_info()[:2] == (1, n + 2)
+
+
+# ---------------------------------------------------------------------------
 # the elementwise face: Field.vec
 # ---------------------------------------------------------------------------
 
@@ -606,11 +710,6 @@ def primes_up_to(n: int) -> list[int]:
 
 PRIMES = primes_up_to(Q_CAP)
 DEGREE_PRIMES = {s: [p for p in PRIMES if p ** s <= Q_CAP] for s in range(1, 17)}
-
-
-@lru_cache(maxsize=8)
-def cached_field(p: int, s: int) -> Field:
-    return field_new(p, s)
 
 
 @st.composite
@@ -642,14 +741,14 @@ def frobenius_trace_table(f: Field) -> np.ndarray:
                                  (2, 8), (3, 6), (13, 2), (2, 11), (5, 5), (3, 7),
                                  (251, 2), (2, 16)])
 def test_trace_by_linearity_matches_frobenius_sum(p, s):
-    f = cached_field(p, s)
+    f = Field(p, s)
     tr = f.vec.trace(np.arange(f.q))
     assert np.array_equal(tr, frobenius_trace_table(f))
     sample = random.Random(p ** s).sample(range(f.q), min(f.q, 64))
     assert tr[sample].tolist() == [loop_trace(f, a) for a in sample]
 
 
-def test_trace_basis_outside_prime_field_raises(monkeypatch):
+def test_trace_basis_outside_prime_field_raises(fresh_caches, monkeypatch):
     # with x -> x^p broken to the constant terms (5, 6), the basis traces of
     # GF(9) read 1 + 5 = 3 and 3 + 6 = 0: 3 = p is the first encoding outside F_3
     monkeypatch.setattr(chshq.field.FieldVec, "pow", lambda self, a, e: np.array([5, 6]))
@@ -667,7 +766,7 @@ operands = st.lists(st.integers(0, Q_CAP - 1), max_size=12)
 @example(pair=(65521, 1), a=[65520, 3], b=[1, 65520], e=-65521)
 @example(pair=(5, 6), a=[15624], b=[3124], e=7)
 def test_vec_ops_match_scalar_and_polynomial_ops(pair, a, b, e):
-    f = cached_field(*pair)
+    f = Field(*pair)
     q, ref, vec = f.q, PolyReference(f), f.vec
     assert f.vec is vec
     # zero operands on either side and on both
@@ -693,7 +792,7 @@ def test_vec_ops_match_scalar_and_polynomial_ops(pair, a, b, e):
 @settings(max_examples=80, deadline=None)
 @given(pair=field_pairs(), a=operands, b=operands, c=operands)
 def test_vec_ops_satisfy_field_axioms(pair, a, b, c):
-    f = cached_field(*pair)
+    f = Field(*pair)
     q, vec = f.q, f.vec
     n = min(len(a), len(b), len(c))
     # zero, one and -1 operands in every position
